@@ -71,7 +71,7 @@ main(int argc, char **argv)
 
         const auto result = workload::replayTrace(dev, trace);
         table.row({ssd::ftlKindName(kind),
-                   std::to_string(result.completed),
+                   std::to_string(result.completedRequests),
                    metrics::format(result.iops, 0),
                    metrics::format(
                        result.writeLatencyUs.percentile(99) / 1000.0,

@@ -27,8 +27,7 @@
  *  - Submission is typed: production code implements
  *    ssd::CompletionSink and calls ssd::Ssd::submit(req, &sink, ctx)
  *    — the single host entry point, one virtual call per completion
- *    and no closure allocation. One-shot callers use submitSync();
- *    the closure adapter submitWithCallback() is for tests only.
+ *    and no closure allocation. One-shot callers use submitSync().
  *  - Tenancy is a tag, not a fork of the pipeline: HostRequest carries
  *    tenant/namespaceId (kNoTenant = untagged single-tenant paths),
  *    the pipeline threads the tag through to Completion::tenant and

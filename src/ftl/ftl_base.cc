@@ -54,8 +54,7 @@ FtlBase::FtlBase(const ssd::SsdConfig &config,
 
     GcHost &host = *this;  // private base: convert inside class scope
     gcEngine_ = std::make_unique<GcEngine>(
-        config_, chips_, blockMgrs_, mapping_, host,
-        makeGcPolicy(config_.gcPolicy), stats_);
+        config_, chips_, blockMgrs_, mapping_, host, stats_);
 }
 
 const BlockManager &

@@ -9,34 +9,21 @@
 
 namespace cubessd::ftl {
 
-std::unique_ptr<GcPolicy>
-makeGcPolicy(ssd::GcPolicyKind kind)
-{
-    switch (kind) {
-      case ssd::GcPolicyKind::Greedy:
-        return std::make_unique<GreedyGcPolicy>();
-    }
-    fatal("makeGcPolicy: unknown policy kind");
-}
-
 GcEngine::GcEngine(const ssd::SsdConfig &config,
                    std::vector<ssd::ChipUnit> &chips,
                    std::vector<BlockManager> &blockMgrs,
                    MappingTable &mapping, GcHost &host,
-                   std::unique_ptr<GcPolicy> policy, FtlStats &mirror)
+                   FtlStats &mirror)
     : config_(config),
       chips_(chips),
       blockMgrs_(blockMgrs),
       mapping_(mapping),
       host_(host),
-      policy_(std::move(policy)),
       geom_(config.chip.geometry),
       codec_(geom_),
       gc_(chips.size()),
       mirror_(mirror)
 {
-    if (!policy_)
-        fatal("GcEngine: no victim-selection policy");
     // Worst case per collection: every page of the victim is valid.
     for (auto &gc : gc_)
         gc.pending.reserve(geom_.pagesPerBlock());
@@ -89,7 +76,7 @@ GcEngine::maybeStart(std::uint32_t chip)
     if (blockMgrs_[chip].freeCount() >= config_.gcLowWatermark)
         return;
     PROF_SCOPE(prof::Slot::FtlGc);
-    const auto victim = policy_->pickVictim(blockMgrs_[chip]);
+    const auto victim = blockMgrs_[chip].pickVictim();
     if (!victim)
         return;
     startCollection(chip, *victim);
@@ -280,7 +267,7 @@ GcEngine::handleEraseComplete(std::uint32_t chip,
         trace_->end(tracks_[chip], clock_->now());
     // Hysteresis: keep collecting until the high watermark.
     if (blockMgrs_[chip].freeCount() < config_.gcHighWatermark) {
-        const auto next = policy_->pickVictim(blockMgrs_[chip]);
+        const auto next = blockMgrs_[chip].pickVictim();
         if (next)
             startCollection(chip, *next);
     }

@@ -5,10 +5,8 @@
  * GcEngine owns the per-chip GC state machine that used to live in
  * FtlBase: victim scan reads, WL-sized relocation programs, and the
  * final erase, with hysteresis between the low and high free-block
- * watermarks of SsdConfig. Victim selection is delegated to a
- * GcPolicy (greedy by default) so alternative policies — e.g.
- * PS-aware selection that prefers victims on cheap h-layers — can be
- * swapped in without touching the engine.
+ * watermarks of SsdConfig. Victims are picked greedily (the closed
+ * block with the fewest valid pages, BlockManager::pickVictim).
  *
  * The engine drives NAND directly for scans and erases but routes
  * relocation programs back through the FTL's flush path (GcHost), so
@@ -20,8 +18,6 @@
 #define CUBESSD_FTL_GC_H
 
 #include <cstdint>
-#include <memory>
-#include <optional>
 #include <vector>
 
 #include "src/common/types.h"
@@ -80,37 +76,6 @@ struct GcStats
     }
 };
 
-/** Victim-selection policy. */
-class GcPolicy
-{
-  public:
-    virtual ~GcPolicy() = default;
-
-    virtual const char *name() const = 0;
-
-    /**
-     * Pick the next victim block on one chip, or nullopt if no
-     * profitable victim exists.
-     */
-    virtual std::optional<std::uint32_t>
-    pickVictim(const BlockManager &mgr) = 0;
-};
-
-/** Default policy: the closed block with the fewest valid pages. */
-class GreedyGcPolicy final : public GcPolicy
-{
-  public:
-    const char *name() const override { return "greedy"; }
-    std::optional<std::uint32_t>
-    pickVictim(const BlockManager &mgr) override
-    {
-        return mgr.pickVictim();
-    }
-};
-
-/** Instantiate the policy selected in SsdConfig. */
-std::unique_ptr<GcPolicy> makeGcPolicy(ssd::GcPolicyKind kind);
-
 /**
  * Services the GC engine needs from the surrounding FTL. Implemented
  * by FtlBase; kept abstract so the engine is testable and reusable.
@@ -160,8 +125,7 @@ class GcEngine final : public ssd::NandOpListener
     GcEngine(const ssd::SsdConfig &config,
              std::vector<ssd::ChipUnit> &chips,
              std::vector<BlockManager> &blockMgrs, MappingTable &mapping,
-             GcHost &host, std::unique_ptr<GcPolicy> policy,
-             FtlStats &mirror);
+             GcHost &host, FtlStats &mirror);
 
     GcEngine(const GcEngine &) = delete;
     GcEngine &operator=(const GcEngine &) = delete;
@@ -186,7 +150,6 @@ class GcEngine final : public ssd::NandOpListener
     void resume(std::uint32_t chip);
 
     const GcStats &stats() const { return stats_; }
-    const GcPolicy &policy() const { return *policy_; }
 
     /**
      * Record each collection as a begin/end span on the chip's GC
@@ -248,7 +211,6 @@ class GcEngine final : public ssd::NandOpListener
     std::vector<BlockManager> &blockMgrs_;
     MappingTable &mapping_;
     GcHost &host_;
-    std::unique_ptr<GcPolicy> policy_;
     nand::NandGeometry geom_;
     nand::AddressCodec codec_;
     std::vector<ChipState> gc_;

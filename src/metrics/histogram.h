@@ -43,6 +43,8 @@ class LatencyHistogram
     void reset();
 
     std::uint64_t total() const { return total_; }
+    /** Sum of every added value (exact below 2^53). */
+    double sum() const { return sum_; }
     double mean() const;
     std::uint64_t min() const { return total_ ? min_ : 0; }
     std::uint64_t max() const { return total_ ? max_ : 0; }

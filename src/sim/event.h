@@ -13,9 +13,6 @@
  * visible in one place; the sim layer itself depends only on POD
  * types (targets are opaque `void *` / EventHandler pointers that the
  * owning subsystem casts back).
- *
- * Cold paths (tests, tools, setup code) can still schedule arbitrary
- * closures via EventKind::Generic — see EventQueue::schedule().
  */
 
 #ifndef CUBESSD_SIM_EVENT_H
@@ -30,7 +27,7 @@ namespace cubessd::sim {
 /** Discriminator of a typed event record. */
 enum class EventKind : std::uint8_t
 {
-    /** Closure event (EventAction); convenience/cold paths only. */
+    /** Event without a dedicated kind (tests, one-off handlers). */
     Generic = 0,
     /** A NAND die finished its current operation (target: ChipUnit;
      *  the unit holds the in-flight op, so no payload is needed). */

@@ -149,30 +149,6 @@ EventQueue::scheduleAt(SimTime when, EventKind kind, EventHandler *target,
     insert(e);
 }
 
-SimTime
-EventQueue::schedule(SimTime delay, EventAction action)
-{
-    const SimTime when = now_ + delay;
-    scheduleAt(when, std::move(action));
-    return when;
-}
-
-void
-EventQueue::scheduleAt(SimTime when, EventAction action)
-{
-    if (when < now_)
-        panic("event scheduled in the past (when=%llu now=%llu)",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(now_));
-    Event *e = allocEvent();
-    e->when = when;
-    e->seq = nextSeq_++;
-    e->kind = EventKind::Generic;
-    e->target = nullptr;
-    e->fn = std::move(action);
-    insert(e);
-}
-
 void
 EventQueue::setSampler(SimTime interval, SamplerFn fn)
 {
@@ -206,20 +182,14 @@ EventQueue::dispatch(Event *e)
 {
     PROF_SCOPE(prof::schedSlotFor(static_cast<std::uint8_t>(e->kind)));
     ++fired_;
-    if (e->kind == EventKind::Generic) {
-        // Move the closure out and release the record before invoking,
-        // so the handler can schedule into a fully consistent queue
-        // (and may even reuse this record).
-        EventAction fn = std::move(e->fn);
-        releaseEvent(e);
-        fn();
-    } else {
-        const EventKind kind = e->kind;
-        EventHandler *target = e->target;
-        const EventPayload payload = e->payload;
-        releaseEvent(e);
-        target->onEvent(kind, payload);
-    }
+    // Copy the record out and release it before invoking, so the
+    // handler can schedule into a fully consistent queue (and may even
+    // reuse this record).
+    const EventKind kind = e->kind;
+    EventHandler *target = e->target;
+    const EventPayload payload = e->payload;
+    releaseEvent(e);
+    target->onEvent(kind, payload);
 }
 
 bool

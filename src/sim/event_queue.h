@@ -25,11 +25,8 @@
  *    bucket lists are FIFO within equal times, so the seed's stable
  *    tie-break (and thus bit-identical runs) is preserved.
  *
- * Typed events (EventKind + EventHandler target + POD payload) dispatch
- * via one virtual call with no heap traffic. Closure events
- * (EventKind::Generic, the legacy schedule(delay, fn) API) remain for
- * tests and cold paths; their std::function may allocate, which is why
- * the hot path does not use them.
+ * Every event is typed (EventKind + EventHandler target + POD payload)
+ * and dispatches via one virtual call with no heap traffic.
  */
 
 #ifndef CUBESSD_SIM_EVENT_QUEUE_H
@@ -45,25 +42,17 @@
 
 namespace cubessd::sim {
 
-/** Callback type invoked when a Generic (closure) event fires. */
-using EventAction = std::function<void()>;
-
 /** Callback type invoked at each sampling boundary (see setSampler). */
 using SamplerFn = std::function<void(SimTime)>;
 
 /**
  * A time-ordered queue of events with a simulated clock.
  *
- * Hot-path usage (alloc-free):
+ * Usage (alloc-free once the pool is warm):
  * @code
  *   EventPayload p;
  *   p.driverTick.thread = 3;
  *   eq.schedule(500 * kNanosecond, EventKind::DriverTick, this, p);
- * @endcode
- *
- * Cold-path / test usage:
- * @code
- *   eq.schedule(500 * kNanosecond, [] { ... });
  *   eq.run();                  // drains all events
  * @endcode
  */
@@ -95,16 +84,6 @@ class EventQueue
     /** Schedule a typed event at an absolute time (must be >= now()). */
     void scheduleAt(SimTime when, EventKind kind, EventHandler *target,
                     const EventPayload &payload = EventPayload{});
-
-    /**
-     * Schedule a closure `delay` after the current time (Generic event;
-     * may allocate for the capture — cold paths only).
-     * @return the absolute fire time.
-     */
-    SimTime schedule(SimTime delay, EventAction action);
-
-    /** Schedule a closure at an absolute time (must be >= now()). */
-    void scheduleAt(SimTime when, EventAction action);
 
     /** @return true if no events remain. */
     bool empty() const { return pending_ == 0; }
@@ -166,7 +145,6 @@ class EventQueue
         EventHandler *target = nullptr;
         EventKind kind = EventKind::Generic;
         EventPayload payload;
-        EventAction fn;          // Generic events only
     };
 
     /** Bucket ("day") width in log2 nanoseconds. */

@@ -28,12 +28,6 @@ enum class FtlKind
 
 const char *ftlKindName(FtlKind kind);
 
-/** Victim-selection policy of the GC subsystem (src/ftl/gc.h). */
-enum class GcPolicyKind
-{
-    Greedy,    ///< fewest valid pages first (default)
-};
-
 /**
  * Per-technique switches for cubeFTL, for ablation studies: each of
  * the paper's four mechanisms can be disabled independently.
@@ -73,8 +67,6 @@ struct SsdConfig
     /** Throttle host flushes to a chip whose free-block count is at or
      *  below this, reserving the remaining blocks for GC progress. */
     std::uint32_t gcUrgentWatermark = 2;
-    /** GC victim-selection policy. */
-    GcPolicyKind gcPolicy = GcPolicyKind::Greedy;
 
     /**
      * Host submission-queue depth (NVMe-style). Requests beyond this

@@ -1,7 +1,6 @@
 #include "src/ssd/host_queue.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "src/ftl/ftl_base.h"
 #include "src/prof/prof.h"
@@ -44,27 +43,6 @@ HostQueue::submit(HostRequest req, CompletionSink *sink,
     queue_.scheduleAt(req.arrival, sim::EventKind::HostAdmit, this,
                       payload);
     return req.id;
-}
-
-RequestId
-HostQueue::submitWithCallback(HostRequest req, CompletionFn done)
-{
-    FnSink *adapter = fnSinks_.acquire();
-    adapter->fn = std::move(done);
-    adapter->owner = this;
-    return submit(std::move(req), adapter, 0);
-}
-
-void
-HostQueue::FnSink::onCompletion(const Completion &completion,
-                                std::uint64_t)
-{
-    // Move the closure out and recycle the node before invoking: the
-    // callback may submit follow-on requests that reuse it.
-    CompletionFn f = std::move(fn);
-    owner->fnSinks_.release(this);
-    if (f)
-        f(completion);
 }
 
 void

@@ -16,17 +16,13 @@
  *
  * The hot path is allocation-free: admission is a typed event, FTL
  * completions come back through the CompletionSink interface with a
- * pooled per-request record, and the wait line is a flat ring. The
- * std::function adapter survives as the clearly-named
- * submitWithCallback() for tests only (its adapter nodes are pooled,
- * but the closure itself may allocate).
+ * pooled per-request record, and the wait line is a flat ring.
  */
 
 #ifndef CUBESSD_SSD_HOST_QUEUE_H
 #define CUBESSD_SSD_HOST_QUEUE_H
 
 #include <cstdint>
-#include <functional>
 
 #include "src/common/pool.h"
 #include "src/common/ring_deque.h"
@@ -74,8 +70,6 @@ struct HostQueueStats
 class HostQueue final : public sim::EventHandler, public CompletionSink
 {
   public:
-    using CompletionFn = std::function<void(const Completion &)>;
-
     /** @param depth  max in-flight requests; 0 = unbounded. */
     HostQueue(sim::EventQueue &queue, ftl::FtlBase &ftl,
               std::uint32_t depth);
@@ -93,13 +87,6 @@ class HostQueue final : public sim::EventHandler, public CompletionSink
      */
     RequestId submit(HostRequest req, CompletionSink *sink,
                      std::uint64_t ctx = 0);
-
-    /**
-     * Test-only closure adapter over submit(): wraps `done` in a
-     * pooled CompletionSink (the closure itself may allocate).
-     * Production code implements CompletionSink and uses submit().
-     */
-    RequestId submitWithCallback(HostRequest req, CompletionFn done);
 
     std::uint32_t depth() const { return depth_; }
     std::uint64_t inFlight() const { return inFlight_; }
@@ -137,15 +124,6 @@ class HostQueue final : public sim::EventHandler, public CompletionSink
         TenantId tenant = kNoTenant;
     };
 
-    /** Pooled adapter carrying a std::function completion. */
-    struct FnSink final : CompletionSink
-    {
-        CompletionFn fn;
-        HostQueue *owner = nullptr;
-        void onCompletion(const Completion &completion,
-                          std::uint64_t ctx) override;
-    };
-
     void admit(const HostRequest &req, CompletionSink *sink,
                std::uint64_t ctx);
     void start(const HostRequest &req, CompletionSink *sink,
@@ -159,7 +137,6 @@ class HostQueue final : public sim::EventHandler, public CompletionSink
     std::uint64_t nextId_ = 1;
     RingDeque<Waiter> waiting_;
     ObjectPool<Record> records_;
-    ObjectPool<FnSink> fnSinks_;
     HostQueueStats stats_;
     trace::TraceSession *trace_ = nullptr;
 };

@@ -146,14 +146,6 @@ Ssd::submit(HostRequest req, CompletionSink *sink, std::uint64_t ctx)
     return hostQueue_->submit(std::move(req), sink, ctx);
 }
 
-RequestId
-Ssd::submitWithCallback(HostRequest req,
-                        std::function<void(const Completion &)> done)
-{
-    return hostQueue_->submitWithCallback(std::move(req),
-                                          std::move(done));
-}
-
 namespace {
 
 /** Stack-local sink for submitSync: captures the one completion. */

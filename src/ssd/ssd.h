@@ -16,14 +16,12 @@
  *   ssd.drain();  // flush the write buffer, run all pending events
  * @endcode
  *
- * One-shot callers (tests, setup code) use submitSync(); closure
- * callbacks survive only as the test-only submitWithCallback().
+ * One-shot callers (tests, setup code) use submitSync().
  */
 
 #ifndef CUBESSD_SSD_SSD_H
 #define CUBESSD_SSD_SSD_H
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -101,15 +99,6 @@ class Ssd
      *  on the public typed submit path). The returned Completion
      *  carries the request's Status. */
     Completion submitSync(HostRequest req);
-
-    /**
-     * Test-only adapter: submit with a closure callback instead of a
-     * CompletionSink. Kept for terse test bodies; the closure may
-     * allocate, so production call sites use submit() instead.
-     */
-    RequestId
-    submitWithCallback(HostRequest req,
-                       std::function<void(const Completion &)> done);
 
     /** Flush the write buffer and run all pending events. */
     void drain();

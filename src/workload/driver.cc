@@ -5,6 +5,115 @@
 
 namespace cubessd::workload {
 
+namespace {
+
+/** Counts the prefill's writes in flight. */
+struct PrefillSink final : ssd::CompletionSink
+{
+    std::uint64_t outstanding = 0;
+
+    void onCompletion(const ssd::Completion &, std::uint64_t) override
+    {
+        --outstanding;
+    }
+};
+
+}  // namespace
+
+void
+prefillDevice(ssd::Ssd &ssd, const std::vector<LbaRange> &overwrite,
+              double overwriteFraction)
+{
+    constexpr std::uint64_t kChunk = 64;  // pages per fill write
+    constexpr std::uint64_t kDepth = 64;  // writes in flight
+    PrefillSink sink;
+    // Step the queue until fewer than `limit` writes are in flight.
+    auto waitBelow = [&](std::uint64_t limit) {
+        while (sink.outstanding >= limit) {
+            if (!ssd.queue().step())
+                panic("prefill: queue drained with I/O outstanding");
+        }
+    };
+    auto write = [&](Lba lba, std::uint64_t pages) {
+        waitBelow(kDepth);
+        ssd::HostRequest req;
+        req.type = ssd::IoType::Write;
+        req.lba = lba;
+        req.pages = static_cast<std::uint32_t>(pages);
+        ++sink.outstanding;
+        ssd.hostQueue().submit(req, &sink);
+    };
+
+    // Phase 1: sequential fill of the whole logical space.
+    const std::uint64_t fill = ssd.logicalPages();
+    for (Lba lba = 0; lba < fill; lba += kChunk)
+        write(lba, std::min(kChunk, fill - lba));
+    waitBelow(1);
+
+    // Phase 2: random overwrites to reach a GC-realistic state.
+    Rng rng(ssd.config().seed ^ 0xFEEDFACEull);
+    for (const LbaRange &range : overwrite) {
+        auto n = static_cast<std::uint64_t>(
+            static_cast<double>(range.pages) * overwriteFraction);
+        for (; n > 0; --n)
+            write(range.base + rng.uniformInt(range.pages), 1);
+        waitBelow(1);
+    }
+    ssd.drain();
+}
+
+MeasuredWindow::MeasuredWindow(ssd::Ssd &ssd)
+    : ssd_(ssd), start_(ssd.queue().now()),
+      channelBusy0_(ssd.channelCount()), dieBusy0_(ssd.chipCount())
+{
+    for (std::uint32_t i = 0; i < ssd.channelCount(); ++i)
+        channelBusy0_[i] = ssd.channel(i).busyTime();
+    for (std::uint32_t i = 0; i < ssd.chipCount(); ++i)
+        dieBusy0_[i] = ssd.chipUnit(i).busyTime();
+}
+
+metrics::Utilization
+MeasuredWindow::utilization() const
+{
+    metrics::Utilization u;
+    u.window = ssd_.queue().now() - start_;
+    if (u.window == 0)
+        return u;
+    const auto window = static_cast<double>(u.window);
+    u.channel.resize(channelBusy0_.size());
+    for (std::size_t i = 0; i < u.channel.size(); ++i) {
+        u.channel[i] = static_cast<double>(
+            ssd_.channel(i).busyTime() - channelBusy0_[i]) / window;
+    }
+    u.die.resize(dieBusy0_.size());
+    for (std::size_t i = 0; i < u.die.size(); ++i) {
+        u.die[i] = static_cast<double>(
+            ssd_.chipUnit(i).busyTime() - dieBusy0_[i]) / window;
+    }
+    return u;
+}
+
+void
+RunResult::record(const ssd::Completion &c)
+{
+    auto &rec = c.type == ssd::IoType::Read ? readLatencyUs
+                                            : writeLatencyUs;
+    rec.add(toMicroseconds(c.latency()));
+    requestMetrics.record(c);
+    ++statusCounts[static_cast<std::size_t>(c.status)];
+    ++completedRequests;
+}
+
+void
+RunResult::close(const MeasuredWindow &window)
+{
+    utilization = window.utilization();
+    elapsed = utilization.window;
+    iops = elapsed > 0 ? static_cast<double>(completedRequests) /
+                             toSeconds(elapsed)
+                       : 0.0;
+}
+
 Driver::Driver(ssd::Ssd &ssd, WorkloadGenerator &generator)
     : ssd_(ssd), generator_(generator),
       pacingRng_(ssd.config().seed ^ 0xB0B0B0B0ull)
@@ -14,48 +123,8 @@ Driver::Driver(ssd::Ssd &ssd, WorkloadGenerator &generator)
 void
 Driver::prefill(double overwriteFraction)
 {
-    const std::uint64_t ws = generator_.workingSetPages();
-    const std::uint64_t fill = ssd_.logicalPages();
-    constexpr std::uint32_t kChunk = 64;
-    constexpr std::uint64_t kDepth = 64;
-
-    // Phase 1: sequential fill of the whole logical space.
-    std::uint64_t nextLba = 0;
-    prefillOutstanding_ = 0;
-    while (nextLba < fill || prefillOutstanding_ > 0) {
-        while (nextLba < fill && prefillOutstanding_ < kDepth) {
-            const auto pages = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(kChunk, fill - nextLba));
-            ssd::HostRequest req;
-            req.type = ssd::IoType::Write;
-            req.lba = nextLba;
-            req.pages = pages;
-            nextLba += pages;
-            ++prefillOutstanding_;
-            ssd_.hostQueue().submit(req, this, kPrefillCtx);
-        }
-        if (prefillOutstanding_ > 0 && !ssd_.queue().step())
-            panic("Driver::prefill: queue drained with I/O outstanding");
-    }
-
-    // Phase 2: random overwrites to reach a GC-realistic state.
-    Rng rng(ssd_.config().seed ^ 0xFEEDFACEull);
-    std::uint64_t remaining = static_cast<std::uint64_t>(
-        static_cast<double>(ws) * overwriteFraction);
-    while (remaining > 0 || prefillOutstanding_ > 0) {
-        while (remaining > 0 && prefillOutstanding_ < kDepth) {
-            ssd::HostRequest req;
-            req.type = ssd::IoType::Write;
-            req.lba = rng.uniformInt(ws);
-            req.pages = 1;
-            --remaining;
-            ++prefillOutstanding_;
-            ssd_.hostQueue().submit(req, this, kPrefillCtx);
-        }
-        if (prefillOutstanding_ > 0 && !ssd_.queue().step())
-            panic("Driver::prefill: queue drained with I/O outstanding");
-    }
-    ssd_.drain();
+    prefillDevice(ssd_, {{0, generator_.workingSetPages()}},
+                  overwriteFraction);
 }
 
 std::uint64_t
@@ -84,10 +153,6 @@ Driver::submitOne(std::uint32_t thread)
 void
 Driver::onCompletion(const ssd::Completion &c, std::uint64_t ctx)
 {
-    if (ctx == kPrefillCtx) {
-        --prefillOutstanding_;
-        return;
-    }
     const auto thread = static_cast<std::uint32_t>(ctx);
 
     // Every measured request is awaited before run() returns and
@@ -96,14 +161,7 @@ Driver::onCompletion(const ssd::Completion &c, std::uint64_t ctx)
     if (result_ == nullptr)
         panic("Driver: completion after the measured window "
               "(id %llu)", static_cast<unsigned long long>(c.id));
-    auto &rec = c.type == ssd::IoType::Read
-                    ? result_->readLatencyUs
-                    : result_->writeLatencyUs;
-    rec.add(toMicroseconds(c.latency()));
-    result_->queueWaitUs.add(toMicroseconds(c.queueWait()));
-    result_->requestMetrics.record(c);
-    ++result_->statusCounts[static_cast<std::size_t>(c.status)];
-    ++result_->completedRequests;
+    result_->record(c);
     --outstanding_;
     auto &t = threads_[thread];
     --t.outstanding;
@@ -144,16 +202,7 @@ Driver::run(std::uint64_t requests)
     result_ = &result;
     toSubmit_ = requests;
     outstanding_ = 0;
-    runStart_ = ssd_.queue().now();
-
-    // Busy-time snapshots so utilization covers only the measured
-    // window (prefill activity is excluded).
-    std::vector<SimTime> channelBusy0(ssd_.channelCount());
-    for (std::uint32_t i = 0; i < ssd_.channelCount(); ++i)
-        channelBusy0[i] = ssd_.channel(i).busyTime();
-    std::vector<SimTime> dieBusy0(ssd_.chipCount());
-    for (std::uint32_t i = 0; i < ssd_.chipCount(); ++i)
-        dieBusy0[i] = ssd_.chipUnit(i).busyTime();
+    const MeasuredWindow window(ssd_);
 
     const auto &spec = generator_.spec();
     if (spec.burstLength == 0) {
@@ -183,26 +232,7 @@ Driver::run(std::uint64_t requests)
     if (toSubmit_ > 0 || outstanding_ > 0)
         panic("Driver::run: queue drained with requests pending");
 
-    result.elapsed = ssd_.queue().now() - runStart_;
-    result.iops = result.elapsed > 0
-        ? static_cast<double>(result.completedRequests) /
-              toSeconds(result.elapsed)
-        : 0.0;
-
-    result.utilization.window = result.elapsed;
-    if (result.elapsed > 0) {
-        const double window = static_cast<double>(result.elapsed);
-        result.utilization.channel.resize(ssd_.channelCount());
-        for (std::uint32_t i = 0; i < ssd_.channelCount(); ++i) {
-            result.utilization.channel[i] = static_cast<double>(
-                ssd_.channel(i).busyTime() - channelBusy0[i]) / window;
-        }
-        result.utilization.die.resize(ssd_.chipCount());
-        for (std::uint32_t i = 0; i < ssd_.chipCount(); ++i) {
-            result.utilization.die[i] = static_cast<double>(
-                ssd_.chipUnit(i).busyTime() - dieBusy0[i]) / window;
-        }
-    }
+    result.close(window);
     result_ = nullptr;
     return result;
 }

@@ -3,6 +3,12 @@
  * Benchmark driver: paces a workload into an Ssd and measures IOPS
  * and latency distributions.
  *
+ * Every driver (Driver, MultiTenantDriver, replayTrace) runs the same
+ * procedure from three shared pieces: prefillDevice() before the
+ * measured window, a MeasuredWindow around it, and RunResult::record()
+ * as the per-completion fold (MultiTenantDriver folds per tenant into
+ * RequestMetrics instead).
+ *
  * Two pacing modes, selected by the workload spec:
  *  - steady closed loop (burstLength == 0): `queueDepth` requests are
  *    kept in flight at all times;
@@ -27,8 +33,50 @@
 
 namespace cubessd::workload {
 
-/** Result of one measured run. */
-struct RunResult
+/** A logical-page range [base, base + pages). */
+struct LbaRange
+{
+    Lba base = 0;
+    std::uint64_t pages = 0;
+};
+
+/**
+ * The prefill every driver runs before measuring: write the whole
+ * logical space sequentially, then overwrite `overwriteFraction` of
+ * each range of `overwrite`, one range after the other, at seeded
+ * random single-page LBAs, so the measured window starts on a full,
+ * GC-active device. The traffic is unmeasured (it completes into the
+ * prefill's own sink) and the device is drained at the end.
+ */
+void prefillDevice(ssd::Ssd &ssd, const std::vector<LbaRange> &overwrite,
+                   double overwriteFraction);
+
+/**
+ * A measured window, opened at construction: it snapshots the clock
+ * and every channel's and die's busy time, so utilization covers the
+ * window only (prefill activity is excluded).
+ */
+class MeasuredWindow
+{
+  public:
+    explicit MeasuredWindow(ssd::Ssd &ssd);
+
+    /** Channel/die busy fractions since the window opened; `window`
+     *  is the simulated time elapsed. */
+    metrics::Utilization utilization() const;
+
+  private:
+    ssd::Ssd &ssd_;
+    SimTime start_;
+    std::vector<SimTime> channelBusy0_;
+    std::vector<SimTime> dieBusy0_;
+};
+
+/**
+ * Result of one measured run. It is also the run's completion fold:
+ * submit with the result as the sink and every completion is recorded.
+ */
+struct RunResult final : ssd::CompletionSink
 {
     std::uint64_t completedRequests = 0;
     /** Completions per ssd::Status (index with the enum value);
@@ -38,9 +86,6 @@ struct RunResult
     double iops = 0.0;
     LatencyRecorder readLatencyUs;
     LatencyRecorder writeLatencyUs;
-    /** Time requests waited for a host-queue slot (0 when the queue
-     *  depth is unbounded). */
-    LatencyRecorder queueWaitUs;
     /** Per-IoType latency histograms + per-phase decomposition of
      *  every completion in the measured window. */
     metrics::RequestMetrics requestMetrics;
@@ -56,6 +101,19 @@ struct RunResult
             failed += statusCounts[s];
         return failed;
     }
+
+    /** Fold one completion of the measured window in. */
+    void record(const ssd::Completion &completion);
+
+    /** Close the run over `window`: elapsed time, IOPS, utilization. */
+    void close(const MeasuredWindow &window);
+
+    /** ssd::CompletionSink: record() the completion. */
+    void
+    onCompletion(const ssd::Completion &completion, std::uint64_t) override
+    {
+        record(completion);
+    }
 };
 
 class Driver final : public ssd::CompletionSink, public sim::EventHandler
@@ -63,18 +121,15 @@ class Driver final : public ssd::CompletionSink, public sim::EventHandler
   public:
     Driver(ssd::Ssd &ssd, WorkloadGenerator &generator);
 
-    /**
-     * Fill the whole logical space sequentially, then randomly
-     * overwrite the requested fraction of the generator's working
-     * set, so measurements run against a full, GC-active device.
-     */
+    /** prefillDevice() with the generator's working set as the
+     *  overwrite range. */
     void prefill(double overwriteFraction = 0.3);
 
     /** Run `requests` requests and collect IOPS/latency. */
     RunResult run(std::uint64_t requests);
 
-    /** ssd::CompletionSink: a submitted request completed (ctx is the
-     *  submitting thread, or the prefill sentinel). */
+    /** ssd::CompletionSink: a measured request completed (ctx is the
+     *  submitting thread). */
     void onCompletion(const ssd::Completion &completion,
                       std::uint64_t ctx) override;
 
@@ -83,10 +138,6 @@ class Driver final : public ssd::CompletionSink, public sim::EventHandler
                  const sim::EventPayload &payload) override;
 
   private:
-    /** onCompletion ctx marking a prefill (unmeasured) request. */
-    static constexpr std::uint64_t kPrefillCtx =
-        ~static_cast<std::uint64_t>(0);
-
     struct ThreadState
     {
         std::uint64_t outstanding = 0;
@@ -105,8 +156,6 @@ class Driver final : public ssd::CompletionSink, public sim::EventHandler
     std::uint64_t toSubmit_ = 0;
     std::uint64_t outstanding_ = 0;
     std::vector<ThreadState> threads_;
-    SimTime runStart_ = 0;
-    std::uint64_t prefillOutstanding_ = 0;
 };
 
 }  // namespace cubessd::workload

@@ -4,6 +4,7 @@
 
 #include "src/common/logging.h"
 #include "src/common/units.h"
+#include "src/workload/driver.h"
 #include "src/workload/trace.h"
 
 namespace cubessd::workload {
@@ -102,57 +103,17 @@ MultiTenantDriver::MultiTenantDriver(ssd::Ssd &ssd,
 void
 MultiTenantDriver::prefill(double overwriteFraction)
 {
-    const std::uint64_t fill = ssd_.logicalPages();
-    constexpr std::uint32_t kChunk = 64;
-    constexpr std::uint64_t kDepth = 64;
-
-    // Phase 1: sequential fill of the whole logical space (straight
-    // into the host queue — setup traffic does not arbitrate).
-    std::uint64_t nextLba = 0;
-    prefillOutstanding_ = 0;
-    while (nextLba < fill || prefillOutstanding_ > 0) {
-        while (nextLba < fill && prefillOutstanding_ < kDepth) {
-            const auto pages = static_cast<std::uint32_t>(
-                std::min<std::uint64_t>(kChunk, fill - nextLba));
-            ssd::HostRequest req;
-            req.type = ssd::IoType::Write;
-            req.lba = nextLba;
-            req.pages = pages;
-            nextLba += pages;
-            ++prefillOutstanding_;
-            ssd_.hostQueue().submit(req, this, kPrefillCtx);
-        }
-        if (prefillOutstanding_ > 0 && !ssd_.queue().step())
-            panic("MultiTenantDriver::prefill: queue drained with "
-                  "I/O outstanding");
-    }
-
-    // Phase 2: random overwrites inside every tenant's namespace so
+    // Straight into the host queue (setup traffic does not
+    // arbitrate); every namespace gets its own overwrite range, so
     // each partition starts with GC-realistic invalidation.
-    Rng rng(ssd_.config().seed ^ 0xFEEDFACEull);
+    std::vector<LbaRange> ranges;
     for (const auto &tenant : tenants_) {
-        const std::uint64_t span =
-            tenant.generator != nullptr
-                ? tenant.generator->workingSetPages()
-                : tenant.ns.pages;
-        std::uint64_t remaining = static_cast<std::uint64_t>(
-            static_cast<double>(span) * overwriteFraction);
-        while (remaining > 0 || prefillOutstanding_ > 0) {
-            while (remaining > 0 && prefillOutstanding_ < kDepth) {
-                ssd::HostRequest req;
-                req.type = ssd::IoType::Write;
-                req.lba = tenant.ns.base + rng.uniformInt(span);
-                req.pages = 1;
-                --remaining;
-                ++prefillOutstanding_;
-                ssd_.hostQueue().submit(req, this, kPrefillCtx);
-            }
-            if (prefillOutstanding_ > 0 && !ssd_.queue().step())
-                panic("MultiTenantDriver::prefill: queue drained "
-                      "with I/O outstanding");
-        }
+        ranges.push_back({tenant.ns.base,
+                          tenant.generator != nullptr
+                              ? tenant.generator->workingSetPages()
+                              : tenant.ns.pages});
     }
-    ssd_.drain();
+    prefillDevice(ssd_, ranges, overwriteFraction);
 }
 
 ssd::HostRequest
@@ -228,10 +189,6 @@ void
 MultiTenantDriver::onCompletion(const ssd::Completion &c,
                                 std::uint64_t ctx)
 {
-    if (ctx == kPrefillCtx) {
-        --prefillOutstanding_;
-        return;
-    }
     const auto tenant = static_cast<std::uint32_t>(ctx);
     auto &state = tenants_[tenant];
     --state.outstanding;
@@ -336,7 +293,7 @@ MultiTenantDriver::run(std::uint64_t requests)
 
     phase_ = Phase::Measure;
     toSubmit_ = requests;
-    const SimTime start = ssd_.queue().now();
+    const MeasuredWindow window(ssd_);
 
     for (std::uint32_t t = 0; t < tenantCount(); ++t) {
         auto &state = tenants_[t];
@@ -347,13 +304,6 @@ MultiTenantDriver::run(std::uint64_t requests)
         state.result.offeredRate = options_.openLoop ? state.rate : 0.0;
         state.statsAtStart = arbiter_.stats(t);
     }
-
-    std::vector<SimTime> channelBusy0(ssd_.channelCount());
-    for (std::uint32_t i = 0; i < ssd_.channelCount(); ++i)
-        channelBusy0[i] = ssd_.channel(i).busyTime();
-    std::vector<SimTime> dieBusy0(ssd_.chipCount());
-    for (std::uint32_t i = 0; i < ssd_.chipCount(); ++i)
-        dieBusy0[i] = ssd_.chipUnit(i).busyTime();
 
     if (options_.openLoop) {
         for (std::uint32_t t = 0;
@@ -368,7 +318,8 @@ MultiTenantDriver::run(std::uint64_t requests)
     runLoop();
 
     MultiTenantResult result;
-    result.elapsed = ssd_.queue().now() - start;
+    result.utilization = window.utilization();
+    result.elapsed = result.utilization.window;
     result.calibratedIops = calibratedIops_;
     const double seconds = toSeconds(result.elapsed);
     result.tenants.reserve(tenantCount());
@@ -386,21 +337,6 @@ MultiTenantDriver::run(std::uint64_t requests)
     result.iops = seconds > 0.0
         ? static_cast<double>(result.completed) / seconds
         : 0.0;
-
-    result.utilization.window = result.elapsed;
-    if (result.elapsed > 0) {
-        const double window = static_cast<double>(result.elapsed);
-        result.utilization.channel.resize(ssd_.channelCount());
-        for (std::uint32_t i = 0; i < ssd_.channelCount(); ++i) {
-            result.utilization.channel[i] = static_cast<double>(
-                ssd_.channel(i).busyTime() - channelBusy0[i]) / window;
-        }
-        result.utilization.die.resize(ssd_.chipCount());
-        for (std::uint32_t i = 0; i < ssd_.chipCount(); ++i) {
-            result.utilization.die[i] = static_cast<double>(
-                ssd_.chipUnit(i).busyTime() - dieBusy0[i]) / window;
-        }
-    }
     phase_ = Phase::Idle;
     return result;
 }

@@ -119,11 +119,8 @@ class MultiTenantDriver final : public ssd::CompletionSink,
     MultiTenantDriver(ssd::Ssd &ssd, std::vector<TenantSpec> specs,
                       const MultiTenantOptions &options);
 
-    /**
-     * Sequentially fill the whole logical space, then randomly
-     * overwrite a fraction of every tenant's namespace, so the run
-     * measures a full, GC-active device.
-     */
+    /** prefillDevice() with one overwrite range per tenant: its
+     *  generator's working set, or its whole namespace for a trace. */
     void prefill(double overwriteFraction = 0.3);
 
     /**
@@ -154,7 +151,7 @@ class MultiTenantDriver final : public ssd::CompletionSink,
     ssd::WrrArbiter &arbiter() { return arbiter_; }
 
     /** ssd::CompletionSink: a tenant's request completed (ctx is the
-     *  tenant index, or the prefill sentinel). */
+     *  tenant index). */
     void onCompletion(const ssd::Completion &completion,
                       std::uint64_t ctx) override;
 
@@ -164,10 +161,6 @@ class MultiTenantDriver final : public ssd::CompletionSink,
                  const sim::EventPayload &payload) override;
 
   private:
-    /** onCompletion ctx marking a prefill (unmeasured) request. */
-    static constexpr std::uint64_t kPrefillCtx =
-        ~static_cast<std::uint64_t>(0);
-
     enum class Phase { Idle, Calibrate, Measure };
 
     struct TenantState
@@ -203,7 +196,6 @@ class MultiTenantDriver final : public ssd::CompletionSink,
     Phase phase_ = Phase::Idle;
     std::uint64_t toSubmit_ = 0;
     std::uint64_t outstanding_ = 0;
-    std::uint64_t prefillOutstanding_ = 0;
     std::uint64_t calibrationCompleted_ = 0;
     double calibratedIops_ = 0.0;
 };

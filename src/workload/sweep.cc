@@ -4,17 +4,48 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <memory>
+#include <optional>
 #include <stdexcept>
 
 #include "src/common/logging.h"
 #include "src/ftl/ftl_base.h"
 #include "src/sim/sweep.h"
 #include "src/ssd/ssd.h"
-#include "src/trace/counters.h"
-#include "src/trace/trace.h"
 
 namespace cubessd::workload {
+
+RunTrace::RunTrace(ssd::Ssd &dev, std::string path,
+                   std::size_t bufferEvents, std::uint64_t sampleIntervalUs)
+    : out(std::move(path))
+{
+    if (!out.empty()) {
+        trace::TraceConfig config;
+        config.capacityEvents = bufferEvents;
+        session = std::make_unique<trace::TraceSession>(config);
+        dev.attachTrace(session.get());
+    }
+    if (sampleIntervalUs > 0) {
+        counters = std::make_unique<trace::CounterRegistry>();
+        dev.registerCounters(*counters);
+        if (prof::enabled())
+            prof::registerCounters(*counters);
+        counters->attachTrace(session.get());
+        counters->installSampler(dev.queue(), sampleIntervalUs * 1000);
+    }
+}
+
+void
+RunTrace::write(std::ostream &log) const
+{
+    if (!session)
+        return;
+    std::ofstream file(out);
+    if (!file)
+        throw std::runtime_error("cannot open trace file '" + out + "'");
+    session->writeJson(file);
+    log << "trace written to " << out << " (" << session->recorded()
+        << " events recorded, " << session->dropped() << " dropped)\n";
+}
 
 std::string
 SweepCell::describe(std::size_t index) const
@@ -53,40 +84,21 @@ runOneCell(const SweepCell &cell, bool traceThisCell,
     driver.prefill(cell.prefillOverwrite);
     dev.setAging(cell.aging);
 
-    // Tracing covers the measured run only (prefill bulk writes would
-    // flood the ring buffer). Observation-only: results are identical
-    // with it on or off.
-    std::unique_ptr<trace::TraceSession> traceSession;
-    trace::CounterRegistry counters;
-    if (traceThisCell) {
-        traceSession = std::make_unique<trace::TraceSession>();
-        dev.attachTrace(traceSession.get());
-        if (trace.sampleIntervalUs > 0) {
-            dev.registerCounters(counters);
-            counters.attachTrace(traceSession.get());
-            counters.installSampler(dev.queue(),
-                                    trace.sampleIntervalUs * 1000);
-        }
-    }
+    std::optional<RunTrace> runTrace;
+    if (traceThisCell)
+        runTrace.emplace(dev, trace.out, trace.bufferEvents,
+                         trace.sampleIntervalUs);
 
     CellResult result;
     result.run = driver.run(cell.requests);
     result.ftl = dev.ftl().stats();
     result.gc = dev.ftl().gcStats();
+    result.bufferPeakPages = dev.ftl().buffer().peakSize();
     result.readOnly = dev.ftl().readOnly();
     if (prof::enabled())
         result.profile = prof::snapshot().since(profBefore);
-
-    if (traceSession) {
-        std::ofstream traceFile(trace.out);
-        if (!traceFile)
-            throw std::runtime_error("cannot open trace file '" +
-                                     trace.out + "'");
-        traceSession->writeJson(traceFile);
-        std::cerr << "trace written to " << trace.out << " ("
-                  << traceSession->recorded() << " events recorded, "
-                  << traceSession->dropped() << " dropped)\n";
-    }
+    if (runTrace)
+        runTrace->write(std::cerr);
     return result;
 }
 

@@ -35,6 +35,8 @@
 #define CUBESSD_WORKLOAD_SWEEP_H
 
 #include <cstdint>
+#include <iosfwd>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -44,10 +46,39 @@
 #include "src/prof/prof.h"
 #include "src/sim/sweep.h"
 #include "src/ssd/config.h"
+#include "src/trace/counters.h"
+#include "src/trace/trace.h"
 #include "src/workload/driver.h"
 #include "src/workload/workload.h"
 
 namespace cubessd::workload {
+
+/**
+ * Tracing and counter sampling of one measured window: the one way
+ * every run path (cubessd_sim's modes, a sweep's traced cell) sets
+ * them up. Attach it after the prefill so the ring buffer and the
+ * counter series cover the measured run, not the bulk setup writes.
+ * Observation only: results are identical with it on or off.
+ */
+struct RunTrace
+{
+    /** Trace into `path` (empty = no trace) through a ring of
+     *  `bufferEvents`; sample the device counters (plus the profiler
+     *  gauges when profiling is on) every `sampleIntervalUs` simulated
+     *  microseconds (0 = no counters). */
+    RunTrace(ssd::Ssd &dev, std::string path, std::size_t bufferEvents,
+             std::uint64_t sampleIntervalUs);
+
+    /**
+     * Write the trace file (no-op without one) and report it on `log`.
+     * @throws std::runtime_error if the file cannot be opened.
+     */
+    void write(std::ostream &log) const;
+
+    std::string out;
+    std::unique_ptr<trace::TraceSession> session;  ///< null: no trace
+    std::unique_ptr<trace::CounterRegistry> counters;  ///< null: none
+};
 
 /** One independent simulation cell of a sweep grid. */
 struct SweepCell
@@ -72,6 +103,8 @@ struct CellResult
     RunResult run;
     ftl::FtlStats ftl;
     ftl::GcStats gc;
+    /** High-water mark of the write buffer, in pages. */
+    std::uint64_t bufferPeakPages = 0;
     bool readOnly = false;
     /** Self-profile delta of this cell's run, captured on the worker
      *  that executed it (empty unless prof::enabled()). Counts are
@@ -85,6 +118,8 @@ struct SweepTrace
     std::string out;                    ///< empty = no tracing
     std::uint64_t sampleIntervalUs = 1000;  ///< 0 = no counter samples
     std::size_t cell = 0;               ///< which cell records
+    /** Trace ring capacity in events. */
+    std::size_t bufferEvents = trace::TraceConfig{}.capacityEvents;
 };
 
 /**

@@ -168,44 +168,19 @@ TraceReader::readFile(const std::string &path)
     return read(in);
 }
 
-namespace {
-
-/** Folds replay completions into a ReplayResult (typed sink — the
- *  replay path stays closure-free like the drivers). */
-struct ReplaySink final : ssd::CompletionSink
-{
-    ReplayResult *result = nullptr;
-
-    void onCompletion(const ssd::Completion &c, std::uint64_t) override
-    {
-        auto &rec = c.type == ssd::IoType::Read
-                        ? result->readLatencyUs
-                        : result->writeLatencyUs;
-        rec.add(toMicroseconds(c.latency()));
-        ++result->completed;
-    }
-};
-
-}  // namespace
-
-ReplayResult
+RunResult
 replayTrace(ssd::Ssd &ssd,
             const std::vector<ssd::HostRequest> &requests)
 {
-    ReplayResult result;
-    ReplaySink sink;
-    sink.result = &result;
+    RunResult result;
+    const MeasuredWindow window(ssd);
     const SimTime start = ssd.queue().now();
     for (auto req : requests) {
         req.arrival += start;  // replay relative to "now"
-        ssd.submit(req, &sink);
+        ssd.submit(req, &result);
     }
     ssd.queue().run();
-    result.elapsed = ssd.queue().now() - start;
-    result.iops = result.elapsed > 0
-        ? static_cast<double>(result.completed) /
-              toSeconds(result.elapsed)
-        : 0.0;
+    result.close(window);
     return result;
 }
 

@@ -27,9 +27,9 @@
 #include <string>
 #include <vector>
 
-#include "src/common/stats.h"
-#include "src/ssd/ssd.h"
 #include "src/ssd/request.h"
+#include "src/ssd/ssd.h"
+#include "src/workload/driver.h"
 
 namespace cubessd::workload {
 
@@ -68,22 +68,12 @@ class TraceReader
                              std::vector<ssd::HostRequest> *requests);
 };
 
-/** Latency/IOPS summary of a replay. */
-struct ReplayResult
-{
-    std::uint64_t completed = 0;
-    SimTime elapsed = 0;
-    double iops = 0.0;
-    LatencyRecorder readLatencyUs;
-    LatencyRecorder writeLatencyUs;
-};
-
 /**
- * Submit every request at its recorded arrival time (open loop) and
- * run to completion.
+ * Submit every request at its recorded arrival time (open loop), run
+ * to completion, and measure the replay as one window.
  */
-ReplayResult replayTrace(ssd::Ssd &ssd,
-                         const std::vector<ssd::HostRequest> &requests);
+RunResult replayTrace(ssd::Ssd &ssd,
+                      const std::vector<ssd::HostRequest> &requests);
 
 }  // namespace cubessd::workload
 

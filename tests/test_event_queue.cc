@@ -11,6 +11,7 @@
 
 #include "src/common/rng.h"
 #include "src/sim/event_queue.h"
+#include "tests/closure_adapters.h"
 
 namespace cubessd::sim {
 namespace {
@@ -44,9 +45,9 @@ TEST(EventQueue, FiresInTimeOrder)
 {
     EventQueue eq;
     std::vector<int> order;
-    eq.schedule(30, [&] { order.push_back(3); });
-    eq.schedule(10, [&] { order.push_back(1); });
-    eq.schedule(20, [&] { order.push_back(2); });
+    test::schedule(eq, 30, [&] { order.push_back(3); });
+    test::schedule(eq, 10, [&] { order.push_back(1); });
+    test::schedule(eq, 20, [&] { order.push_back(2); });
     EXPECT_EQ(eq.run(), 3u);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
     EXPECT_EQ(eq.now(), 30u);
@@ -57,7 +58,7 @@ TEST(EventQueue, EqualTimesAreFifo)
     EventQueue eq;
     std::vector<int> order;
     for (int i = 0; i < 8; ++i)
-        eq.schedule(5, [&order, i] { order.push_back(i); });
+        test::schedule(eq, 5, [&order, i] { order.push_back(i); });
     eq.run();
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
@@ -67,9 +68,9 @@ TEST(EventQueue, NestedScheduling)
 {
     EventQueue eq;
     std::vector<SimTime> fireTimes;
-    eq.schedule(10, [&] {
+    test::schedule(eq, 10, [&] {
         fireTimes.push_back(eq.now());
-        eq.schedule(5, [&] { fireTimes.push_back(eq.now()); });
+        test::schedule(eq, 5, [&] { fireTimes.push_back(eq.now()); });
     });
     eq.run();
     ASSERT_EQ(fireTimes.size(), 2u);
@@ -81,7 +82,7 @@ TEST(EventQueue, StepReturnsFalseWhenEmpty)
 {
     EventQueue eq;
     EXPECT_FALSE(eq.step());
-    eq.schedule(1, [] {});
+    test::schedule(eq, 1, [] {});
     EXPECT_TRUE(eq.step());
     EXPECT_FALSE(eq.step());
 }
@@ -90,13 +91,14 @@ TEST(EventQueue, RunUntilStopsAtDeadline)
 {
     EventQueue eq;
     int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
-    eq.schedule(20, [&] { ++fired; });
-    eq.schedule(30, [&] { ++fired; });
+    test::schedule(eq, 10, [&] { ++fired; });
+    test::schedule(eq, 20, [&] { ++fired; });
+    test::schedule(eq, 30, [&] { ++fired; });
     EXPECT_EQ(eq.runUntil(20), 2u);
     EXPECT_EQ(fired, 2);
     EXPECT_EQ(eq.pending(), 1u);
     EXPECT_EQ(eq.now(), 20u);
+    eq.run();  // fire the last event so its adapter is freed
 }
 
 TEST(EventQueue, RunUntilAdvancesClockWhenIdle)
@@ -109,10 +111,10 @@ TEST(EventQueue, RunUntilAdvancesClockWhenIdle)
 TEST(EventQueue, ScheduleAtAbsoluteTime)
 {
     EventQueue eq;
-    eq.schedule(10, [] {});
+    test::schedule(eq, 10, [] {});
     eq.run();
     SimTime seen = 0;
-    eq.scheduleAt(25, [&] { seen = eq.now(); });
+    test::scheduleAt(eq, 25, [&] { seen = eq.now(); });
     eq.run();
     EXPECT_EQ(seen, 25u);
 }
@@ -120,10 +122,10 @@ TEST(EventQueue, ScheduleAtAbsoluteTime)
 TEST(EventQueue, ZeroDelayFiresAtNow)
 {
     EventQueue eq;
-    eq.schedule(10, [] {});
+    test::schedule(eq, 10, [] {});
     eq.run();
     SimTime seen = 1;
-    eq.schedule(0, [&] { seen = eq.now(); });
+    test::schedule(eq, 0, [&] { seen = eq.now(); });
     eq.run();
     EXPECT_EQ(seen, 10u);
 }
@@ -131,9 +133,9 @@ TEST(EventQueue, ZeroDelayFiresAtNow)
 TEST(EventQueueDeathTest, PastSchedulingPanics)
 {
     EventQueue eq;
-    eq.schedule(50, [] {});
+    test::schedule(eq, 50, [] {});
     eq.run();
-    EXPECT_DEATH(eq.scheduleAt(10, [] {}), "past");
+    EXPECT_DEATH(test::scheduleAt(eq, 10, [] {}), "past");
 }
 
 TEST(EventQueue, TypedEventsDispatchWithPayload)
@@ -176,8 +178,8 @@ TEST(EventQueue, SameTimestampFifoStressMixedKinds)
         expected[slot].push_back(tag);
         if (round % 3 == 0) {
             // Closure events share the same FIFO ordering domain.
-            eq.scheduleAt(ts[slot],
-                          [&log, tag] { log.push_back(tag); });
+            test::scheduleAt(eq, ts[slot],
+                             [&log, tag] { log.push_back(tag); });
         } else {
             eq.scheduleAt(ts[slot], EventKind::DriverTick, &h,
                           tagged(tag));
@@ -245,9 +247,9 @@ TEST(EventQueue, RepeatedYearJumpsKeepOrder)
         EXPECT_GT(eq.now(), last);
         last = eq.now();
         if (++hops < 50)
-            eq.schedule(1'350'000, hop);
+            test::schedule(eq, 1'350'000, hop);
     };
-    eq.schedule(1'350'000, hop);
+    test::schedule(eq, 1'350'000, hop);
     eq.run();
     EXPECT_EQ(hops, 50);
     EXPECT_EQ(eq.now(), 50u * 1'350'000u);
@@ -324,13 +326,13 @@ TEST(EventQueue, SamplerDoesNotPerturbDispatch)
             log.emplace_back(eq.now(), id);
             if (left > 0) {
                 const SimTime d = 1 + rng.uniformInt(777);
-                eq.schedule(d, [&actor, id, left] {
+                test::schedule(eq, d, [&actor, id, left] {
                     actor(id, left - 1);
                 });
             }
         };
         for (int id = 0; id < 4; ++id) {
-            eq.schedule(static_cast<SimTime>(id),
+            test::schedule(eq, static_cast<SimTime>(id),
                         [&actor, id] { actor(id, 200); });
         }
         eq.run();

@@ -12,6 +12,7 @@
 #include "src/ftl/ftl_base.h"
 #include "src/nand/fault_injector.h"
 #include "src/ssd/ssd.h"
+#include "tests/closure_adapters.h"
 
 namespace cubessd {
 namespace {
@@ -260,7 +261,7 @@ TEST(FaultDevice, QueueDepthOneBackpressureWithFailures)
         ssd::HostRequest req;
         req.type = ssd::IoType::Write;
         req.lba = lba;
-        dev.submitWithCallback(req, [&](const ssd::Completion &c) {
+        test::submit(dev, req, [&](const ssd::Completion &c) {
             ++completions;
             if (c.status == ssd::Status::ReadOnly)
                 ++readOnlyCompletions;

@@ -2,7 +2,7 @@
  * @file
  * Tests of the standalone GC subsystem (src/ftl/gc.h): steady-state
  * behaviour under sustained random overwrite, watermark maintenance,
- * stats accounting, and the policy factory.
+ * and stats accounting.
  */
 
 #include <gtest/gtest.h>
@@ -135,16 +135,6 @@ TEST(Gc, ProgramLatencyAttributed)
     // latency must be a subset of the total program latency.
     EXPECT_LE(gc.programLatencySum,
               dev.ftl().stats().programLatencySum);
-}
-
-TEST(Gc, PolicyFactoryReturnsGreedyDefault)
-{
-    const auto policy = ftl::makeGcPolicy(ssd::GcPolicyKind::Greedy);
-    ASSERT_NE(policy, nullptr);
-    EXPECT_STREQ(policy->name(), "greedy");
-
-    ssd::Ssd dev(smallConfig());
-    EXPECT_STREQ(dev.ftl().gc().policy().name(), "greedy");
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/ssd/ssd.h"
+#include "tests/closure_adapters.h"
 
 namespace cubessd {
 namespace {
@@ -77,8 +78,8 @@ TEST(HostQueue, BoundedDepthBlocksExtraSubmissionUntilCompletion)
 
     std::vector<ssd::Completion> completions;
     for (Lba lba = 0; lba < 3; ++lba) {
-        dev.hostQueue().submitWithCallback(
-            readRequest(lba), [&completions](const ssd::Completion &c) {
+        test::submit(
+            dev.hostQueue(), readRequest(lba), [&completions](const ssd::Completion &c) {
                 completions.push_back(c);
             });
     }
@@ -120,8 +121,8 @@ TEST(HostQueue, SaturatedQueueLatencyIsMonotone)
     constexpr int kRequests = 8;
     std::vector<ssd::Completion> completions;
     for (Lba lba = 0; lba < kRequests; ++lba) {
-        dev.hostQueue().submitWithCallback(
-            readRequest(lba), [&completions](const ssd::Completion &c) {
+        test::submit(
+            dev.hostQueue(), readRequest(lba), [&completions](const ssd::Completion &c) {
                 completions.push_back(c);
             });
     }
@@ -150,8 +151,8 @@ TEST(HostQueue, DriverRunsThroughBoundedQueue)
     std::uint64_t outstanding = 0;
     for (Lba lba = 0; lba < 32; ++lba) {
         ++outstanding;
-        dev.hostQueue().submitWithCallback(
-            readRequest(lba % 16),
+        test::submit(
+            dev.hostQueue(), readRequest(lba % 16),
             [&outstanding](const ssd::Completion &) {
                 --outstanding;
             });

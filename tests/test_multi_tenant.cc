@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "src/common/units.h"
+#include "src/ftl/ftl_base.h"
 #include "src/ssd/arbiter.h"
 #include "src/ssd/ssd.h"
+#include "src/workload/driver.h"
 #include "src/workload/multi_tenant.h"
 #include "src/workload/tenant.h"
 #include "src/workload/trace.h"
@@ -400,6 +402,44 @@ TEST(MultiTenantDriver, PerTenantMetricsAreIsolated)
               result.completed);
     EXPECT_EQ(reader.submitted, reader.completed);
     EXPECT_EQ(writer.submitted, writer.completed);
+}
+
+TEST(MultiTenantDriver, OneTenantPrefillMatchesDriverPrefill)
+{
+    // Both drivers run the one shared prefill: a single tenant owns the
+    // whole logical space, so its overwrite range is the same working
+    // set the single-stream Driver uses and the device must end up in
+    // the same state, event for event. Three working sets of
+    // overwrites make sure GC runs during the comparison.
+    const workload::WorkloadSpec spec = pureSpec("Mixed", 0.5);
+
+    ssd::Ssd single(mtConfig());
+    workload::WorkloadGenerator gen(spec, single.logicalPages(), 5);
+    workload::Driver driver(single, gen);
+    driver.prefill(3.0);
+
+    ssd::Ssd tenanted(mtConfig());
+    workload::MultiTenantDriver mt(tenanted, {tenant("only", spec, 1)},
+                                   workload::MultiTenantOptions{});
+    ASSERT_EQ(mt.nameSpace(0).pages, tenanted.logicalPages());
+    mt.prefill(3.0);
+
+    const auto &a = single.ftl().stats();
+    const auto &b = tenanted.ftl().stats();
+    EXPECT_EQ(a.hostWritePages, b.hostWritePages);
+    EXPECT_EQ(a.hostPrograms, b.hostPrograms);
+    EXPECT_EQ(a.gcPrograms, b.gcPrograms);
+    EXPECT_EQ(a.gcCollections, b.gcCollections);
+    EXPECT_EQ(a.erases, b.erases);
+    EXPECT_EQ(a.programLatencySum, b.programLatencySum);
+    const auto &qa = single.hostQueue().stats();
+    const auto &qb = tenanted.hostQueue().stats();
+    EXPECT_EQ(qa.completed, qb.completed);
+    EXPECT_EQ(qa.latencySum, qb.latencySum);
+    EXPECT_EQ(qa.queueWaitSum, qb.queueWaitSum);
+    EXPECT_EQ(single.queue().fired(), tenanted.queue().fired());
+    EXPECT_EQ(single.queue().now(), tenanted.queue().now());
+    EXPECT_GT(a.gcCollections, 0u);
 }
 
 TEST(MultiTenantDriver, ClosedLoopThroughputFollowsWeights)

@@ -9,6 +9,7 @@
 
 #include "src/ftl/cube_ftl.h"
 #include "src/workload/driver.h"
+#include "tests/closure_adapters.h"
 
 namespace cubessd {
 namespace {
@@ -180,14 +181,13 @@ TEST(SsdIntegration, BufferHitReadHasBufferPhaseOnly)
     write.type = ssd::IoType::Write;
     write.lba = 5;
     write.pages = 1;
-    dev.submitWithCallback(write, [](const ssd::Completion &) {});
+    test::submit(dev, write, [](const ssd::Completion &) {});
     ssd::HostRequest read;
     read.type = ssd::IoType::Read;
     read.lba = 5;
     read.pages = 1;
     ssd::Completion seen;
-    dev.submitWithCallback(read,
-                           [&](const ssd::Completion &c) { seen = c; });
+    test::submit(dev, read, [&](const ssd::Completion &c) { seen = c; });
     dev.queue().run();
     // The read is served from the write buffer: DRAM time, no NAND.
     EXPECT_GT(seen.phases.buffer, 0u);
@@ -205,8 +205,7 @@ TEST(SsdIntegration, SubmitAssignsIdsAndHonorsArrival)
     req.pages = 1;
     req.arrival = 500 * kMicrosecond;
     ssd::Completion seen;
-    dev.submitWithCallback(req,
-                           [&](const ssd::Completion &c) { seen = c; });
+    test::submit(dev, req, [&](const ssd::Completion &c) { seen = c; });
     dev.queue().run();
     EXPECT_GT(seen.id, 0u);
     EXPECT_EQ(seen.arrival, 500 * kMicrosecond);

@@ -58,20 +58,10 @@ TEST(TraceDeathTest, MalformedLineIsFatal)
                 ::testing::ExitedWithCode(1), "malformed");
 }
 
-TEST(Trace, ReplayCompletesAllRequests)
+/** Replay 200 paced requests (every third a read) on a small device. */
+RunResult
+replaySmallTrace(ssd::Ssd &dev)
 {
-    ssd::SsdConfig config;
-    config.channels = 1;
-    config.chipsPerChannel = 2;
-    config.chip.geometry.blocksPerChip = 16;
-    config.chip.geometry.layersPerBlock = 8;
-    config.writeBufferPages = 24;
-    config.logicalFraction = 0.6;
-    config.gcLowWatermark = 2;
-    config.gcHighWatermark = 3;
-    config.gcUrgentWatermark = 1;
-    ssd::Ssd dev(config);
-
     std::vector<ssd::HostRequest> requests;
     SimTime t = 0;
     for (int i = 0; i < 200; ++i) {
@@ -83,14 +73,57 @@ TEST(Trace, ReplayCompletesAllRequests)
         t += 100 * kMicrosecond;
         requests.push_back(req);
     }
-    const auto result = replayTrace(dev, requests);
-    EXPECT_EQ(result.completed, requests.size());
+    return replayTrace(dev, requests);
+}
+
+ssd::SsdConfig
+replayConfig()
+{
+    ssd::SsdConfig config;
+    config.channels = 1;
+    config.chipsPerChannel = 2;
+    config.chip.geometry.blocksPerChip = 16;
+    config.chip.geometry.layersPerBlock = 8;
+    config.writeBufferPages = 24;
+    config.logicalFraction = 0.6;
+    config.gcLowWatermark = 2;
+    config.gcHighWatermark = 3;
+    config.gcUrgentWatermark = 1;
+    return config;
+}
+
+TEST(Trace, ReplayCompletesAllRequests)
+{
+    ssd::Ssd dev(replayConfig());
+    const auto result = replaySmallTrace(dev);
+    EXPECT_EQ(result.completedRequests, 200u);
     EXPECT_GT(result.iops, 0.0);
     EXPECT_GT(result.elapsed, 0u);
     EXPECT_GT(result.readLatencyUs.count() +
                   result.writeLatencyUs.count(),
               0u);
     dev.ftl().checkConsistency();
+}
+
+TEST(Trace, ReplayResultIsAConsistentRunResult)
+{
+    // The replay folds completions through the same RunResult path as
+    // the drivers: every view of the run must count the same requests
+    // over the same window.
+    ssd::Ssd dev(replayConfig());
+    const auto result = replaySmallTrace(dev);
+    std::uint64_t statusSum = 0;
+    for (const std::uint64_t n : result.statusCounts)
+        statusSum += n;
+    EXPECT_EQ(statusSum, result.completedRequests);
+    EXPECT_EQ(result.requestMetrics.recorded(ssd::IoType::Read) +
+                  result.requestMetrics.recorded(ssd::IoType::Write),
+              result.completedRequests);
+    EXPECT_EQ(result.readLatencyUs.count() +
+                  result.writeLatencyUs.count(),
+              result.completedRequests);
+    EXPECT_EQ(result.utilization.window, result.elapsed);
+    EXPECT_EQ(result.utilization.die.size(), dev.chipCount());
 }
 
 TEST(Trace, FileRoundTrip)

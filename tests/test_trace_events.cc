@@ -23,6 +23,7 @@
 #include "src/trace/trace.h"
 #include "src/workload/driver.h"
 #include "src/workload/workload.h"
+#include "tests/closure_adapters.h"
 #include "tests/json_test_util.h"
 
 namespace cubessd::trace {
@@ -189,9 +190,9 @@ TEST(CounterRegistry, SamplesAtFixedSimulatedCadence)
     sim::EventQueue queue;
     int work = 0;
     // Three well-spaced events; the last lands off the sampling grid.
-    queue.schedule(1'000, [&] { ++work; });
-    queue.schedule(5'000, [&] { ++work; });
-    queue.schedule(10'500, [&] { ++work; });
+    test::schedule(queue, 1'000, [&] { ++work; });
+    test::schedule(queue, 5'000, [&] { ++work; });
+    test::schedule(queue, 10'500, [&] { ++work; });
 
     CounterRegistry registry;
     registry.add("work", "steps",
@@ -216,7 +217,7 @@ TEST(CounterRegistry, SamplesAtFixedSimulatedCadence)
 TEST(CounterRegistry, ForwardsSamplesToTrace)
 {
     sim::EventQueue queue;
-    queue.schedule(3'000, [] {});
+    test::schedule(queue, 3'000, [] {});
 
     TraceSession session;
     CounterRegistry registry;

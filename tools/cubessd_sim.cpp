@@ -11,13 +11,18 @@
  *   cubessd_sim --help
  */
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <fstream>
+#include <functional>
 #include <iostream>
-#include <memory>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,8 +58,7 @@ struct Options
     std::string metricsOut;
     std::string traceOut;
     std::size_t traceBuffer = std::size_t{1} << 18;
-    std::uint64_t sampleIntervalUs = 0;
-    bool sampleIntervalSet = false;
+    std::optional<std::uint64_t> sampleIntervalUs;
     bool listCounters = false;
     bool profile = false;
     std::string profileOut;
@@ -191,21 +195,52 @@ parseFtl(const std::string &name)
 workload::WorkloadSpec
 parseWorkload(const std::string &name)
 {
-    for (const auto &spec : workload::allWorkloads()) {
-        std::string lower = spec.name;
-        for (auto &ch : lower)
-            ch = static_cast<char>(std::tolower(ch));
-        if (lower == name)
-            return spec;
-    }
+    if (const auto spec = workload::findWorkload(name))
+        return *spec;
     fatal("unknown workload '%s' (mail|web|proxy|oltp|rocks|mongo)",
           name.c_str());
+}
+
+/** Reject a bad numeric value of `option`: message, exit 2. */
+[[noreturn]] void
+badValue(const std::string &option, const char *text, const char *expected)
+{
+    std::cerr << "cubessd_sim: invalid value '" << text << "' for "
+              << option << " (expected " << expected << ")\n";
+    std::exit(2);
+}
+
+/** A whole non-negative integer no larger than `max`. */
+std::uint64_t
+parseCount(const std::string &option, const char *text, std::uint64_t max)
+{
+    char *end = nullptr;
+    errno = 0;
+    const std::uint64_t v = std::strtoull(text, &end, 10);
+    if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end != '\0' || errno == ERANGE || v > max)
+        badValue(option, text, "a non-negative integer");
+    return v;
+}
+
+/** A whole finite non-negative number. */
+double
+parseReal(const std::string &option, const char *text)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (!(std::isdigit(static_cast<unsigned char>(text[0])) ||
+          text[0] == '.') ||
+        *end != '\0' || !std::isfinite(v))
+        badValue(option, text, "a non-negative number");
+    return v;
 }
 
 Options
 parseArgs(int argc, char **argv)
 {
     Options opt;
+    constexpr std::uint64_t kU32 = std::numeric_limits<std::uint32_t>::max();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto value = [&]() -> const char * {
@@ -213,6 +248,10 @@ parseArgs(int argc, char **argv)
                 fatal("missing value for %s", arg.c_str());
             return argv[++i];
         };
+        auto count = [&](std::uint64_t max = ~std::uint64_t{0}) {
+            return parseCount(arg, value(), max);
+        };
+        auto real = [&] { return parseReal(arg, value()); };
         if (arg == "--help" || arg == "-h") {
             usage();
             std::exit(0);
@@ -221,25 +260,23 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--workload") {
             opt.workload = value();
         } else if (arg == "--pe") {
-            opt.pe = static_cast<PeCycles>(std::atoi(value()));
+            opt.pe = static_cast<PeCycles>(count(kU32));
         } else if (arg == "--retention") {
-            opt.retentionMonths = std::atof(value());
+            opt.retentionMonths = real();
         } else if (arg == "--blocks") {
-            opt.blocks = static_cast<std::uint32_t>(std::atoi(value()));
+            opt.blocks = static_cast<std::uint32_t>(count(kU32));
         } else if (arg == "--requests") {
-            opt.requests =
-                static_cast<std::uint64_t>(std::atoll(value()));
+            opt.requests = count();
         } else if (arg == "--seed") {
-            opt.seed = static_cast<std::uint64_t>(std::atoll(value()));
+            opt.seed = count();
         } else if (arg == "--seeds") {
-            opt.seedCount =
-                static_cast<std::uint64_t>(std::atoll(value()));
+            opt.seedCount = count();
         } else if (arg == "--jobs") {
-            opt.jobs = static_cast<unsigned>(std::atoi(value()));
+            opt.jobs = static_cast<unsigned>(count(kU32));
         } else if (arg == "--prefill-overwrite") {
-            opt.prefillOverwrite = std::atof(value());
+            opt.prefillOverwrite = real();
         } else if (arg == "--qd") {
-            opt.qd = static_cast<std::uint32_t>(std::atoi(value()));
+            opt.qd = static_cast<std::uint32_t>(count(kU32));
         } else if (arg == "--tenants") {
             if (const std::string err =
                     workload::parseTenantList(value(), &opt.tenants);
@@ -255,20 +292,17 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--open-loop") {
             opt.openLoop = true;
         } else if (arg == "--load") {
-            opt.load = std::atof(value());
+            opt.load = real();
         } else if (arg == "--arb-burst") {
-            opt.arbBurst = static_cast<std::uint32_t>(std::atoi(value()));
+            opt.arbBurst = static_cast<std::uint32_t>(count(kU32));
         } else if (arg == "--metrics-out") {
             opt.metricsOut = value();
         } else if (arg == "--trace-out") {
             opt.traceOut = value();
         } else if (arg == "--trace-buffer") {
-            opt.traceBuffer =
-                static_cast<std::size_t>(std::atoll(value()));
+            opt.traceBuffer = static_cast<std::size_t>(count());
         } else if (arg == "--sample-interval-us") {
-            opt.sampleIntervalUs =
-                static_cast<std::uint64_t>(std::atoll(value()));
-            opt.sampleIntervalSet = true;
+            opt.sampleIntervalUs = count();
         } else if (arg == "--list-counters") {
             opt.listCounters = true;
         } else if (arg == "--profile") {
@@ -277,49 +311,307 @@ parseArgs(int argc, char **argv)
             opt.profileOut = value();
             opt.profile = true;
         } else if (arg == "--fault-program") {
-            opt.faults.programFailBase = std::atof(value());
+            opt.faults.programFailBase = real();
             opt.faults.enabled = true;
         } else if (arg == "--fault-erase") {
-            opt.faults.eraseFailBase = std::atof(value());
+            opt.faults.eraseFailBase = real();
             opt.faults.enabled = true;
         } else if (arg == "--fault-read-limit") {
-            opt.faults.uncorrectableNormLimit = std::atof(value());
+            opt.faults.uncorrectableNormLimit = real();
             opt.faults.enabled = true;
         } else if (arg == "--fault-wear-scale") {
-            opt.faults.wearScale = std::atof(value());
+            opt.faults.wearScale = real();
         } else if (arg == "--verbose") {
             opt.verbose = true;
         } else {
             fatal("unknown option '%s' (try --help)", arg.c_str());
         }
     }
+    if (opt.requests == 0) {
+        std::cerr << "cubessd_sim: --requests must be > 0\n";
+        std::exit(2);
+    }
     return opt;
 }
 
-/** Host wall-clock seconds elapsed since `t0`, in nanoseconds. */
-double
-wallNsSince(std::chrono::steady_clock::time_point t0)
+bool
+sweepMode(const Options &opt)
 {
-    return std::chrono::duration<double, std::nano>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
+    return opt.tenants.empty() && opt.seedCount > 1;
 }
 
-/** Write a profile as a standalone {"profile": {...}} sidecar. */
+/**
+ * Counter sampling defaults on (1 ms cadence) whenever a trace is
+ * requested; an explicit --sample-interval-us always wins.
+ */
+std::uint64_t
+sampleIntervalUs(const Options &opt)
+{
+    return opt.sampleIntervalUs.value_or(opt.traceOut.empty() ? 0 : 1000);
+}
+
+/** The first lines of every mode: the device, then the workload (or,
+ *  with tenants, the tenants and their pacing). */
 void
-writeProfileSidecar(const std::string &path,
-                    const prof::ProfileData &data, double wallNs)
+printBanner(const Options &opt, const ssd::SsdConfig &config,
+            const std::string &workload)
+{
+    std::cout << "device: " << config.totalChips() << " chips x "
+              << opt.blocks << " blocks ("
+              << config.logicalPages() *
+                     config.chip.geometry.pageSizeBytes / kGiB
+              << " GiB logical), FTL " << ssd::ftlKindName(config.ftl)
+              << '\n';
+    if (opt.tenants.empty()) {
+        std::cout << "workload: " << workload << " @ " << opt.pe
+                  << " P/E + " << opt.retentionMonths
+                  << " months retention\n";
+        return;
+    }
+    std::cout << "tenants:";
+    for (const auto &spec : opt.tenants) {
+        std::cout << ' ' << spec.name << "("
+                  << (spec.workload.name.empty() ? "trace"
+                                                 : spec.workload.name)
+                  << ",w=" << spec.weight << ')';
+    }
+    std::cout << "\npacing: "
+              << (opt.openLoop ? "open loop" : "closed loop");
+    if (opt.openLoop && opt.load > 0.0)
+        std::cout << " @ load " << opt.load;
+    std::cout << '\n';
+}
+
+/** What every mode hands the shared report tail. */
+struct Report
+{
+    /** Writes the mode's own metrics objects (run, cells, tenants,
+     *  requests, utilization) between `config` and `ftl`. */
+    std::function<void(metrics::JsonWriter &)> body;
+    ftl::FtlStats ftl;
+    std::uint64_t bufferPeakPages = 0;
+    ftl::GcStats gc;
+    /** Self-profile of the measured run and the host time it is set
+     *  against (empty unless --profile). */
+    prof::ProfileData profile;
+    double profileWallNs = 0.0;
+    /** The measured window's trace and counters (empty in a sweep,
+     *  whose traced cell writes its own). */
+    std::optional<workload::RunTrace> trace;
+};
+
+/**
+ * Prefill (pre-cycled, then baked to the retention point), attach the
+ * trace, and run the measured window — the single-device modes'
+ * shared sequence around `driver` (Driver or MultiTenantDriver). The
+ * profile bracket covers the measured run only: a snapshot delta, so
+ * the prefill's cost is excluded.
+ */
+template <typename AnyDriver>
+auto
+prefillAndRun(const Options &opt, ssd::Ssd &dev, AnyDriver &driver,
+              Report &report)
+{
+    std::cout << "prefilling..." << std::flush;
+    dev.setAging({opt.pe, 0.0});
+    driver.prefill(opt.prefillOverwrite);
+    dev.setAging({opt.pe, opt.retentionMonths});
+    std::cout << " done\n";
+    report.trace.emplace(dev, opt.traceOut, opt.traceBuffer,
+                         sampleIntervalUs(opt));
+    std::cout << "running " << opt.requests << " requests..."
+              << std::flush;
+    const prof::ProfileData before =
+        opt.profile ? prof::snapshot() : prof::ProfileData{};
+    const auto t0 = std::chrono::steady_clock::now();
+    auto result = driver.run(opt.requests);
+    report.profileWallNs = std::chrono::duration<double, std::nano>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    if (opt.profile)
+        report.profile = prof::snapshot().since(before);
+    std::cout << " done\n\n";
+    return result;
+}
+
+/** Latency percentiles plus the FTL summary rows shared by the
+ *  single-run and sweep tables. */
+void
+addRunRows(metrics::Table &table, const LatencyRecorder &readUs,
+           const LatencyRecorder &writeUs, const ftl::FtlStats &stats)
+{
+    for (const double p : {50.0, 90.0, 99.0}) {
+        table.row({"write p" + metrics::format(p, 0) + " (ms)",
+                   metrics::format(writeUs.percentile(p) / 1000.0, 3)});
+        table.row({"read p" + metrics::format(p, 0) + " (ms)",
+                   metrics::format(readUs.percentile(p) / 1000.0, 3)});
+    }
+    table.row({"write amplification",
+               metrics::format(stats.writeAmplification(), 2)});
+    table.row({"avg program latency (us)",
+               metrics::format(stats.avgProgramLatencyUs(), 1)});
+    table.row({"leader / follower programs",
+               std::to_string(stats.leaderPrograms) + " / " +
+                   std::to_string(stats.followerPrograms)});
+    table.row({"read retries", std::to_string(stats.readRetries)});
+}
+
+/** The run configuration: common keys plus the mode's own. */
+void
+writeConfig(metrics::JsonWriter &w, const Options &opt)
+{
+    const bool tenants = !opt.tenants.empty();
+    w.key("config");
+    w.beginObject();
+    w.field("ftl", opt.ftl);
+    if (!tenants)
+        w.field("workload", opt.workload);
+    w.field("pe_cycles", static_cast<std::uint64_t>(opt.pe));
+    w.field("retention_months", opt.retentionMonths);
+    w.field("blocks_per_chip", static_cast<std::uint64_t>(opt.blocks));
+    w.field("requests", opt.requests);
+    w.field("seed", opt.seed);
+    if (tenants) {
+        w.field("open_loop", opt.openLoop);
+        w.field("load", opt.load);
+        w.field("arb_burst", static_cast<std::uint64_t>(opt.arbBurst));
+        w.field("window",
+                static_cast<std::uint64_t>(opt.qd > 0 ? opt.qd : 64));
+        w.endObject();
+        return;
+    }
+    // NOTE: a sweep's job count is deliberately NOT recorded — the
+    // metrics file must be byte-identical for any --jobs value.
+    if (sweepMode(opt))
+        w.field("seeds", opt.seedCount);
+    w.field("queue_depth", static_cast<std::uint64_t>(opt.qd));
+    if (!sweepMode(opt)) {
+        w.key("faults");
+        w.beginObject();
+        w.field("enabled", opt.faults.enabled);
+        w.field("program_fail_base", opt.faults.programFailBase);
+        w.field("erase_fail_base", opt.faults.eraseFailBase);
+        w.field("uncorrectable_norm_limit",
+                opt.faults.uncorrectableNormLimit);
+        w.field("wear_scale", opt.faults.wearScale);
+        w.endObject();
+    }
+    w.endObject();
+}
+
+void
+writeFtl(metrics::JsonWriter &w, const ftl::FtlStats &stats,
+         std::uint64_t bufferPeakPages)
+{
+    w.key("ftl");
+    w.beginObject();
+    w.field("host_read_pages", stats.hostReadPages);
+    w.field("host_write_pages", stats.hostWritePages);
+    w.field("buffer_hits", stats.bufferHits);
+    w.field("nand_reads", stats.nandReads);
+    w.field("host_programs", stats.hostPrograms);
+    w.field("gc_programs", stats.gcPrograms);
+    w.field("leader_programs", stats.leaderPrograms);
+    w.field("follower_programs", stats.followerPrograms);
+    w.field("read_retries", stats.readRetries);
+    w.field("safety_reprograms", stats.safetyReprograms);
+    w.field("write_stalls", stats.writeStalls);
+    w.field("write_amplification", stats.writeAmplification());
+    w.field("avg_program_latency_us", stats.avgProgramLatencyUs());
+    w.field("buffer_peak_pages", bufferPeakPages);
+    w.endObject();
+}
+
+void
+writeFailures(metrics::JsonWriter &w, const ftl::FtlStats &stats)
+{
+    w.key("failures");
+    w.beginObject();
+    w.field("program_failures", stats.programFailures);
+    w.field("erase_failures", stats.eraseFailures);
+    w.field("retired_blocks", stats.retiredBlocks);
+    w.field("bad_block_relocations", stats.badBlockRelocations);
+    w.field("flush_replays", stats.flushReplays);
+    w.field("uncorrectable_reads", stats.uncorrectableReads);
+    w.field("read_only_rejects", stats.readOnlyRejects);
+    w.field("rejected_requests", stats.rejectedRequests);
+    w.endObject();
+}
+
+void
+writeGc(metrics::JsonWriter &w, const ftl::GcStats &gc)
+{
+    w.key("gc");
+    w.beginObject();
+    w.field("collections", gc.collections);
+    w.field("relocated_pages", gc.relocatedPages);
+    w.field("erases", gc.erases);
+    w.field("scan_reads", gc.scanReads);
+    w.field("programs", gc.programs);
+    w.field("avg_program_latency_us", gc.avgProgramLatencyUs());
+    w.endObject();
+}
+
+/** Write one JSON object to `path`; `fill` writes its members. */
+template <typename Fill>
+void
+writeJsonFile(const std::string &path, const char *what, Fill &&fill)
 {
     std::ofstream out(path);
     if (!out)
-        fatal("cannot open profile file '%s'", path.c_str());
+        fatal("cannot open %s file '%s'", what, path.c_str());
     metrics::JsonWriter w(out);
     w.beginObject();
-    w.key("profile");
-    prof::writeJson(w, data, wallNs);
+    fill(w);
     w.endObject();
     out << '\n';
-    std::cout << "profile written to " << path << '\n';
+}
+
+/**
+ * The report tail of every mode: profile table, the --metrics-out
+ * document (config, the mode's body, ftl, failures for a single run,
+ * gc, counter timeseries, profile), the profile sidecar and the trace.
+ */
+void
+finishReport(const Options &opt, const Report &r)
+{
+    if (opt.profile) {
+        std::cout << '\n';
+        prof::report(std::cout, r.profile, r.profileWallNs);
+    }
+
+    if (!opt.metricsOut.empty()) {
+        writeJsonFile(opt.metricsOut, "metrics", [&](auto &w) {
+            writeConfig(w, opt);
+            r.body(w);
+            writeFtl(w, r.ftl, r.bufferPeakPages);
+            if (opt.tenants.empty() && !sweepMode(opt))
+                writeFailures(w, r.ftl);
+            writeGc(w, r.gc);
+            if (r.trace && r.trace->counters) {
+                w.key("timeseries");
+                r.trace->counters->writeTimeseries(w);
+            }
+            if (opt.profile) {
+                w.key("profile");
+                prof::writeJson(w, r.profile, r.profileWallNs);
+            }
+        });
+        std::cout << "\nmetrics written to " << opt.metricsOut << '\n';
+    }
+
+    if (!opt.profileOut.empty()) {
+        writeJsonFile(opt.profileOut, "profile", [&](auto &w) {
+            w.key("profile");
+            prof::writeJson(w, r.profile, r.profileWallNs);
+        });
+        std::cout << "profile written to " << opt.profileOut << '\n';
+    }
+
+    if (r.trace && !opt.traceOut.empty()) {
+        std::cout << '\n';
+        r.trace->write(std::cout);
+    }
 }
 
 /**
@@ -345,358 +637,15 @@ reportWorkerTelemetry(const sim::SweepTelemetry &t)
 }
 
 /**
- * Write the full run metrics as a single JSON document: the run
- * configuration, throughput, per-IoType latency/phase histograms,
- * channel and die utilization, and the FTL/GC statistics. `profile`
- * (nullable) adds the self-profile of the measured run.
- */
-void
-writeMetricsFile(const std::string &path, const Options &opt,
-                 const ssd::Ssd &dev, const workload::RunResult &result,
-                 const trace::CounterRegistry *counters,
-                 const prof::ProfileData *profile, double profileWallNs)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open metrics file '%s'", path.c_str());
-
-    metrics::JsonWriter w(out);
-    w.beginObject();
-
-    w.key("config");
-    w.beginObject();
-    w.field("ftl", opt.ftl);
-    w.field("workload", opt.workload);
-    w.field("pe_cycles", static_cast<std::uint64_t>(opt.pe));
-    w.field("retention_months", opt.retentionMonths);
-    w.field("blocks_per_chip", static_cast<std::uint64_t>(opt.blocks));
-    w.field("requests", opt.requests);
-    w.field("seed", opt.seed);
-    w.field("queue_depth", static_cast<std::uint64_t>(opt.qd));
-    w.key("faults");
-    w.beginObject();
-    w.field("enabled", opt.faults.enabled);
-    w.field("program_fail_base", opt.faults.programFailBase);
-    w.field("erase_fail_base", opt.faults.eraseFailBase);
-    w.field("uncorrectable_norm_limit",
-            opt.faults.uncorrectableNormLimit);
-    w.field("wear_scale", opt.faults.wearScale);
-    w.endObject();
-    w.endObject();
-
-    w.key("run");
-    w.beginObject();
-    w.field("iops", result.iops);
-    w.field("elapsed_s", toSeconds(result.elapsed));
-    w.field("completed", result.completedRequests);
-    w.field("failed", result.failedRequests());
-    w.field("read_only", dev.ftl().readOnly());
-    w.endObject();
-
-    w.key("requests");
-    metrics::writeRequestMetrics(w, result.requestMetrics);
-
-    w.key("utilization");
-    metrics::writeUtilization(w, result.utilization);
-
-    const auto &stats = dev.ftl().stats();
-    w.key("ftl");
-    w.beginObject();
-    w.field("host_read_pages", stats.hostReadPages);
-    w.field("host_write_pages", stats.hostWritePages);
-    w.field("buffer_hits", stats.bufferHits);
-    w.field("nand_reads", stats.nandReads);
-    w.field("host_programs", stats.hostPrograms);
-    w.field("gc_programs", stats.gcPrograms);
-    w.field("leader_programs", stats.leaderPrograms);
-    w.field("follower_programs", stats.followerPrograms);
-    w.field("read_retries", stats.readRetries);
-    w.field("safety_reprograms", stats.safetyReprograms);
-    w.field("write_stalls", stats.writeStalls);
-    w.field("write_amplification", stats.writeAmplification());
-    w.field("avg_program_latency_us", stats.avgProgramLatencyUs());
-    w.field("buffer_peak_pages",
-            static_cast<std::uint64_t>(dev.ftl().buffer().peakSize()));
-    w.endObject();
-
-    w.key("failures");
-    w.beginObject();
-    w.field("program_failures", stats.programFailures);
-    w.field("erase_failures", stats.eraseFailures);
-    w.field("retired_blocks", stats.retiredBlocks);
-    w.field("bad_block_relocations", stats.badBlockRelocations);
-    w.field("flush_replays", stats.flushReplays);
-    w.field("uncorrectable_reads", stats.uncorrectableReads);
-    w.field("read_only_rejects", stats.readOnlyRejects);
-    w.field("rejected_requests", stats.rejectedRequests);
-    w.endObject();
-
-    const auto &gc = dev.ftl().gcStats();
-    w.key("gc");
-    w.beginObject();
-    w.field("collections", gc.collections);
-    w.field("relocated_pages", gc.relocatedPages);
-    w.field("erases", gc.erases);
-    w.field("scan_reads", gc.scanReads);
-    w.field("programs", gc.programs);
-    w.field("avg_program_latency_us", gc.avgProgramLatencyUs());
-    w.endObject();
-
-    if (counters != nullptr) {
-        w.key("timeseries");
-        counters->writeTimeseries(w);
-    }
-
-    if (profile != nullptr) {
-        w.key("profile");
-        prof::writeJson(w, *profile, profileWallNs);
-    }
-
-    w.endObject();
-    out << '\n';
-}
-
-/**
- * Write the merged metrics of a --seeds sweep as a single JSON
- * document: the run configuration, one summary object per seed (in
- * seed order), the merged per-IoType latency/phase histograms, and
- * the summed FTL/GC counters. Written once, from the main thread,
- * after the deterministic merge — never from sweep workers.
- */
-void
-writeSweepMetricsFile(const std::string &path, const Options &opt,
-                      const std::vector<workload::SweepCell> &cells,
-                      const std::vector<workload::CellResult> &results,
-                      const metrics::RequestMetrics &mergedRequests,
-                      const ftl::FtlStats &mergedFtl,
-                      const ftl::GcStats &mergedGc)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open metrics file '%s'", path.c_str());
-
-    metrics::JsonWriter w(out);
-    w.beginObject();
-
-    w.key("config");
-    w.beginObject();
-    w.field("ftl", opt.ftl);
-    w.field("workload", opt.workload);
-    w.field("pe_cycles", static_cast<std::uint64_t>(opt.pe));
-    w.field("retention_months", opt.retentionMonths);
-    w.field("blocks_per_chip", static_cast<std::uint64_t>(opt.blocks));
-    w.field("requests", opt.requests);
-    w.field("seed", opt.seed);
-    w.field("seeds", opt.seedCount);
-    // NOTE: the job count is deliberately NOT recorded — the metrics
-    // file must be byte-identical for any --jobs value.
-    w.field("queue_depth", static_cast<std::uint64_t>(opt.qd));
-    w.endObject();
-
-    w.key("cells");
-    w.beginArray();
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto &r = results[i];
-        w.beginObject();
-        w.field("seed", cells[i].config.seed);
-        w.field("iops", r.run.iops);
-        w.field("elapsed_s", toSeconds(r.run.elapsed));
-        w.field("completed", r.run.completedRequests);
-        w.field("failed", r.run.failedRequests());
-        w.field("read_only", r.readOnly);
-        w.endObject();
-    }
-    w.endArray();
-
-    w.key("requests");
-    metrics::writeRequestMetrics(w, mergedRequests);
-
-    w.key("ftl");
-    w.beginObject();
-    w.field("host_read_pages", mergedFtl.hostReadPages);
-    w.field("host_write_pages", mergedFtl.hostWritePages);
-    w.field("buffer_hits", mergedFtl.bufferHits);
-    w.field("nand_reads", mergedFtl.nandReads);
-    w.field("host_programs", mergedFtl.hostPrograms);
-    w.field("gc_programs", mergedFtl.gcPrograms);
-    w.field("leader_programs", mergedFtl.leaderPrograms);
-    w.field("follower_programs", mergedFtl.followerPrograms);
-    w.field("read_retries", mergedFtl.readRetries);
-    w.field("safety_reprograms", mergedFtl.safetyReprograms);
-    w.field("write_stalls", mergedFtl.writeStalls);
-    w.field("write_amplification", mergedFtl.writeAmplification());
-    w.field("avg_program_latency_us", mergedFtl.avgProgramLatencyUs());
-    w.endObject();
-
-    w.key("gc");
-    w.beginObject();
-    w.field("collections", mergedGc.collections);
-    w.field("relocated_pages", mergedGc.relocatedPages);
-    w.field("erases", mergedGc.erases);
-    w.field("scan_reads", mergedGc.scanReads);
-    w.field("programs", mergedGc.programs);
-    w.field("avg_program_latency_us", mergedGc.avgProgramLatencyUs());
-    w.endObject();
-
-    w.endObject();
-    out << '\n';
-}
-
-/**
- * Write the metrics of a multi-tenant run as a single JSON document:
- * the run configuration (tenant specs included), the aggregate
- * summary, and one object per tenant with its latency percentiles,
- * SLO accounting, arbitration counters and full request metrics.
- */
-void
-writeMultiTenantMetricsFile(const std::string &path, const Options &opt,
-                            const ssd::Ssd &dev,
-                            const workload::MultiTenantResult &result,
-                            const trace::CounterRegistry *counters,
-                            const prof::ProfileData *profile,
-                            double profileWallNs)
-{
-    std::ofstream out(path);
-    if (!out)
-        fatal("cannot open metrics file '%s'", path.c_str());
-
-    metrics::JsonWriter w(out);
-    w.beginObject();
-
-    w.key("config");
-    w.beginObject();
-    w.field("ftl", opt.ftl);
-    w.field("pe_cycles", static_cast<std::uint64_t>(opt.pe));
-    w.field("retention_months", opt.retentionMonths);
-    w.field("blocks_per_chip", static_cast<std::uint64_t>(opt.blocks));
-    w.field("requests", opt.requests);
-    w.field("seed", opt.seed);
-    w.field("open_loop", opt.openLoop);
-    w.field("load", opt.load);
-    w.field("arb_burst", static_cast<std::uint64_t>(opt.arbBurst));
-    w.field("window",
-            static_cast<std::uint64_t>(opt.qd > 0 ? opt.qd : 64));
-    w.endObject();
-
-    w.key("run");
-    w.beginObject();
-    w.field("iops", result.iops);
-    w.field("elapsed_s", toSeconds(result.elapsed));
-    w.field("completed", result.completed);
-    w.field("calibrated_iops", result.calibratedIops);
-    w.field("read_only", dev.ftl().readOnly());
-    w.endObject();
-
-    w.key("tenants");
-    w.beginArray();
-    for (std::size_t i = 0; i < result.tenants.size(); ++i) {
-        const auto &t = result.tenants[i];
-        const auto &spec = opt.tenants[i];
-        w.beginObject();
-        w.field("name", t.name);
-        w.field("workload", spec.workload.name.empty()
-                                ? std::string("trace")
-                                : spec.workload.name);
-        w.field("weight", static_cast<std::uint64_t>(t.weight));
-        w.field("arrival",
-                std::string(workload::arrivalKindName(spec.arrival)));
-        w.field("slo_target_ns",
-                static_cast<std::uint64_t>(t.sloTarget));
-        w.field("offered_rate", t.offeredRate);
-        w.field("submitted", t.submitted);
-        w.field("completed", t.completed);
-        w.field("iops", t.iops);
-        w.field("slo_violations", t.sloViolations);
-        w.field("slo_violation_fraction", t.sloViolationFraction());
-        for (const auto type :
-             {ssd::IoType::Read, ssd::IoType::Write}) {
-            const auto &h = t.metrics.latency(type);
-            const std::string prefix =
-                type == ssd::IoType::Read ? "read" : "write";
-            w.field(prefix + "_p50_us",
-                    h.percentile(50.0) / 1000.0);
-            w.field(prefix + "_p99_us",
-                    h.percentile(99.0) / 1000.0);
-            w.field(prefix + "_p999_us",
-                    h.percentile(99.9) / 1000.0);
-        }
-        w.key("arbitration");
-        w.beginObject();
-        w.field("submitted", t.arbitration.submitted);
-        w.field("dispatched", t.arbitration.dispatched);
-        w.field("completed", t.arbitration.completed);
-        w.field("max_backlog", t.arbitration.maxBacklog);
-        w.endObject();
-        w.key("requests");
-        metrics::writeRequestMetrics(w, t.metrics);
-        w.endObject();
-    }
-    w.endArray();
-
-    w.key("utilization");
-    metrics::writeUtilization(w, result.utilization);
-
-    const auto &stats = dev.ftl().stats();
-    w.key("ftl");
-    w.beginObject();
-    w.field("host_read_pages", stats.hostReadPages);
-    w.field("host_write_pages", stats.hostWritePages);
-    w.field("buffer_hits", stats.bufferHits);
-    w.field("nand_reads", stats.nandReads);
-    w.field("host_programs", stats.hostPrograms);
-    w.field("gc_programs", stats.gcPrograms);
-    w.field("write_amplification", stats.writeAmplification());
-    w.endObject();
-
-    const auto &gc = dev.ftl().gcStats();
-    w.key("gc");
-    w.beginObject();
-    w.field("collections", gc.collections);
-    w.field("relocated_pages", gc.relocatedPages);
-    w.field("erases", gc.erases);
-    w.endObject();
-
-    if (counters != nullptr) {
-        w.key("timeseries");
-        counters->writeTimeseries(w);
-    }
-
-    if (profile != nullptr) {
-        w.key("profile");
-        prof::writeJson(w, *profile, profileWallNs);
-    }
-
-    w.endObject();
-    out << '\n';
-}
-
-/**
  * Multi-tenant mode: N tenant streams through per-tenant submission
  * queues and the WRR arbiter, closed- or open-loop, with per-tenant
  * latency percentiles and SLO accounting.
  */
-int
+void
 runMultiTenant(const Options &opt, const ssd::SsdConfig &config)
 {
     ssd::Ssd dev(config);
-
-    std::cout << "device: " << dev.chipCount() << " chips x "
-              << opt.blocks << " blocks ("
-              << dev.logicalPages() *
-                     config.chip.geometry.pageSizeBytes / kGiB
-              << " GiB logical), FTL " << ssd::ftlKindName(config.ftl)
-              << "\ntenants:";
-    for (const auto &spec : opt.tenants) {
-        std::cout << ' ' << spec.name << "("
-                  << (spec.workload.name.empty() ? "trace"
-                                                 : spec.workload.name)
-                  << ",w=" << spec.weight << ')';
-    }
-    std::cout << "\npacing: "
-              << (opt.openLoop ? "open loop" : "closed loop");
-    if (opt.openLoop && opt.load > 0.0)
-        std::cout << " @ load " << opt.load;
-    std::cout << '\n';
+    printBanner(opt, config, "");
 
     workload::MultiTenantOptions mtOptions;
     mtOptions.openLoop = opt.openLoop;
@@ -705,46 +654,9 @@ runMultiTenant(const Options &opt, const ssd::SsdConfig &config)
     mtOptions.arbBurst = opt.arbBurst;
     workload::MultiTenantDriver driver(dev, opt.tenants, mtOptions);
 
-    std::cout << "prefilling..." << std::flush;
-    dev.setAging({opt.pe, 0.0});
-    driver.prefill(opt.prefillOverwrite);
-    dev.setAging({opt.pe, opt.retentionMonths});
-    std::cout << " done\n";
-
-    // As in the single-tenant path, tracing starts after the prefill
-    // so it covers the measured (and calibration) window only.
-    const std::uint64_t sampleIntervalUs =
-        opt.sampleIntervalSet ? opt.sampleIntervalUs
-                              : (opt.traceOut.empty() ? 0 : 1000);
-    std::unique_ptr<trace::TraceSession> traceSession;
-    if (!opt.traceOut.empty()) {
-        trace::TraceConfig traceConfig;
-        traceConfig.capacityEvents = opt.traceBuffer;
-        traceSession = std::make_unique<trace::TraceSession>(traceConfig);
-        dev.attachTrace(traceSession.get());
-    }
-    std::unique_ptr<trace::CounterRegistry> counterRegistry;
-    if (sampleIntervalUs > 0) {
-        counterRegistry = std::make_unique<trace::CounterRegistry>();
-        dev.registerCounters(*counterRegistry);
-        if (opt.profile)
-            prof::registerCounters(*counterRegistry);
-        counterRegistry->attachTrace(traceSession.get());
-        counterRegistry->installSampler(dev.queue(),
-                                        sampleIntervalUs * 1000);
-    }
-
-    std::cout << "running " << opt.requests << " requests..."
-              << std::flush;
-    const prof::ProfileData profBefore =
-        opt.profile ? prof::snapshot() : prof::ProfileData{};
-    const auto profT0 = std::chrono::steady_clock::now();
-    const auto result = driver.run(opt.requests);
-    const double profWallNs = wallNsSince(profT0);
-    const prof::ProfileData profData =
-        opt.profile ? prof::snapshot().since(profBefore)
-                    : prof::ProfileData{};
-    std::cout << " done\n\n";
+    // The trace covers the measured (and calibration) window.
+    Report report;
+    const auto result = prefillAndRun(opt, dev, driver, report);
 
     metrics::Table summary({"metric", "value"});
     summary.row({"aggregate IOPS", metrics::format(result.iops, 0)});
@@ -798,33 +710,68 @@ runMultiTenant(const Options &opt, const ssd::SsdConfig &config)
     std::cout << '\n';
     metrics::gcStatsTable(dev.ftl().gcStats()).print(std::cout);
 
-    if (opt.profile) {
-        std::cout << '\n';
-        prof::report(std::cout, profData, profWallNs);
-    }
+    report.body = [&](metrics::JsonWriter &w) {
+        w.key("run");
+        w.beginObject();
+        w.field("iops", result.iops);
+        w.field("elapsed_s", toSeconds(result.elapsed));
+        w.field("completed", result.completed);
+        w.field("calibrated_iops", result.calibratedIops);
+        w.field("read_only", dev.ftl().readOnly());
+        w.endObject();
 
-    if (!opt.metricsOut.empty()) {
-        writeMultiTenantMetricsFile(opt.metricsOut, opt, dev, result,
-                                    counterRegistry.get(),
-                                    opt.profile ? &profData : nullptr,
-                                    profWallNs);
-        std::cout << "\nmetrics written to " << opt.metricsOut << '\n';
-    }
-    if (!opt.profileOut.empty())
-        writeProfileSidecar(opt.profileOut, profData, profWallNs);
+        w.key("tenants");
+        w.beginArray();
+        for (std::size_t i = 0; i < result.tenants.size(); ++i) {
+            const auto &t = result.tenants[i];
+            const auto &spec = opt.tenants[i];
+            w.beginObject();
+            w.field("name", t.name);
+            w.field("workload", spec.workload.name.empty()
+                                    ? std::string("trace")
+                                    : spec.workload.name);
+            w.field("weight", static_cast<std::uint64_t>(t.weight));
+            w.field("arrival", std::string(workload::arrivalKindName(
+                                   spec.arrival)));
+            w.field("slo_target_ns",
+                    static_cast<std::uint64_t>(t.sloTarget));
+            w.field("offered_rate", t.offeredRate);
+            w.field("submitted", t.submitted);
+            w.field("completed", t.completed);
+            w.field("iops", t.iops);
+            w.field("slo_violations", t.sloViolations);
+            w.field("slo_violation_fraction", t.sloViolationFraction());
+            for (const auto type :
+                 {ssd::IoType::Read, ssd::IoType::Write}) {
+                const auto &h = t.metrics.latency(type);
+                const std::string prefix =
+                    type == ssd::IoType::Read ? "read" : "write";
+                w.field(prefix + "_p50_us", h.percentile(50.0) / 1000.0);
+                w.field(prefix + "_p99_us", h.percentile(99.0) / 1000.0);
+                w.field(prefix + "_p999_us",
+                        h.percentile(99.9) / 1000.0);
+            }
+            w.key("arbitration");
+            w.beginObject();
+            w.field("submitted", t.arbitration.submitted);
+            w.field("dispatched", t.arbitration.dispatched);
+            w.field("completed", t.arbitration.completed);
+            w.field("max_backlog", t.arbitration.maxBacklog);
+            w.endObject();
+            w.key("requests");
+            metrics::writeRequestMetrics(w, t.metrics);
+            w.endObject();
+        }
+        w.endArray();
 
-    if (traceSession) {
-        std::ofstream traceFile(opt.traceOut);
-        if (!traceFile)
-            fatal("cannot open trace file '%s'", opt.traceOut.c_str());
-        traceSession->writeJson(traceFile);
-        std::cout << "\ntrace written to " << opt.traceOut << " ("
-                  << traceSession->recorded() << " events recorded, "
-                  << traceSession->dropped() << " dropped)\n";
-    }
-
+        w.key("utilization");
+        metrics::writeUtilization(w, result.utilization);
+    };
+    report.ftl = dev.ftl().stats();
+    report.bufferPeakPages = dev.ftl().buffer().peakSize();
+    report.gc = dev.ftl().gcStats();
+    finishReport(opt, report);
     dev.ftl().checkConsistency();
-    return 0;
 }
 
 /**
@@ -832,7 +779,7 @@ runMultiTenant(const Options &opt, const ssd::SsdConfig &config)
  * consecutive seeds, farmed onto --jobs worker threads, merged
  * deterministically in seed order on the main thread.
  */
-int
+void
 runSeedSweep(const Options &opt, const ssd::SsdConfig &config,
              const workload::WorkloadSpec &spec)
 {
@@ -852,23 +799,16 @@ runSeedSweep(const Options &opt, const ssd::SsdConfig &config,
 
     workload::SweepTrace trace;
     trace.out = opt.traceOut;
-    trace.sampleIntervalUs =
-        opt.sampleIntervalSet ? opt.sampleIntervalUs
-                              : (opt.traceOut.empty() ? 0 : 1000);
+    trace.sampleIntervalUs = sampleIntervalUs(opt);
     trace.cell = 0;
+    trace.bufferEvents = opt.traceBuffer;
 
-    std::cout << "device: " << config.totalChips() << " chips x "
-              << opt.blocks << " blocks ("
-              << config.logicalPages() *
-                     config.chip.geometry.pageSizeBytes / kGiB
-              << " GiB logical), FTL " << ssd::ftlKindName(config.ftl)
-              << "\nworkload: " << spec.name << " @ " << opt.pe
-              << " P/E + " << opt.retentionMonths
-              << " months retention\nsweep: " << opt.seedCount
-              << " seeds (" << opt.seed << ".." << opt.seed +
-                     opt.seedCount - 1 << "), " << jobs << " worker"
-              << (jobs == 1 ? "" : "s") << "\nrunning " << opt.seedCount
-              << " x " << opt.requests << " requests..." << std::flush;
+    printBanner(opt, config, spec.name);
+    std::cout << "sweep: " << opt.seedCount << " seeds (" << opt.seed
+              << ".." << opt.seed + opt.seedCount - 1 << "), " << jobs
+              << " worker" << (jobs == 1 ? "" : "s") << "\nrunning "
+              << opt.seedCount << " x " << opt.requests
+              << " requests..." << std::flush;
 
     sim::SweepTelemetry telemetry;
     const auto results =
@@ -881,8 +821,7 @@ runSeedSweep(const Options &opt, const ssd::SsdConfig &config,
     std::uint64_t completed = 0, failed = 0;
     LatencyRecorder readUs, writeUs;
     metrics::RequestMetrics requests;
-    ftl::FtlStats ftlStats;
-    ftl::GcStats gcStats;
+    Report report;
     bool anyReadOnly = false;
     for (std::size_t i = 0; i < results.size(); ++i) {
         const auto &r = results[i];
@@ -894,8 +833,10 @@ runSeedSweep(const Options &opt, const ssd::SsdConfig &config,
         readUs.merge(r.run.readLatencyUs);
         writeUs.merge(r.run.writeLatencyUs);
         requests.merge(r.run.requestMetrics);
-        ftlStats.merge(r.ftl);
-        gcStats.merge(r.gc);
+        report.ftl.merge(r.ftl);
+        report.gc.merge(r.gc);
+        report.bufferPeakPages =
+            std::max(report.bufferPeakPages, r.bufferPeakPages);
         anyReadOnly = anyReadOnly || r.readOnly;
     }
     const double iopsMean =
@@ -908,236 +849,67 @@ runSeedSweep(const Options &opt, const ssd::SsdConfig &config,
     table.row({"completed requests", std::to_string(completed)});
     if (failed > 0 || opt.faults.enabled)
         table.row({"failed requests", std::to_string(failed)});
-    for (const double p : {50.0, 90.0, 99.0}) {
-        table.row({"write p" + metrics::format(p, 0) + " (ms)",
-                   metrics::format(writeUs.percentile(p) / 1000.0, 3)});
-        table.row({"read p" + metrics::format(p, 0) + " (ms)",
-                   metrics::format(readUs.percentile(p) / 1000.0, 3)});
-    }
-    table.row({"write amplification",
-               metrics::format(ftlStats.writeAmplification(), 2)});
-    table.row({"avg program latency (us)",
-               metrics::format(ftlStats.avgProgramLatencyUs(), 1)});
-    table.row({"leader / follower programs",
-               std::to_string(ftlStats.leaderPrograms) + " / " +
-                   std::to_string(ftlStats.followerPrograms)});
-    table.row({"read retries", std::to_string(ftlStats.readRetries)});
+    addRunRows(table, readUs, writeUs, report.ftl);
     if (opt.faults.enabled)
         table.row({"any seed read-only", anyReadOnly ? "yes" : "no"});
     table.print(std::cout);
 
     std::cout << '\n';
-    metrics::gcStatsTable(gcStats).print(std::cout);
+    metrics::gcStatsTable(report.gc).print(std::cout);
 
     if (opt.profile) {
         // "% wall" is computed against the workers' aggregate CPU
         // seconds, not the run's wall clock: with --jobs N the slots
         // accumulate across N threads at once, and only the aggregate
         // makes the coverage fraction meaningful.
-        const prof::ProfileData profData =
-            workload::mergeCellProfiles(results);
-        double busySumNs = 0.0;
+        report.profile = workload::mergeCellProfiles(results);
         for (const auto &w : telemetry.workers)
-            busySumNs += w.busyS * 1e9;
-        std::cout << '\n';
-        prof::report(std::cout, profData, busySumNs);
-        if (!opt.profileOut.empty())
-            writeProfileSidecar(opt.profileOut, profData, busySumNs);
-        // Worker telemetry goes to stderr: the sweep's stdout and its
-        // --metrics-out file are part of the --jobs bit-identity
-        // contract, and wall times are machine noise.
+            report.profileWallNs += w.busyS * 1e9;
         reportWorkerTelemetry(telemetry);
     }
 
-    if (!opt.metricsOut.empty()) {
-        writeSweepMetricsFile(opt.metricsOut, opt, cells, results,
-                              requests, ftlStats, gcStats);
-        std::cout << "\nmetrics written to " << opt.metricsOut << '\n';
-    }
-    return 0;
+    report.body = [&](metrics::JsonWriter &w) {
+        w.key("cells");
+        w.beginArray();
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            const auto &r = results[i];
+            w.beginObject();
+            w.field("seed", cells[i].config.seed);
+            w.field("iops", r.run.iops);
+            w.field("elapsed_s", toSeconds(r.run.elapsed));
+            w.field("completed", r.run.completedRequests);
+            w.field("failed", r.run.failedRequests());
+            w.field("read_only", r.readOnly);
+            w.endObject();
+        }
+        w.endArray();
+
+        w.key("requests");
+        metrics::writeRequestMetrics(w, requests);
+    };
+    finishReport(opt, report);
 }
 
-}  // namespace
-
-int
-main(int argc, char **argv)
+/** Single-run mode: one device, one measured window, full report. */
+void
+runSingle(const Options &opt, const ssd::SsdConfig &config,
+          const workload::WorkloadSpec &spec)
 {
-    const Options opt = parseArgs(argc, argv);
-
-    if (opt.profile) {
-        if (!prof::compiledIn()) {
-            std::cerr << "cubessd_sim: warning: this binary was built "
-                         "with CUBESSD_PROFILING=OFF; --profile will "
-                         "report no slots\n";
-        }
-        // Enabled before any Ssd or worker thread exists, so every
-        // thread observes the flag at creation.
-        prof::setEnabled(true);
-    }
-
-    ssd::SsdConfig config;
-    config.chip.geometry.blocksPerChip = opt.blocks;
-    config.chip.faults = opt.faults;
-    config.ftl = parseFtl(opt.ftl);
-    config.seed = opt.seed;
-    // In multi-tenant mode the WRR arbiter owns the in-flight window
-    // (--qd sizes it); the host queue underneath stays unbounded.
-    config.hostQueueDepth = opt.tenants.empty() ? opt.qd : 0;
-    if (const std::string err = config.validate(); !err.empty()) {
-        std::cerr << "cubessd_sim: invalid configuration: " << err
-                  << '\n';
-        return 2;
-    }
-
-    if (!opt.tenants.empty() && !opt.listCounters) {
-        if (const std::string err =
-                workload::validateTenants(opt.tenants);
-            !err.empty()) {
-            std::cerr << "cubessd_sim: invalid tenants: " << err
-                      << '\n';
-            return 2;
-        }
-        if (opt.seedCount > 1) {
-            std::cerr << "cubessd_sim: --seeds is not supported in "
-                         "multi-tenant mode\n";
-            return 2;
-        }
-        if (opt.openLoop && opt.load <= 0.0) {
-            for (const auto &spec : opt.tenants) {
-                if (spec.rate == 0.0) {
-                    std::cerr << "cubessd_sim: --open-loop needs "
-                                 "--load or an explicit rate= for "
-                                 "every tenant (tenant '"
-                              << spec.name << "' has neither)\n";
-                    return 2;
-                }
-            }
-        }
-        if (!opt.openLoop && opt.load > 0.0) {
-            std::cerr << "cubessd_sim: --load requires --open-loop\n";
-            return 2;
-        }
-        return runMultiTenant(opt, config);
-    }
-
-    if (opt.seedCount > 1 && !opt.listCounters) {
-        auto spec = parseWorkload(opt.workload);
-        if (opt.qd > 0) {
-            spec.burstLength = 0;
-            spec.queueDepth = opt.qd;
-        }
-        try {
-            return runSeedSweep(opt, config, spec);
-        } catch (const std::exception &e) {
-            // A failing cell surfaces here (annotated with its
-            // configuration) after the other cells finish; nothing
-            // has been written to --metrics-out at this point.
-            std::cerr << "cubessd_sim: " << e.what() << '\n';
-            return 1;
-        }
-    }
-
     ssd::Ssd dev(config);
-
-    if (opt.listCounters) {
-        trace::CounterRegistry registry;
-        dev.registerCounters(registry);
-        metrics::Table counters({"counter", "unit"});
-        for (std::size_t i = 0; i < registry.size(); ++i)
-            counters.row({registry.name(i), registry.unit(i)});
-        counters.print(std::cout);
-        return 0;
-    }
-
-    auto spec = parseWorkload(opt.workload);
-    if (opt.qd > 0) {
-        // Closed-loop QD sweep: a steady stream of `qd` in-flight
-        // requests through the bounded host queue, replacing the
-        // workload's native burst pacing.
-        spec.burstLength = 0;
-        spec.queueDepth = opt.qd;
-    }
-    std::cout << "device: " << dev.chipCount() << " chips x "
-              << opt.blocks << " blocks ("
-              << dev.logicalPages() *
-                     config.chip.geometry.pageSizeBytes / kGiB
-              << " GiB logical), FTL " << ssd::ftlKindName(config.ftl)
-              << "\nworkload: " << spec.name << " @ " << opt.pe
-              << " P/E + " << opt.retentionMonths
-              << " months retention\n";
+    printBanner(opt, config, spec.name);
 
     workload::WorkloadGenerator gen(spec, dev.logicalPages(),
                                     opt.seed + 7);
     workload::Driver driver(dev, gen);
+    Report report;
+    const auto result = prefillAndRun(opt, dev, driver, report);
 
-    std::cout << "prefilling..." << std::flush;
-    dev.setAging({opt.pe, 0.0});
-    driver.prefill(opt.prefillOverwrite);
-    dev.setAging({opt.pe, opt.retentionMonths});
-
-    // Tracing starts after the prefill so the ring buffer and the
-    // counter series cover the measured run, not the bulk setup
-    // writes. Counter sampling defaults on (1 ms cadence) whenever a
-    // trace is requested; an explicit --sample-interval-us always
-    // wins.
-    const std::uint64_t sampleIntervalUs =
-        opt.sampleIntervalSet ? opt.sampleIntervalUs
-                              : (opt.traceOut.empty() ? 0 : 1000);
-    std::unique_ptr<trace::TraceSession> traceSession;
-    if (!opt.traceOut.empty()) {
-        trace::TraceConfig traceConfig;
-        traceConfig.capacityEvents = opt.traceBuffer;
-        traceSession = std::make_unique<trace::TraceSession>(traceConfig);
-        dev.attachTrace(traceSession.get());
-    }
-    std::unique_ptr<trace::CounterRegistry> counterRegistry;
-    if (sampleIntervalUs > 0) {
-        counterRegistry = std::make_unique<trace::CounterRegistry>();
-        dev.registerCounters(*counterRegistry);
-        if (opt.profile)
-            prof::registerCounters(*counterRegistry);
-        counterRegistry->attachTrace(traceSession.get());
-        counterRegistry->installSampler(dev.queue(),
-                                        sampleIntervalUs * 1000);
-    }
-
-    std::cout << " done\nrunning " << opt.requests << " requests..."
-              << std::flush;
-    // Snapshot-delta around the measured run only: the prefill's cost
-    // is setup, not what --profile attributes.
-    const prof::ProfileData profBefore =
-        opt.profile ? prof::snapshot() : prof::ProfileData{};
-    const auto profT0 = std::chrono::steady_clock::now();
-    const auto result = driver.run(opt.requests);
-    const double profWallNs = wallNsSince(profT0);
-    const prof::ProfileData profData =
-        opt.profile ? prof::snapshot().since(profBefore)
-                    : prof::ProfileData{};
-    std::cout << " done\n\n";
-
+    const auto &stats = dev.ftl().stats();
     metrics::Table table({"metric", "value"});
     table.row({"IOPS", metrics::format(result.iops, 0)});
     table.row({"simulated time",
                metrics::format(toSeconds(result.elapsed), 3) + " s"});
-    for (const double p : {50.0, 90.0, 99.0}) {
-        table.row({"write p" + metrics::format(p, 0) + " (ms)",
-                   metrics::format(
-                       result.writeLatencyUs.percentile(p) / 1000.0,
-                       3)});
-        table.row({"read p" + metrics::format(p, 0) + " (ms)",
-                   metrics::format(
-                       result.readLatencyUs.percentile(p) / 1000.0,
-                       3)});
-    }
-    const auto &stats = dev.ftl().stats();
-    table.row({"write amplification",
-               metrics::format(stats.writeAmplification(), 2)});
-    table.row({"avg program latency (us)",
-               metrics::format(stats.avgProgramLatencyUs(), 1)});
-    table.row({"leader / follower programs",
-               std::to_string(stats.leaderPrograms) + " / " +
-                   std::to_string(stats.followerPrograms)});
-    table.row({"read retries", std::to_string(stats.readRetries)});
+    addRunRows(table, result.readLatencyUs, result.writeLatencyUs, stats);
     table.row({"safety re-programs",
                std::to_string(stats.safetyReprograms)});
     if (opt.faults.enabled) {
@@ -1154,18 +926,24 @@ main(int argc, char **argv)
                    dev.ftl().readOnly() ? "yes" : "no"});
     }
     if (opt.qd > 0) {
+        const auto &read = result.readLatencyUs;
+        const auto &write = result.writeLatencyUs;
         const double meanLatencyUs =
-            (result.readLatencyUs.mean() * result.readLatencyUs.count() +
-             result.writeLatencyUs.mean() *
-                 result.writeLatencyUs.count()) /
-            static_cast<double>(result.readLatencyUs.count() +
-                                result.writeLatencyUs.count());
+            (read.mean() * read.count() + write.mean() * write.count()) /
+            static_cast<double>(read.count() + write.count());
+        // The queue-wait phase histograms keep exact sums.
+        const auto &readWait =
+            result.requestMetrics.phases(ssd::IoType::Read).queueWait;
+        const auto &writeWait =
+            result.requestMetrics.phases(ssd::IoType::Write).queueWait;
+        const double meanWaitNs =
+            (readWait.sum() + writeWait.sum()) /
+            static_cast<double>(readWait.total() + writeWait.total());
         table.row({"host queue depth", std::to_string(opt.qd)});
         table.row({"mean latency (ms)",
                    metrics::format(meanLatencyUs / 1000.0, 3)});
         table.row({"mean queue wait (ms)",
-                   metrics::format(result.queueWaitUs.mean() / 1000.0,
-                                   3)});
+                   metrics::format(meanWaitNs / 1e6, 3)});
     }
     table.print(std::cout);
 
@@ -1212,30 +990,125 @@ main(int argc, char **argv)
         chips.print(std::cout);
     }
 
-    if (opt.profile) {
-        std::cout << '\n';
-        prof::report(std::cout, profData, profWallNs);
-    }
+    report.body = [&](metrics::JsonWriter &w) {
+        w.key("run");
+        w.beginObject();
+        w.field("iops", result.iops);
+        w.field("elapsed_s", toSeconds(result.elapsed));
+        w.field("completed", result.completedRequests);
+        w.field("failed", result.failedRequests());
+        w.field("read_only", dev.ftl().readOnly());
+        w.endObject();
 
-    if (!opt.metricsOut.empty()) {
-        writeMetricsFile(opt.metricsOut, opt, dev, result,
-                         counterRegistry.get(),
-                         opt.profile ? &profData : nullptr, profWallNs);
-        std::cout << "\nmetrics written to " << opt.metricsOut << '\n';
-    }
-    if (!opt.profileOut.empty())
-        writeProfileSidecar(opt.profileOut, profData, profWallNs);
+        w.key("requests");
+        metrics::writeRequestMetrics(w, result.requestMetrics);
 
-    if (traceSession) {
-        std::ofstream traceFile(opt.traceOut);
-        if (!traceFile)
-            fatal("cannot open trace file '%s'", opt.traceOut.c_str());
-        traceSession->writeJson(traceFile);
-        std::cout << "\ntrace written to " << opt.traceOut << " ("
-                  << traceSession->recorded() << " events recorded, "
-                  << traceSession->dropped() << " dropped)\n";
-    }
-
+        w.key("utilization");
+        metrics::writeUtilization(w, result.utilization);
+    };
+    report.ftl = stats;
+    report.bufferPeakPages = dev.ftl().buffer().peakSize();
+    report.gc = dev.ftl().gcStats();
+    finishReport(opt, report);
     dev.ftl().checkConsistency();
+}
+
+}  // namespace
+
+int
+main(int argc, char **argv)
+{
+    const Options opt = parseArgs(argc, argv);
+
+    if (opt.profile) {
+        if (!prof::compiledIn()) {
+            std::cerr << "cubessd_sim: warning: this binary was built "
+                         "with CUBESSD_PROFILING=OFF; --profile will "
+                         "report no slots\n";
+        }
+        // Enabled before any Ssd or worker thread exists, so every
+        // thread observes the flag at creation.
+        prof::setEnabled(true);
+    }
+
+    ssd::SsdConfig config;
+    config.chip.geometry.blocksPerChip = opt.blocks;
+    config.chip.faults = opt.faults;
+    config.ftl = parseFtl(opt.ftl);
+    config.seed = opt.seed;
+    // In multi-tenant mode the WRR arbiter owns the in-flight window
+    // (--qd sizes it); the host queue underneath stays unbounded.
+    config.hostQueueDepth = opt.tenants.empty() ? opt.qd : 0;
+    if (const std::string err = config.validate(); !err.empty()) {
+        std::cerr << "cubessd_sim: invalid configuration: " << err
+                  << '\n';
+        return 2;
+    }
+
+    if (opt.listCounters) {
+        ssd::Ssd dev(config);
+        trace::CounterRegistry registry;
+        dev.registerCounters(registry);
+        metrics::Table counters({"counter", "unit"});
+        for (std::size_t i = 0; i < registry.size(); ++i)
+            counters.row({registry.name(i), registry.unit(i)});
+        counters.print(std::cout);
+        return 0;
+    }
+
+    if (!opt.tenants.empty()) {
+        if (const std::string err =
+                workload::validateTenants(opt.tenants);
+            !err.empty()) {
+            std::cerr << "cubessd_sim: invalid tenants: " << err
+                      << '\n';
+            return 2;
+        }
+        if (opt.seedCount > 1) {
+            std::cerr << "cubessd_sim: --seeds is not supported in "
+                         "multi-tenant mode\n";
+            return 2;
+        }
+        if (opt.openLoop && opt.load <= 0.0) {
+            for (const auto &spec : opt.tenants) {
+                if (spec.rate == 0.0) {
+                    std::cerr << "cubessd_sim: --open-loop needs "
+                                 "--load or an explicit rate= for "
+                                 "every tenant (tenant '"
+                              << spec.name << "' has neither)\n";
+                    return 2;
+                }
+            }
+        }
+        if (!opt.openLoop && opt.load > 0.0) {
+            std::cerr << "cubessd_sim: --load requires --open-loop\n";
+            return 2;
+        }
+    }
+
+    try {
+        if (!opt.tenants.empty()) {
+            runMultiTenant(opt, config);
+            return 0;
+        }
+        auto spec = parseWorkload(opt.workload);
+        if (opt.qd > 0) {
+            // Closed-loop QD sweep: a steady stream of `qd` in-flight
+            // requests through the bounded host queue, replacing the
+            // workload's native burst pacing.
+            spec.burstLength = 0;
+            spec.queueDepth = opt.qd;
+        }
+        if (sweepMode(opt))
+            runSeedSweep(opt, config, spec);
+        else
+            runSingle(opt, config, spec);
+    } catch (const std::exception &e) {
+        // A failing sweep cell surfaces here (annotated with its
+        // configuration) after the other cells finish, as does an
+        // unwritable trace file.
+        std::cerr << "cubessd_sim: " << e.what() << '\n';
+        return 1;
+    }
     return 0;
 }

@@ -2,9 +2,9 @@
 """Validate or diff self-profiles produced by the prof:: subsystem.
 
 A "profile" is the JSON object written by prof::writeJson: either the
-`profile` key of a --metrics-out / BENCH_perf.json document, a
-standalone {"profile": {...}} sidecar from --profile-out, or the bare
-object itself. The slot schema is:
+`profile` key of a --metrics-out document, a standalone
+{"profile": {...}} sidecar from --profile-out, or the bare object
+itself. The slot schema is:
 
     {"ns_per_tick": ..., "wall_ns": ..., "coverage": ...,
      "slots": [{"name", "count", "total_ns", "self_ns",
