@@ -14,6 +14,8 @@
 #include <array>
 #include <cstdint>
 
+#include "src/common/state_hash.h"
+
 namespace cubessd {
 
 /**
@@ -67,6 +69,13 @@ class Rng
 
     /** Derive an independent child generator (for per-chip streams). */
     Rng fork();
+
+    /** Fold the generator's position (state and cached normal) in. */
+    void
+    hashState(StateHash &h) const
+    {
+        h.add(state_).add(cachedNormal_).add(hasCachedNormal_);
+    }
 
   private:
     std::array<std::uint64_t, 4> state_;

@@ -56,6 +56,8 @@ struct EccConfig
      *  soft-sense the flash performs). */
     std::uint64_t tSoftDecodeNs = 15000;
     /** @} */
+
+    bool operator==(const EccConfig &) const = default;
 };
 
 /** Capability-threshold ECC model. */

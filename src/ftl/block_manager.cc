@@ -161,4 +161,17 @@ BlockManager::wearSpread() const
     return hi - lo;
 }
 
+void
+BlockManager::hashState(StateHash &h) const
+{
+    for (const BlockInfo &b : blocks_) {
+        h.add(b.p2l).add(b.valid).add(b.validCount).add(b.programmedWls);
+        h.add(b.eraseCount).add(b.isFree).add(b.isActive).add(b.isBad);
+    }
+    h.add(freeList_.size());
+    for (const std::uint32_t block : freeList_)
+        h.add(block);
+    h.add(retired_);
+}
+
 }  // namespace cubessd::ftl

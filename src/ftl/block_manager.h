@@ -12,6 +12,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/common/state_hash.h"
 #include "src/common/types.h"
 #include "src/nand/geometry.h"
 
@@ -97,6 +98,10 @@ class BlockManager
 
     /** Wear imbalance: max - min erase count across all blocks. */
     std::uint32_t wearSpread() const;
+
+    /** Fold every block's reverse map, validity, wear and status plus
+     *  the free-list order in. */
+    void hashState(StateHash &h) const;
 
   private:
     nand::NandGeometry geom_;

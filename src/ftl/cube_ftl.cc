@@ -26,6 +26,44 @@ CubeFtl::CubeFtl(const ssd::SsdConfig &config,
                          geom.layersPerBlock);
 }
 
+CubeFtl::CubeFtl(const CubeFtl &other, std::vector<ssd::ChipUnit> &chips,
+                 sim::EventQueue &queue)
+    : FtlBase(other, chips, queue),
+      opm_(other.opm_.config(), chips.front().chip().errors(),
+           chips.front().chip().ecc(),
+           chips.front().chip().ispp().config().deltaVMv),
+      wam_(other.wam_),
+      ort_(other.ort_),
+      features_(other.features_),
+      state_(other.state_),
+      cubeStats_(other.cubeStats_)
+{
+}
+
+std::unique_ptr<FtlBase>
+CubeFtl::clone(std::vector<ssd::ChipUnit> &chips,
+               sim::EventQueue &queue) const
+{
+    return std::unique_ptr<FtlBase>(new CubeFtl(*this, chips, queue));
+}
+
+void
+CubeFtl::hashPolicyState(StateHash &h) const
+{
+    ort_.hashState(h);
+    for (const ChipState &cs : state_) {
+        h.add(cs.open).add(cs.gcOpen);
+        for (const MixedWritePoint *wp : {&cs.host[0], &cs.host[1], &cs.gc})
+            h.add(*wp);
+        for (const LeaderParams &p : cs.params) {
+            h.add(p.valid).add(p.skipPlan).add(p.skipPlanUnshifted);
+            h.add(p.vStartAdjMv).add(p.vFinalAdjMv).add(p.leaderBerEp1Norm);
+            h.add(p.expectedMultiplier).add(p.epoch);
+        }
+    }
+    h.add(cubeStats_);
+}
+
 void
 CubeFtl::registerCounters(trace::CounterRegistry &reg)
 {

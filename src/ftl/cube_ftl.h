@@ -46,6 +46,9 @@ class CubeFtl : public FtlBase
             const OpmConfig &opmConfig = {},
             const ssd::CubeFeatures &features = {});
 
+    std::unique_ptr<FtlBase> clone(std::vector<ssd::ChipUnit> &chips,
+                                   sim::EventQueue &queue) const override;
+
     const ssd::CubeFeatures &features() const { return features_; }
     bool wamEnabled() const { return features_.wam; }
     const Ort &ort() const { return ort_; }
@@ -56,6 +59,12 @@ class CubeFtl : public FtlBase
     void registerCounters(trace::CounterRegistry &reg) override;
 
   protected:
+    /** Copy of idle `other` for clone(). */
+    CubeFtl(const CubeFtl &other, std::vector<ssd::ChipUnit> &chips,
+            sim::EventQueue &queue);
+
+    void hashPolicyState(StateHash &h) const override;
+
     ProgramChoice chooseProgramTarget(std::uint32_t chip, bool forGc,
                                       double mu) override;
     MilliVolt readShiftFor(std::uint32_t chip,

@@ -57,6 +57,74 @@ FtlBase::FtlBase(const ssd::SsdConfig &config,
         config_, chips_, blockMgrs_, mapping_, host, stats_);
 }
 
+FtlBase::FtlBase(const FtlBase &other, std::vector<ssd::ChipUnit> &chips,
+                 sim::EventQueue &queue)
+    : config_(other.config_),
+      chips_(chips),
+      queue_(queue),
+      geom_(other.geom_),
+      codec_(other.codec_),
+      mapping_(other.mapping_),
+      blockMgrs_(other.blockMgrs_),
+      buffer_(other.buffer_),
+      latestIssued_(other.latestIssued_),
+      inFlight_(other.inFlight_),
+      outstandingFlush_(other.outstandingFlush_),
+      deferredFlushes_(chips.size()),
+      flushCursor_(other.flushCursor_),
+      versionCounter_(other.versionCounter_),
+      drainMode_(other.drainMode_),
+      sparePerChip_(other.sparePerChip_),
+      readOnly_(other.readOnly_),
+      stats_(other.stats_)
+{
+    popScratch_.reserve(geom_.pagesPerWl);
+    // Parked batches are state, not traffic: they wait for a free
+    // block that only GC can return.
+    for (std::size_t c = 0; c < chips.size(); ++c) {
+        const auto &parked = other.deferredFlushes_[c];
+        for (std::size_t i = 0; i < parked.size(); ++i) {
+            FlushBatch *batch = batchPool_.acquire();
+            *batch = *parked[i];
+            deferredFlushes_[c].push_back(batch);
+        }
+    }
+    GcHost &host = *this;
+    gcEngine_ = std::make_unique<GcEngine>(*other.gcEngine_, config_,
+                                           chips_, blockMgrs_, mapping_,
+                                           host, stats_);
+}
+
+bool
+FtlBase::idle() const
+{
+    std::size_t parked = 0;
+    for (const auto &chipParked : deferredFlushes_)
+        parked += chipParked.size();
+    return buffer_.empty() && stalled_.empty() &&
+           readCtxPool_.inUse() == 0 && stalledPool_.inUse() == 0 &&
+           batchPool_.inUse() == parked;
+}
+
+void
+FtlBase::hashState(StateHash &h) const
+{
+    mapping_.hashState(h);
+    for (const BlockManager &mgr : blockMgrs_)
+        mgr.hashState(h);
+    buffer_.hashState(h);
+    h.add(latestIssued_).add(inFlight_.size()).add(outstandingFlush_);
+    for (const auto &parked : deferredFlushes_) {
+        h.add(parked.size());
+        for (std::size_t i = 0; i < parked.size(); ++i)
+            h.add(parked[i]->chip).add(parked[i]->entries);
+    }
+    gcEngine_->hashState(h);
+    h.add(flushCursor_).add(versionCounter_).add(drainMode_);
+    h.add(sparePerChip_).add(readOnly_).add(stats_);
+    hashPolicyState(h);
+}
+
 const BlockManager &
 FtlBase::blockManager(std::uint32_t chip) const
 {

@@ -74,6 +74,24 @@ class FtlBase : private GcHost,
     FtlBase(const FtlBase &) = delete;
     FtlBase &operator=(const FtlBase &) = delete;
 
+    /**
+     * Copy of this idle FTL (see idle()) with every structure and
+     * counter, driving another device's `chips` through `queue`
+     * (Ssd's copy). No trace attachment is copied.
+     */
+    virtual std::unique_ptr<FtlBase>
+    clone(std::vector<ssd::ChipUnit> &chips,
+          sim::EventQueue &queue) const = 0;
+
+    /** Nothing buffered, stalled or in flight: every pooled read
+     *  context and stalled write is free, and every flush batch in use
+     *  is one parked for want of a free block. */
+    bool idle() const;
+
+    /** Fold the mapping, block managers, buffer, GC engine, policy
+     *  state and every counter in. */
+    void hashState(StateHash &h) const;
+
     /** Submit a host read; `sink` is notified (with `ctx` passed back
      *  verbatim) when all pages are returned. */
     void hostRead(const ssd::HostRequest &req, ssd::CompletionSink *sink,
@@ -140,6 +158,13 @@ class FtlBase : private GcHost,
                           const ssd::NandOpResult &result) override;
 
   protected:
+    /** Copy of idle `other` for clone(), bound to `chips` and `queue`. */
+    FtlBase(const FtlBase &other, std::vector<ssd::ChipUnit> &chips,
+            sim::EventQueue &queue);
+
+    /** Fold the policy's own state (write points, caches) in. */
+    virtual void hashPolicyState(StateHash &h) const { (void)h; }
+
     /**
      * Pick the WL and program parameters for the next flush on `chip`.
      * @param forGc  true when the program relocates GC data

@@ -45,6 +45,8 @@ struct FtlStats
     /** @} */
     SimTime programLatencySum = 0;      ///< device tPROG over all programs
 
+    bool operator==(const FtlStats &) const = default;
+
     /** Sum another device's counters in (multi-seed sweep merge). */
     void
     merge(const FtlStats &o)

@@ -30,6 +30,38 @@ GcEngine::GcEngine(const ssd::SsdConfig &config,
     batchScratch_.reserve(geom_.pagesPerWl);
 }
 
+GcEngine::GcEngine(const GcEngine &other, const ssd::SsdConfig &config,
+                   std::vector<ssd::ChipUnit> &chips,
+                   std::vector<BlockManager> &blockMgrs,
+                   MappingTable &mapping, GcHost &host, FtlStats &mirror)
+    : config_(config),
+      chips_(chips),
+      blockMgrs_(blockMgrs),
+      mapping_(mapping),
+      host_(host),
+      geom_(other.geom_),
+      codec_(other.codec_),
+      gc_(other.gc_),
+      stats_(other.stats_),
+      mirror_(mirror)
+{
+    // A vector copy does not keep capacity; restore the reservations.
+    for (auto &gc : gc_)
+        gc.pending.reserve(geom_.pagesPerBlock());
+    batchScratch_.reserve(geom_.pagesPerWl);
+}
+
+void
+GcEngine::hashState(StateHash &h) const
+{
+    for (const ChipState &gc : gc_) {
+        h.add(gc.active).add(gc.victim).add(gc.scanIndex);
+        h.add(gc.outstandingReads).add(gc.outstandingPrograms);
+        h.add(gc.scanDone).add(gc.erasing).add(gc.pending);
+    }
+    h.add(stats_);
+}
+
 Ppa
 GcEngine::encodePpa(std::uint32_t chip, const nand::PageAddr &addr) const
 {

@@ -53,6 +53,8 @@ struct GcStats
     std::uint64_t programs = 0;       ///< WL programs issued for GC
     SimTime programLatencySum = 0;    ///< device tPROG over GC programs
 
+    bool operator==(const GcStats &) const = default;
+
     /** Sum another device's counters in (multi-seed sweep merge). */
     void
     merge(const GcStats &o)
@@ -127,6 +129,13 @@ class GcEngine final : public ssd::NandOpListener
              std::vector<BlockManager> &blockMgrs, MappingTable &mapping,
              GcHost &host, FtlStats &mirror);
 
+    /** Copy of `other`'s per-chip progress and statistics, bound to
+     *  another FTL's structures (FtlBase's copy). */
+    GcEngine(const GcEngine &other, const ssd::SsdConfig &config,
+             std::vector<ssd::ChipUnit> &chips,
+             std::vector<BlockManager> &blockMgrs, MappingTable &mapping,
+             GcHost &host, FtlStats &mirror);
+
     GcEngine(const GcEngine &) = delete;
     GcEngine &operator=(const GcEngine &) = delete;
 
@@ -150,6 +159,9 @@ class GcEngine final : public ssd::NandOpListener
     void resume(std::uint32_t chip);
 
     const GcStats &stats() const { return stats_; }
+
+    /** Fold every chip's collection progress and the counters in. */
+    void hashState(StateHash &h) const;
 
     /**
      * Record each collection as a begin/end span on the chip's GC

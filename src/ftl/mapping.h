@@ -15,6 +15,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/common/state_hash.h"
 #include "src/common/types.h"
 
 namespace cubessd::ftl {
@@ -45,6 +46,13 @@ class MappingTable
 
     /** Number of currently mapped logical pages. */
     std::uint64_t mappedCount() const { return mapped_; }
+
+    /** Fold both directions of the table in. */
+    void
+    hashState(StateHash &h) const
+    {
+        h.add(l2p_).add(version_).add(mapped_);
+    }
 
   private:
     std::vector<Ppa> l2p_;

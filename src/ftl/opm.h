@@ -117,6 +117,10 @@ class Opm
     Opm(const OpmConfig &config, const nand::ErrorModel &errors,
         const ecc::EccModel &ecc, MilliVolt deltaVMv);
 
+    /** A copy would keep pointing at the source chip's ErrorModel. */
+    Opm(const Opm &) = delete;
+    Opm &operator=(const Opm &) = delete;
+
     const OpmConfig &config() const { return config_; }
 
     /**

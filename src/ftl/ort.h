@@ -30,6 +30,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/common/state_hash.h"
 #include "src/common/types.h"
 
 namespace cubessd::ftl {
@@ -70,6 +71,14 @@ class Ort
     std::size_t bytes() const { return table_.size() * sizeof(table_[0]); }
 
     std::uint64_t hits() const { return hits_; }
+
+    /** Fold the table, its validity bits and every counter in. */
+    void
+    hashState(StateHash &h) const
+    {
+        h.add(table_).add(valid_).add(hits_).add(misses_).add(updates_);
+        h.add(layerHits_).add(layerMisses_);
+    }
     std::uint64_t misses() const { return misses_; }
     std::uint64_t updates() const { return updates_; }
 

@@ -13,6 +13,31 @@ PageFtl::PageFtl(const ssd::SsdConfig &config,
 {
 }
 
+PageFtl::PageFtl(const PageFtl &other, std::vector<ssd::ChipUnit> &chips,
+                 sim::EventQueue &queue)
+    : FtlBase(other, chips, queue),
+      pattern_(other.pattern_),
+      hostWp_(other.hostWp_),
+      gcWp_(other.gcWp_)
+{
+}
+
+std::unique_ptr<FtlBase>
+PageFtl::clone(std::vector<ssd::ChipUnit> &chips,
+               sim::EventQueue &queue) const
+{
+    return std::unique_ptr<FtlBase>(new PageFtl(*this, chips, queue));
+}
+
+void
+PageFtl::hashPolicyState(StateHash &h) const
+{
+    for (const auto *points : {&hostWp_, &gcWp_}) {
+        for (const WritePoint &wp : *points)
+            h.add(wp.open).add(wp.block).add(wp.seqIndex);
+    }
+}
+
 nand::WlAddr
 PageFtl::nextWl(std::uint32_t chip, WritePoint &wp)
 {

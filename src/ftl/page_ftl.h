@@ -22,7 +22,16 @@ class PageFtl : public FtlBase
     PageFtl(const ssd::SsdConfig &config,
             std::vector<ssd::ChipUnit> &chips, sim::EventQueue &queue);
 
+    std::unique_ptr<FtlBase> clone(std::vector<ssd::ChipUnit> &chips,
+                                   sim::EventQueue &queue) const override;
+
   protected:
+    /** Copy of idle `other` for clone(). */
+    PageFtl(const PageFtl &other, std::vector<ssd::ChipUnit> &chips,
+            sim::EventQueue &queue);
+
+    void hashPolicyState(StateHash &h) const override;
+
     ProgramChoice chooseProgramTarget(std::uint32_t chip, bool forGc,
                                       double mu) override;
 

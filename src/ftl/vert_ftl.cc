@@ -14,6 +14,13 @@ VertFtl::VertFtl(const ssd::SsdConfig &config,
     buildTable(config, chips);
 }
 
+std::unique_ptr<FtlBase>
+VertFtl::clone(std::vector<ssd::ChipUnit> &chips,
+               sim::EventQueue &queue) const
+{
+    return std::unique_ptr<FtlBase>(new VertFtl(*this, chips, queue));
+}
+
 void
 VertFtl::buildTable(const ssd::SsdConfig &config,
                     const std::vector<ssd::ChipUnit> &chips)

@@ -47,10 +47,21 @@ class VertFtl : public PageFtl
             std::vector<ssd::ChipUnit> &chips, sim::EventQueue &queue,
             const VertFtlConfig &vertConfig = {});
 
+    std::unique_ptr<FtlBase> clone(std::vector<ssd::ChipUnit> &chips,
+                                   sim::EventQueue &queue) const override;
+
     /** The offline per-layer V_Final reduction table (for reports). */
     const std::vector<MilliVolt> &table() const { return table_; }
 
   protected:
+    /** Copy of idle `other` for clone(). */
+    VertFtl(const VertFtl &other, std::vector<ssd::ChipUnit> &chips,
+            sim::EventQueue &queue)
+        : PageFtl(other, chips, queue), vertConfig_(other.vertConfig_),
+          table_(other.table_)
+    {
+    }
+
     nand::ProgramCommand commandFor(std::uint32_t chip,
                                     const nand::WlAddr &wl) override;
 

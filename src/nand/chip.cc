@@ -25,6 +25,40 @@ NandChip::NandChip(const NandChipConfig &config)
     }
 }
 
+NandChip::NandChip(const NandChip &other)
+    : config_(other.config_),
+      codec_(other.codec_),
+      process_(other.process_),
+      errors_(other.errors_),
+      vth_(other.vth_),
+      ispp_(other.ispp_, errors_),
+      ecc_(other.ecc_),
+      read_(config_.read, vth_, errors_, ecc_),
+      faults_(other.faults_, errors_),
+      terms_(other.terms_, process_, errors_, vth_, ispp_),
+      rng_(other.rng_),
+      baseAging_(other.baseAging_),
+      blocks_(other.blocks_),
+      stats_(other.stats_)
+{
+}
+
+void
+NandChip::hashState(StateHash &h) const
+{
+    rng_.hashState(h);
+    faults_.hashState(h);
+    terms_.hashState(h);
+    h.add(baseAging_.peCycles).add(baseAging_.retentionMonths);
+    for (const BlockState &block : blocks_) {
+        h.add(block.eraseCount);
+        for (const WlState &wl : block.wls)
+            h.add(wl.programmedPages).add(wl.berMultiplier);
+        h.add(block.tokens);
+    }
+    h.add(stats_);
+}
+
 AgingState
 NandChip::blockAging(std::uint32_t block) const
 {

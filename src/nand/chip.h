@@ -55,6 +55,8 @@ struct NandChipConfig
     FaultParams faults{};
     /** Chip identity: chips with different seeds are different dies. */
     std::uint64_t seed = 1;
+
+    bool operator==(const NandChipConfig &) const = default;
 };
 
 /** Cumulative operation counters of a chip. */
@@ -79,6 +81,12 @@ class NandChip
 {
   public:
     explicit NandChip(const NandChipConfig &config);
+
+    /** Copy of every per-block and per-WL state, token, RNG stream,
+     *  memo table and counter, with the sub-models re-bound to this
+     *  chip's own instances. */
+    NandChip(const NandChip &other);
+    NandChip &operator=(const NandChip &) = delete;
 
     /** @name Sub-model access (read-only) @{ */
     const NandGeometry &geometry() const { return config_.geometry; }
@@ -183,6 +191,10 @@ class NandChip
 
     const NandChipStats &stats() const { return stats_; }
     void resetStats() { stats_ = NandChipStats{}; }
+
+    /** Fold the chip's simulated state (blocks, RNG streams, term
+     *  cache, injected aging, counters) in. */
+    void hashState(StateHash &h) const;
 
     /** Program time saved by VFY skipping so far (skipped pulses times
      *  the per-verify cost; the Sec. 4.1 tPROG-reduction story). */

@@ -64,6 +64,8 @@ struct ErrorParams
      *  ber *= 1 + overK * stateWeight * extra^overP per state. */
     double overK = 0.08;
     double overP = 1.8;
+
+    bool operator==(const ErrorParams &) const = default;
 };
 
 /**

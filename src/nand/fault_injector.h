@@ -54,6 +54,8 @@ struct FaultParams
     /** Aligned normalized BER beyond which a read is uncorrectable
      *  even in the final soft LDPC mode. 0 disables the limit. */
     double uncorrectableNormLimit = 0.0;
+
+    bool operator==(const FaultParams &) const = default;
 };
 
 class FaultInjector
@@ -66,6 +68,20 @@ class FaultInjector
      */
     FaultInjector(const FaultParams &params, const ErrorModel &errors,
                   std::uint64_t seed);
+
+    /** Copy of `other` (RNG position included) bound to `errors`, the
+     *  copying chip's own ErrorModel. */
+    FaultInjector(const FaultInjector &other, const ErrorModel &errors)
+        : params_(other.params_), errors_(&errors), rng_(other.rng_)
+    {
+    }
+
+    /** A plain copy would keep pointing at the source's ErrorModel. */
+    FaultInjector(const FaultInjector &) = delete;
+    FaultInjector &operator=(const FaultInjector &) = delete;
+
+    /** Fold the injector's RNG position in. */
+    void hashState(StateHash &h) const { rng_.hashState(h); }
 
     bool enabled() const { return params_.enabled; }
     const FaultParams &params() const { return params_; }

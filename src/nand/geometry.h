@@ -52,6 +52,8 @@ struct NandGeometry
         return blocksPerChip && layersPerBlock && wlsPerLayer &&
                pagesPerWl && pageSizeBytes;
     }
+
+    bool operator==(const NandGeometry &) const = default;
 };
 
 /** Address of one word line within a chip. */

@@ -75,6 +75,8 @@ struct IsppConfig
     {
         return firstStateOffsetMv + stateSpacingMv * (state - 1);
     }
+
+    bool operator==(const IsppConfig &) const = default;
 };
 
 /** Per-state absolute ISPP loop window (1-based, inclusive). */
@@ -156,6 +158,18 @@ class IsppEngine
 {
   public:
     IsppEngine(const IsppConfig &config, const ErrorModel &errors);
+
+    /** Copy of `other` (memo tables included) bound to `errors`, the
+     *  copying chip's own ErrorModel. */
+    IsppEngine(const IsppEngine &other, const ErrorModel &errors)
+        : config_(other.config_), errors_(errors),
+          shrinkMult_(other.shrinkMult_), overMult_(other.overMult_)
+    {
+    }
+
+    /** A plain copy would keep pointing at the source's ErrorModel. */
+    IsppEngine(const IsppEngine &) = delete;
+    IsppEngine &operator=(const IsppEngine &) = delete;
 
     const IsppConfig &config() const { return config_; }
 

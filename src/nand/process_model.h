@@ -49,6 +49,8 @@ struct ProcessParams
     /** Program-speed boost (mV) per unit of (q - 1): narrow holes
      *  concentrate the field and program faster. */
     double speedPerQuality = 80.0;
+
+    bool operator==(const ProcessParams &) const = default;
 };
 
 /**

@@ -47,6 +47,8 @@ struct ReadParams
 {
     SimTime tSense = 58000;     ///< one sense operation, 58 us
     int maxRetries = 20;        ///< give up afterwards
+
+    bool operator==(const ReadParams &) const = default;
 };
 
 /**
@@ -58,6 +60,10 @@ class ReadModel
   public:
     ReadModel(const ReadParams &params, const VthModel &vth,
               const ErrorModel &errors, const ecc::EccModel &ecc);
+
+    /** A copy would keep pointing at the source chip's models. */
+    ReadModel(const ReadModel &) = delete;
+    ReadModel &operator=(const ReadModel &) = delete;
 
     const ReadParams &params() const { return params_; }
 

@@ -21,6 +21,40 @@ ErrorTermCache::ErrorTermCache(const NandGeometry &geom,
     blockDrift_.assign(geom_.blocksPerChip, -1.0);
 }
 
+ErrorTermCache::ErrorTermCache(const ErrorTermCache &other,
+                               const ProcessModel &process,
+                               const ErrorModel &errors,
+                               const VthModel &vth, const IsppEngine &ispp)
+    : geom_(other.geom_),
+      process_(process),
+      errors_(errors),
+      vth_(vth),
+      ispp_(ispp),
+      chipFactor_(other.chipFactor_),
+      retentionGen_(other.retentionGen_),
+      aging_(other.aging_),
+      wls_(other.wls_),
+      blockDrift_(other.blockDrift_),
+      counters_(other.counters_)
+{
+}
+
+void
+ErrorTermCache::hashState(StateHash &h) const
+{
+    h.add(chipFactor_).add(retentionGen_);
+    for (const AgingEntry &e : aging_) {
+        h.add(e.tag).add(e.terms.severity).add(e.terms.peGrowth);
+        h.add(e.terms.retGrowth).add(e.terms.exponent);
+        h.add(e.shiftSevTerm).add(e.sigma);
+    }
+    for (const WlEntry &e : wls_) {
+        h.add(e.tag).add(e.q).add(e.speedMv).add(e.shiftBase);
+        h.add(e.normBase);
+    }
+    h.add(blockDrift_).add(counters_);
+}
+
 WlTerms
 ErrorTermCache::terms(const WlAddr &addr, PeCycles eraseCount,
                       const AgingState &aging)

@@ -40,6 +40,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/state_hash.h"
 #include "src/common/types.h"
 #include "src/nand/error_model.h"
 #include "src/nand/geometry.h"
@@ -80,6 +81,16 @@ class ErrorTermCache
                    const ErrorModel &errors, const VthModel &vth,
                    const IsppEngine &ispp);
 
+    /** Copy of `other` (entries and counters) bound to the copying
+     *  chip's own models. */
+    ErrorTermCache(const ErrorTermCache &other, const ProcessModel &process,
+                   const ErrorModel &errors, const VthModel &vth,
+                   const IsppEngine &ispp);
+
+    /** A plain copy would keep pointing at the source chip's models. */
+    ErrorTermCache(const ErrorTermCache &) = delete;
+    ErrorTermCache &operator=(const ErrorTermCache &) = delete;
+
     /** Epoch of a block currently at runtime erase count `eraseCount`. */
     std::uint64_t
     epochOf(PeCycles eraseCount) const
@@ -102,6 +113,9 @@ class ErrorTermCache
                   const AgingState &aging);
 
     const TermCacheCounters &counters() const { return counters_; }
+
+    /** Fold every entry, the generation and the counters in. */
+    void hashState(StateHash &h) const;
     void resetCounters() { counters_ = TermCacheCounters{}; }
 
     /** WL-level hit fraction in [0, 1]; 0 when no lookups happened. */

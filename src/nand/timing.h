@@ -34,6 +34,8 @@ struct NandTiming
         return static_cast<SimTime>(
             std::ceil(busNsPerByte * static_cast<double>(bytes)));
     }
+
+    bool operator==(const NandTiming &) const = default;
 };
 
 }  // namespace cubessd::nand

@@ -46,6 +46,8 @@ struct VthParams
     MilliVolt retryStepMv = 30;
     /** Raw-BER penalty of misalignment: (miss/berMissScaleMv)^2. */
     double berMissScaleMv = 25.0;
+
+    bool operator==(const VthParams &) const = default;
 };
 
 /**

@@ -166,12 +166,15 @@ ProfileData::merge(const ProfileData &other)
 ProfileData
 ProfileData::since(const ProfileData &earlier) const
 {
+    auto minus = [](std::uint64_t a, std::uint64_t b) {
+        return a > b ? a - b : 0;
+    };
     ProfileData d;
     for (std::size_t i = 0; i < kSlotCount; ++i) {
-        d.slots[i].count = slots[i].count - earlier.slots[i].count;
-        d.slots[i].ticks = slots[i].ticks - earlier.slots[i].ticks;
+        d.slots[i].count = minus(slots[i].count, earlier.slots[i].count);
+        d.slots[i].ticks = minus(slots[i].ticks, earlier.slots[i].ticks);
         d.slots[i].childTicks =
-            slots[i].childTicks - earlier.slots[i].childTicks;
+            minus(slots[i].childTicks, earlier.slots[i].childTicks);
     }
     return d;
 }

@@ -213,7 +213,14 @@ struct ProfileData
     detail::SlotAccum slots[kSlotCount] = {};
 
     void merge(const ProfileData &other);
-    /** This snapshot minus an earlier one of the same thread. */
+    /**
+     * This snapshot minus an earlier one, field by field, each
+     * difference clamped at zero. For two snapshots of one thread the
+     * clamp never engages; for independent profiles (say, the merged
+     * profiles of two sweeps, whose noisy tick totals need not be
+     * ordered) it keeps a field that went down at 0 instead of
+     * wrapping around.
+     */
     ProfileData since(const ProfileData &earlier) const;
 
     std::uint64_t count(Slot slot) const;

@@ -36,7 +36,28 @@ EventQueue::EventQueue()
 {
 }
 
+EventQueue::EventQueue(const EventQueue &other)
+    : buckets_(other.buckets_.size(), nullptr),
+      bucketMask_(other.bucketMask_),
+      curBucket_(other.curBucket_),
+      curTop_(other.curTop_),
+      now_(other.now_),
+      nextSeq_(other.nextSeq_),
+      fired_(other.fired_)
+{
+    if (other.pending_ != 0)
+        panic("EventQueue: cannot copy a queue with %zu pending events",
+              other.pending_);
+}
+
 EventQueue::~EventQueue() = default;
+
+void
+EventQueue::hashState(StateHash &h) const
+{
+    h.add(now_).add(nextSeq_).add(fired_).add(pending_);
+    h.add(buckets_.size()).add(curBucket_).add(curTop_);
+}
 
 EventQueue::Event *
 EventQueue::allocEvent()

@@ -37,6 +37,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/state_hash.h"
 #include "src/common/types.h"
 #include "src/sim/event.h"
 
@@ -62,7 +63,13 @@ class EventQueue
     EventQueue();
     ~EventQueue();
 
-    EventQueue(const EventQueue &) = delete;
+    /**
+     * Copy an empty queue: the clock, the sequence and fired counters
+     * and the calendar's shape and cursor, so the copy dequeues
+     * exactly as the source would. Panics if events are pending; no
+     * sampler is copied.
+     */
+    EventQueue(const EventQueue &other);
     EventQueue &operator=(const EventQueue &) = delete;
 
     /** @return the current simulated time. */
@@ -134,6 +141,9 @@ class EventQueue
 
     /** Current number of calendar buckets (test hook). */
     std::size_t bucketCount() const { return buckets_.size(); }
+
+    /** Fold the clock, counters and calendar cursor in. */
+    void hashState(StateHash &h) const;
 
   private:
     /** Pooled event record; `next` doubles as bucket and free-list link. */

@@ -1,10 +1,13 @@
 #include "src/sim/sweep.h"
 
 #include <algorithm>
-#include <atomic>
+#include <charconv>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -61,6 +64,158 @@ rethrowLowest(const std::vector<std::exception_ptr> &errors)
     }
 }
 
+/** One unit of work a worker takes from the Schedule. */
+struct Task
+{
+    enum class Kind
+    {
+        Finished,  ///< nothing left to start: the worker exits
+        Build,     ///< build a multi-job group's base
+        Copy,      ///< fork a copy of a built base, then run the job
+        Take,      ///< the base's last member: take it, run the job
+        Solo,      ///< a one-job group: build, take and run it
+    };
+
+    Kind kind = Kind::Finished;
+    std::size_t group = 0;
+    std::size_t job = 0;
+};
+
+/**
+ * The order in which workers take work, and the live-state budget
+ * (see SweepRunner::run). Every method takes the lock; next() blocks
+ * until a task is allowed or nothing is left to start.
+ */
+class Schedule
+{
+  public:
+    Schedule(std::vector<std::vector<std::size_t>> groups,
+             std::size_t budget)
+        : groups_(std::move(groups)), state_(groups_.size()),
+          budget_(budget)
+    {
+        for (std::size_t g = 0; g < groups_.size(); ++g) {
+            (groups_[g].size() > 1 ? multi_ : solo_).push_back(g);
+            unstarted_ += groups_[g].size();
+        }
+    }
+
+    Task
+    next()
+    {
+        std::unique_lock lock(mutex_);
+        Task t;
+        changed_.wait(lock, [&] {
+            t = pick();
+            return t.kind != Task::Kind::Finished || unstarted_ == 0;
+        });
+        return t;
+    }
+
+    /** A base finished building (or failed: its jobs never start). */
+    void
+    built(std::size_t group, bool ok)
+    {
+        const std::lock_guard lock(mutex_);
+        GroupState &g = state_[group];
+        if (ok) {
+            g.built = true;
+        } else {
+            unstarted_ -= groups_[group].size();
+            g.next = groups_[group].size();
+            --live_;
+        }
+        changed_.notify_all();
+    }
+
+    /** A Copy task's fork returned: the base is free to be taken. */
+    void
+    forked(std::size_t group)
+    {
+        const std::lock_guard lock(mutex_);
+        --state_[group].copying;
+        changed_.notify_all();
+    }
+
+    /** A job finished (or failed): its live state is gone. */
+    void
+    finished()
+    {
+        const std::lock_guard lock(mutex_);
+        --live_;
+        changed_.notify_all();
+    }
+
+    const std::vector<std::size_t> &
+    members(std::size_t group) const
+    {
+        return groups_[group];
+    }
+
+  private:
+    struct GroupState
+    {
+        bool built = false;
+        std::size_t next = 0;     ///< members started
+        std::size_t copying = 0;  ///< forks of the base in progress
+    };
+
+    Task
+    start(Task::Kind kind, std::size_t group)
+    {
+        GroupState &g = state_[group];
+        const Task t{kind, group, groups_[group][g.next]};
+        if (kind != Task::Kind::Build) {
+            ++g.next;
+            --unstarted_;
+        }
+        return t;
+    }
+
+    Task
+    pick()
+    {
+        // 1. Members of built bases, oldest base first.
+        for (const std::size_t group : multi_) {
+            GroupState &g = state_[group];
+            const std::size_t left = groups_[group].size() - g.next;
+            if (!g.built || left == 0)
+                continue;
+            if (left == 1) {
+                if (g.copying == 0)
+                    return start(Task::Kind::Take, group);
+            } else if (live_ < budget_) {
+                ++live_;
+                ++g.copying;
+                return start(Task::Kind::Copy, group);
+            }
+        }
+        // 2. A new base, leaving a state free for its copies.
+        if (nextMulti_ < multi_.size() && live_ + 2 <= budget_) {
+            ++live_;
+            return start(Task::Kind::Build, multi_[nextMulti_++]);
+        }
+        // 3. One-job groups fill the remaining workers.
+        if (nextSolo_ < solo_.size() && live_ + 1 <= budget_) {
+            ++live_;
+            return start(Task::Kind::Solo, solo_[nextSolo_++]);
+        }
+        return {};
+    }
+
+    std::mutex mutex_;
+    std::condition_variable changed_;
+    std::vector<std::vector<std::size_t>> groups_;
+    std::vector<GroupState> state_;
+    std::vector<std::size_t> multi_;  ///< multi-job groups, in order
+    std::vector<std::size_t> solo_;   ///< one-job groups, in order
+    std::size_t nextMulti_ = 0;
+    std::size_t nextSolo_ = 0;
+    std::size_t unstarted_ = 0;  ///< jobs not yet started or failed
+    std::size_t live_ = 0;       ///< bases plus running jobs
+    const std::size_t budget_;
+};
+
 }  // namespace
 
 SweepRunner::SweepRunner(unsigned jobs) : jobs_(jobs == 0 ? 1 : jobs) {}
@@ -68,75 +223,97 @@ SweepRunner::SweepRunner(unsigned jobs) : jobs_(jobs == 0 ? 1 : jobs) {}
 void
 SweepRunner::run(std::size_t count,
                  const std::function<void(std::size_t)> &job,
-                 SweepTelemetry *telemetry)
+                 SweepTelemetry *telemetry, const SharedSetup *setup)
 {
     if (telemetry != nullptr)
         *telemetry = SweepTelemetry{};
     if (count == 0)
         return;
 
+    std::vector<std::vector<std::size_t>> groups;
+    if (setup != nullptr) {
+        groups = setup->groups;
+    } else {
+        groups.resize(count);
+        for (std::size_t i = 0; i < count; ++i)
+            groups[i] = {i};
+    }
+    Schedule schedule(std::move(groups), budget());
+
     const Clock::time_point runStart = Clock::now();
     std::vector<std::exception_ptr> errors(count);
-
-    if (jobs_ <= 1 || count == 1) {
-        // Reference path: plain sequential loop, no threads. Failures
-        // are still collected (not thrown mid-loop) so the surviving
-        // jobs run and the reported error matches the parallel path.
-        SweepTelemetry::Worker self;
-        for (std::size_t i = 0; i < count; ++i) {
-            const Clock::time_point jobStart = Clock::now();
-            try {
-                job(i);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-            ++self.jobs;
-            self.busyS += secondsSince(jobStart);
-        }
-        if (telemetry != nullptr) {
-            telemetry->wallS = secondsSince(runStart);
-            self.idleS = telemetry->wallS - self.busyS;
-            telemetry->workers.push_back(self);
-        }
-        rethrowLowest(errors);
-        return;
-    }
-
+    // The inline path is the same worker on the calling thread; alone,
+    // it never waits (a lone worker always has a task within budget).
     const std::size_t threads =
-        std::min<std::size_t>(jobs_, count);
+        jobs_ <= 1 ? 1 : std::min<std::size_t>(jobs_, count);
     // Pre-sized before spawn: worker w writes only workers[w], and
     // the caller reads only after join(), so no locking is needed.
     std::vector<SweepTelemetry::Worker> workers(threads);
 
-    std::atomic<std::size_t> cursor{0};
+    auto runJob = [&](const Task &t, SweepTelemetry::Worker &me,
+                      std::size_t self) {
+        bool forkedOk = true;
+        if (setup != nullptr) {
+            try {
+                setup->fork(t.job, t.kind != Task::Kind::Copy);
+            } catch (...) {
+                errors[t.job] = std::current_exception();
+                forkedOk = false;
+            }
+            if (t.kind == Task::Kind::Copy)
+                schedule.forked(t.group);
+        }
+        if (forkedOk) {
+            try {
+                job(t.job);
+            } catch (...) {
+                errors[t.job] = std::current_exception();
+            }
+        }
+        ++me.jobs;
+        if (t.job * threads / count != self)
+            ++me.steals;
+        schedule.finished();
+    };
+
     auto worker = [&](std::size_t self) {
         const Clock::time_point birth = Clock::now();
         SweepTelemetry::Worker &me = workers[self];
-        for (;;) {
-            const std::size_t i =
-                cursor.fetch_add(1, std::memory_order_relaxed);
-            if (i >= count)
-                break;
-            const Clock::time_point jobStart = Clock::now();
-            try {
-                job(i);
-            } catch (...) {
-                errors[i] = std::current_exception();
+        for (Task t = schedule.next(); t.kind != Task::Kind::Finished;
+             t = schedule.next()) {
+            const Clock::time_point taskStart = Clock::now();
+            bool builtOk = true;
+            if (setup != nullptr && (t.kind == Task::Kind::Build ||
+                                     t.kind == Task::Kind::Solo)) {
+                try {
+                    setup->build(t.group);
+                } catch (...) {
+                    builtOk = false;
+                    for (const std::size_t i : schedule.members(t.group))
+                        errors[i] = std::current_exception();
+                }
             }
-            ++me.jobs;
-            me.busyS += secondsSince(jobStart);
-            if (i * threads / count != self)
-                ++me.steals;
+            if (t.kind == Task::Kind::Build)
+                schedule.built(t.group, builtOk);
+            else if (builtOk)
+                runJob(t, me, self);
+            else
+                schedule.finished();
+            me.busyS += secondsSince(taskStart);
         }
         me.idleS = secondsSince(birth) - me.busyS;
     };
 
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t)
-        pool.emplace_back(worker, t);
-    for (auto &t : pool)
-        t.join();
+    if (threads == 1) {
+        worker(0);
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(threads);
+        for (std::size_t t = 0; t < threads; ++t)
+            pool.emplace_back(worker, t);
+        for (auto &t : pool)
+            t.join();
+    }
 
     if (telemetry != nullptr) {
         telemetry->wallS = secondsSince(runStart);
@@ -151,14 +328,15 @@ resolveJobs(unsigned cliJobs, const char *envVar)
 {
     if (cliJobs > 0)
         return cliJobs;
-    if (envVar != nullptr) {
-        if (const char *env = std::getenv(envVar)) {
-            const long parsed = std::strtol(env, nullptr, 10);
-            if (parsed > 0)
-                return static_cast<unsigned>(parsed);
-        }
-    }
-    return 1;
+    const char *env = envVar != nullptr ? std::getenv(envVar) : nullptr;
+    if (env == nullptr)
+        return 1;
+    unsigned parsed = 0;
+    const char *end = env + std::strlen(env);
+    const auto [ptr, ec] = std::from_chars(env, end, parsed);
+    if (ec != std::errc{} || ptr != end || parsed == 0)
+        return 1;
+    return parsed;
 }
 
 }  // namespace cubessd::sim

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "src/common/state_hash.h"
 #include "src/common/types.h"
 #include "src/prof/prof.h"
 
@@ -63,6 +64,9 @@ class Channel
 
     /** Total time the bus has been occupied (for utilization stats). */
     SimTime busyTime() const { return busyTime_; }
+
+    /** Fold the bus reservation state in. */
+    void hashState(StateHash &h) const { h.add(freeAt_).add(busyTime_); }
 
   private:
     void traceTransfer(SimTime start, SimTime duration,

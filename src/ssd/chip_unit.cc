@@ -14,6 +14,13 @@ ChipUnit::ChipUnit(nand::NandChip &chip, Channel &channel,
 {
 }
 
+ChipUnit::ChipUnit(const ChipUnit &other, nand::NandChip &chip,
+                   Channel &channel, sim::EventQueue &queue)
+    : chip_(chip), channel_(channel), queue_(queue), active_(other.active_),
+      busyTime_(other.busyTime_), opsCompleted_(other.opsCompleted_)
+{
+}
+
 void
 ChipUnit::enqueue(const NandOp &op)
 {

@@ -95,6 +95,11 @@ class ChipUnit final : public sim::EventHandler
     ChipUnit(nand::NandChip &chip, Channel &channel,
              sim::EventQueue &queue);
 
+    /** Copy of an idle unit's counters, driving another device's
+     *  `chip` on `channel` through `queue` (Ssd's copy). */
+    ChipUnit(const ChipUnit &other, nand::NandChip &chip, Channel &channel,
+             sim::EventQueue &queue);
+
     /** Enqueue an operation; starts immediately if the die is idle. */
     void enqueue(const NandOp &op);
 
@@ -108,6 +113,14 @@ class ChipUnit final : public sim::EventHandler
     SimTime busyTime() const { return busyTime_; }
     /** Operations executed to completion. */
     std::uint64_t opsCompleted() const { return opsCompleted_; }
+
+    /** Fold the die's queue state and counters in. */
+    void
+    hashState(StateHash &h) const
+    {
+        h.add(busy_).add(active_).add(pending_.size());
+        h.add(busyTime_).add(opsCompleted_);
+    }
 
     nand::NandChip &chip() { return chip_; }
     const nand::NandChip &chip() const { return chip_; }

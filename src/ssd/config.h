@@ -42,6 +42,8 @@ struct CubeFeatures
     /** Sec. 8 extension: leader-informed ECC decode-mode selection
      *  (start noisy h-layers directly in the soft LDPC decode). */
     bool eccHint = true;
+
+    bool operator==(const CubeFeatures &) const = default;
 };
 
 struct SsdConfig
@@ -104,6 +106,8 @@ struct SsdConfig
                          totalChips();
         return static_cast<std::uint64_t>(raw * logicalFraction);
     }
+
+    bool operator==(const SsdConfig &) const = default;
 };
 
 }  // namespace cubessd::ssd

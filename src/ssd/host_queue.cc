@@ -24,6 +24,14 @@ HostQueue::HostQueue(sim::EventQueue &queue, ftl::FtlBase &ftl,
 {
 }
 
+HostQueue::HostQueue(const HostQueue &other, sim::EventQueue &queue,
+                     ftl::FtlBase &ftl)
+    : queue_(queue), ftl_(ftl), depth_(other.depth_),
+      inFlight_(other.inFlight_), nextId_(other.nextId_),
+      stats_(other.stats_)
+{
+}
+
 RequestId
 HostQueue::submit(HostRequest req, CompletionSink *sink,
                   std::uint64_t ctx)

@@ -74,6 +74,11 @@ class HostQueue final : public sim::EventHandler, public CompletionSink
     HostQueue(sim::EventQueue &queue, ftl::FtlBase &ftl,
               std::uint32_t depth);
 
+    /** Copy of an idle queue's id counter and statistics, feeding
+     *  another device's `ftl` through `queue` (Ssd's copy). */
+    HostQueue(const HostQueue &other, sim::EventQueue &queue,
+              ftl::FtlBase &ftl);
+
     HostQueue(const HostQueue &) = delete;
     HostQueue &operator=(const HostQueue &) = delete;
 
@@ -93,6 +98,14 @@ class HostQueue final : public sim::EventHandler, public CompletionSink
     /** Submissions currently waiting for a slot. */
     std::size_t waiting() const { return waiting_.size(); }
     const HostQueueStats &stats() const { return stats_; }
+
+    /** Fold the id counter, occupancy and statistics in. */
+    void
+    hashState(StateHash &h) const
+    {
+        h.add(depth_).add(inFlight_).add(nextId_).add(waiting_.size());
+        h.add(stats_);
+    }
 
     /** Record per-request async spans (cat "request", id = request
      *  id): request > queue_wait > device (observation only). */

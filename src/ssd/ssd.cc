@@ -1,5 +1,6 @@
 #include "src/ssd/ssd.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -131,7 +132,59 @@ Ssd::Ssd(const SsdConfig &config)
                                              config_.hostQueueDepth);
 }
 
+Ssd::Ssd(const Ssd &other)
+    : config_(requireDrained(other).config_),
+      queue_(other.queue_),
+      channels_(other.channels_),
+      chips_(other.chips_)
+{
+    for (auto &ch : channels_)
+        ch.setTrace(nullptr, 0);
+    units_.reserve(chips_.size());
+    for (std::uint32_t i = 0; i < chips_.size(); ++i) {
+        units_.emplace_back(other.units_[i], chips_[i],
+                            channels_[i / config_.chipsPerChannel],
+                            queue_);
+    }
+    ftl_ = other.ftl_->clone(units_, queue_);
+    hostQueue_ = std::make_unique<HostQueue>(*other.hostQueue_, queue_,
+                                             *ftl_);
+}
+
 Ssd::~Ssd() = default;
+
+const Ssd &
+Ssd::requireDrained(const Ssd &ssd)
+{
+    const bool diesIdle =
+        std::all_of(ssd.units_.begin(), ssd.units_.end(),
+                    [](const ChipUnit &unit) { return unit.idle(); });
+    if (!ssd.queue_.empty() || !diesIdle || !ssd.ftl_->idle() ||
+        ssd.hostQueue_->inFlight() != 0 || ssd.hostQueue_->waiting() != 0)
+        panic("Ssd: only a drained device can be copied (%zu events "
+              "pending, dies %s, FTL %s, %llu host requests in flight)",
+              ssd.queue_.pending(), diesIdle ? "idle" : "busy",
+              ssd.ftl_->idle() ? "idle" : "busy",
+              static_cast<unsigned long long>(
+                  ssd.hostQueue_->inFlight() + ssd.hostQueue_->waiting()));
+    return ssd;
+}
+
+std::uint64_t
+Ssd::stateDigest() const
+{
+    StateHash h;
+    queue_.hashState(h);
+    for (const auto &ch : channels_)
+        ch.hashState(h);
+    for (const auto &chip : chips_)
+        chip.hashState(h);
+    for (const auto &unit : units_)
+        unit.hashState(h);
+    ftl_->hashState(h);
+    hostQueue_->hashState(h);
+    return h.value();
+}
 
 void
 Ssd::setAging(const nand::AgingState &aging)

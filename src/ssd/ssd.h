@@ -17,6 +17,10 @@
  * @endcode
  *
  * One-shot callers (tests, setup code) use submitSync().
+ *
+ * A drained device can be copied: the copy (a *fork*) continues
+ * exactly as the source would, so one prefilled device can seed many
+ * runs (workload::runCells does this for cells that share a prefill).
  */
 
 #ifndef CUBESSD_SSD_SSD_H
@@ -51,7 +55,18 @@ class Ssd
     explicit Ssd(const SsdConfig &config);
     ~Ssd();
 
-    Ssd(const Ssd &) = delete;
+    /**
+     * Fork a drained device: empty event queue, empty write buffer and
+     * no request in flight (panics otherwise). The copy carries all
+     * simulated state — NAND blocks and tokens, every RNG stream, the
+     * term caches, mapping, block managers, GC and policy state, every
+     * counter, the clock and the request ids — so it is
+     * indistinguishable from the source (stateDigest() agrees) and
+     * evolves exactly as the source would under the same inputs. It
+     * refers to nothing of the source; no trace or counter attachment
+     * is copied.
+     */
+    Ssd(const Ssd &other);
     Ssd &operator=(const Ssd &) = delete;
 
     const SsdConfig &config() const { return config_; }
@@ -106,6 +121,10 @@ class Ssd
     /** Data token of a logical page, bypassing timing (tests). */
     std::optional<std::uint64_t> peek(Lba lba) const;
 
+    /** Hash of the simulated state a fork copies: two devices with
+     *  equal digests hold the same state (up to hash collisions). */
+    std::uint64_t stateDigest() const;
+
     /**
      * Wire a trace session through the whole pipeline: per-request
      * async spans on the host queue, an "ftl" track for FTL instants,
@@ -121,6 +140,9 @@ class Ssd
     void registerCounters(trace::CounterRegistry &reg);
 
   private:
+    /** Panic unless `ssd` is drained; returns it (copy-ctor guard). */
+    static const Ssd &requireDrained(const Ssd &ssd);
+
     SsdConfig config_;
     sim::EventQueue queue_;
     std::vector<Channel> channels_;

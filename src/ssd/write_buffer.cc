@@ -72,4 +72,12 @@ WriteBuffer::popOldest(std::uint32_t n, std::vector<BufferEntry> &out)
     }
 }
 
+void
+WriteBuffer::hashState(StateHash &h) const
+{
+    h.add(capacity_).add(size_).add(peak_);
+    for (std::uint32_t i = head_; i != kNil; i = slots_[i].next)
+        h.add(slots_[i].entry);
+}
+
 }  // namespace cubessd::ssd

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "src/common/flat_map.h"
+#include "src/common/state_hash.h"
 #include "src/common/types.h"
 
 namespace cubessd::ssd {
@@ -69,6 +70,10 @@ class WriteBuffer
     /** Append up to `n` oldest entries to `out` and drop them from
      *  the buffer (for flushing to NAND). */
     void popOldest(std::uint32_t n, std::vector<BufferEntry> &out);
+
+    /** Fold the occupancy, high-water mark and the buffered pages in
+     *  FIFO order in. */
+    void hashState(StateHash &h) const;
 
   private:
     static constexpr std::uint32_t kNil = ~static_cast<std::uint32_t>(0);

@@ -1,9 +1,13 @@
 #include "src/workload/sweep.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <optional>
 #include <stdexcept>
 
@@ -62,27 +66,77 @@ SweepCell::describe(std::size_t index) const
 namespace {
 
 /**
- * Run one cell start to finish: prefill, optional trace attach,
- * measured run, stat capture, trace write. Mirrors the procedure the
- * benches always used (bench_util.h runWorkload), so a 1-cell sweep
- * is bit-identical to the historical sequential path.
+ * Do two cells feed their prefill the same inputs? Everything the
+ * prefill reads before the bake: the device configuration (which
+ * includes the seed of the overwrite stream), the pre-cycle P/E
+ * count, the overwrite range (the workload's working set) and the
+ * overwrite fraction.
+ */
+bool
+samePrefill(const SweepCell &a, const SweepCell &b)
+{
+    const std::uint64_t pages = a.config.logicalPages();
+    return a.config == b.config && a.aging.peCycles == b.aging.peCycles &&
+           a.prefillOverwrite == b.prefillOverwrite &&
+           WorkloadGenerator::workingSetPages(a.spec, pages) ==
+               WorkloadGenerator::workingSetPages(b.spec, pages);
+}
+
+/** Cells grouped by prefill input, groups in order of first cell. */
+std::vector<std::vector<std::size_t>>
+groupByPrefill(const std::vector<SweepCell> &cells)
+{
+    std::vector<std::vector<std::size_t>> groups;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        auto same = std::find_if(groups.begin(), groups.end(),
+                                 [&](const auto &g) {
+                                     return samePrefill(cells[g.front()],
+                                                        cells[i]);
+                                 });
+        if (same == groups.end())
+            groups.push_back({i});
+        else
+            same->push_back(i);
+    }
+    return groups;
+}
+
+/** The Sec. 6.1 procedure up to the bake: construct the device,
+ *  pre-cycle it and prefill it. Every cell of `cell`'s prefill group
+ *  starts from this state. */
+std::unique_ptr<ssd::Ssd>
+prefilledDevice(const SweepCell &cell)
+{
+    auto dev = std::make_unique<ssd::Ssd>(cell.config);
+    dev->setAging({cell.aging.peCycles, 0.0});
+    prefillDevice(*dev,
+                  {{0, WorkloadGenerator::workingSetPages(
+                           cell.spec, dev->logicalPages())}},
+                  cell.prefillOverwrite);
+    return dev;
+}
+
+/**
+ * Finish one cell on its prefilled device: bake, optional trace
+ * attach, measured run, stat capture, trace write. Together with
+ * prefilledDevice() this is the procedure the benches always used
+ * (bench_util.h runWorkload), so a 1-cell sweep is bit-identical to
+ * the historical sequential path.
  */
 CellResult
-runOneCell(const SweepCell &cell, bool traceThisCell,
-           const SweepTrace &trace)
+runOneCell(const SweepCell &cell, std::unique_ptr<ssd::Ssd> device,
+           bool traceThisCell, const SweepTrace &trace)
 {
     // Snapshot-delta so a worker thread that runs several cells
     // attributes each cell only its own scope hits.
     const prof::ProfileData profBefore =
         prof::enabled() ? prof::snapshot() : prof::ProfileData{};
 
-    ssd::Ssd dev(cell.config);
+    ssd::Ssd &dev = *device;
+    dev.setAging(cell.aging);
     WorkloadGenerator gen(cell.spec, dev.logicalPages(),
                           cell.config.seed + 7);
     Driver driver(dev, gen);
-    dev.setAging({cell.aging.peCycles, 0.0});
-    driver.prefill(cell.prefillOverwrite);
-    dev.setAging(cell.aging);
 
     std::optional<RunTrace> runTrace;
     if (traceThisCell)
@@ -100,6 +154,34 @@ runOneCell(const SweepCell &cell, bool traceThisCell,
     if (runTrace)
         runTrace->write(std::cerr);
     return result;
+}
+
+/**
+ * Return the pages of freed devices to the OS. Each worker allocates
+ * from its own malloc arena, and a base built on one worker is freed
+ * on another, so without this every arena keeps its own high-water
+ * mark resident and a pooled sweep holds more devices' worth of memory
+ * than are ever alive at once (about twice the budget). A sequential
+ * sweep allocates from one arena and needs no trimming.
+ */
+void
+releaseFreedMemory()
+{
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
+}
+
+/** Run `fn`, rethrowing any error as a SweepError naming cell `i`. */
+template <typename Fn>
+void
+annotated(const std::vector<SweepCell> &cells, std::size_t i, Fn &&fn)
+{
+    try {
+        fn();
+    } catch (const std::exception &e) {
+        throw sim::SweepError(i, cells[i].describe(i) + ": " + e.what());
+    }
 }
 
 }  // namespace
@@ -125,6 +207,37 @@ runCells(const std::vector<SweepCell> &cells, unsigned jobs,
 
     std::vector<CellResult> results(cells.size());
 
+    // One prefilled base per prefill group; each cell forks it (the
+    // group's last cell to start takes it) into devices[i] just
+    // before it runs. A group's build profile goes to its first cell.
+    sim::SharedSetup setup;
+    setup.groups = groupByPrefill(cells);
+    std::vector<std::size_t> groupOf(cells.size());
+    for (std::size_t g = 0; g < setup.groups.size(); ++g)
+        for (const std::size_t i : setup.groups[g])
+            groupOf[i] = g;
+    std::vector<std::unique_ptr<ssd::Ssd>> bases(setup.groups.size());
+    std::vector<prof::ProfileData> buildProfiles(setup.groups.size());
+    std::vector<std::unique_ptr<ssd::Ssd>> devices(cells.size());
+
+    setup.build = [&](std::size_t g) {
+        const std::size_t first = setup.groups[g].front();
+        annotated(cells, first, [&] {
+            const prof::ProfileData before =
+                prof::enabled() ? prof::snapshot() : prof::ProfileData{};
+            bases[g] = prefilledDevice(cells[first]);
+            if (prof::enabled())
+                buildProfiles[g] = prof::snapshot().since(before);
+        });
+    };
+    setup.fork = [&](std::size_t i, bool take) {
+        annotated(cells, i, [&] {
+            std::unique_ptr<ssd::Ssd> &base = bases[groupOf[i]];
+            devices[i] = take ? std::move(base)
+                              : std::make_unique<ssd::Ssd>(*base);
+        });
+    };
+
     // Exactly-one-tracer rule: the designated cell claims the trace
     // via an atomic flag, so no two cells can ever race on the trace
     // file — even if a caller ever designates duplicate indices.
@@ -138,15 +251,17 @@ runCells(const std::vector<SweepCell> &cells, unsigned jobs,
             const bool traceThisCell =
                 wantTrace && i == trace.cell &&
                 !traceClaimed.exchange(true, std::memory_order_acq_rel);
-            try {
-                results[i] = runOneCell(cells[i], traceThisCell, trace);
-            } catch (const std::exception &e) {
-                throw sim::SweepError(i, cells[i].describe(i) + ": " +
-                                             e.what());
-            }
+            annotated(cells, i, [&] {
+                results[i] = runOneCell(cells[i], std::move(devices[i]),
+                                        traceThisCell, trace);
+            });
+            if (jobs > 1)
+                releaseFreedMemory();
         },
-        telemetry);
+        telemetry, &setup);
 
+    for (std::size_t g = 0; g < setup.groups.size(); ++g)
+        results[setup.groups[g].front()].profile.merge(buildProfiles[g]);
     return results;
 }
 

@@ -5,11 +5,19 @@
  * count) tuple — across a sim::SweepRunner worker pool and hand the
  * per-cell results back IN CELL ORDER.
  *
+ * Cells whose prefill inputs are equal (SsdConfig, pre-cycle P/E
+ * count, working-set size, prefillOverwrite) share one prefilled
+ * device: it is built once, and every cell of the group runs on a
+ * fork of it (Ssd's copy constructor) — the last to start on the
+ * device itself. At most max(jobs, 2) devices are alive at once.
+ *
  * Determinism contract (the reason `--jobs N` output is bit-identical
  * to `--jobs 1`):
  *
- *  1. Every cell builds its own Ssd, WorkloadGenerator, and Driver
- *     from its own seed; no mutable state is shared between cells.
+ *  1. Every cell runs its own Ssd, WorkloadGenerator, and Driver from
+ *     its own seed; a fork is indistinguishable from the device it
+ *     copies, and a shared base is only read while it is copied, so
+ *     no cell sees another cell's work.
  *  2. Results land in a slot indexed by the cell's grid position, not
  *     by completion order.
  *  3. All merging/aggregation (histogram merges, IOPS means, JSON
@@ -22,7 +30,8 @@
  * trace file) is caught, annotated with the cell's configuration, and
  * rethrown on the calling thread as sim::SweepError after all other
  * cells finish — a worker never calls exit() and never truncates
- * another cell's output.
+ * another cell's output. A failed prefill fails every cell of its
+ * group, annotated with the group's first cell.
  *
  * Tracing: at most ONE cell of a sweep records a trace (a sweep
  * produces one representative timeline, and two cells must never race
@@ -107,7 +116,8 @@ struct CellResult
     std::uint64_t bufferPeakPages = 0;
     bool readOnly = false;
     /** Self-profile delta of this cell's run, captured on the worker
-     *  that executed it (empty unless prof::enabled()). Counts are
+     *  that executed it (empty unless prof::enabled()); the first cell
+     *  of a prefill group also carries the group's prefill. Counts are
      *  deterministic; tick times are wall-clock noise. */
     prof::ProfileData profile;
 };
@@ -123,9 +133,9 @@ struct SweepTrace
 };
 
 /**
- * Run every cell (prefill + measured run), farming cells onto `jobs`
- * worker threads (1 = inline on the calling thread), and return the
- * results in cell order. See the file comment for the determinism and
+ * Run every cell (prefill, shared within a prefill group, + measured
+ * run), farming cells onto `jobs` worker threads (1 = inline on the
+ * calling thread), and return the results in cell order. See the file comment for the determinism and
  * error contracts. `telemetry`, if given, receives the worker-pool
  * load breakdown of this sweep (sim::SweepRunner::run).
  */

@@ -165,10 +165,7 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadSpec &spec,
                                      std::uint64_t seed)
     : spec_(spec),
       logicalPages_(logicalPages),
-      workingSet_(std::max<std::uint64_t>(
-          1, static_cast<std::uint64_t>(
-                 static_cast<double>(logicalPages) *
-                 spec.workingSetFraction))),
+      workingSet_(workingSetPages(spec, logicalPages)),
       rng_(seed),
       zipf_(workingSet_, spec.zipfTheta)
 {
@@ -176,6 +173,15 @@ WorkloadGenerator::WorkloadGenerator(const WorkloadSpec &spec,
         fatal("WorkloadGenerator: empty device");
     if (spec_.minPages == 0 || spec_.maxPages < spec_.minPages)
         fatal("WorkloadGenerator: bad request size range");
+}
+
+std::uint64_t
+WorkloadGenerator::workingSetPages(const WorkloadSpec &spec,
+                                   std::uint64_t logicalPages)
+{
+    return std::max<std::uint64_t>(
+        1, static_cast<std::uint64_t>(static_cast<double>(logicalPages) *
+                                      spec.workingSetFraction));
 }
 
 Lba

@@ -98,6 +98,11 @@ class WorkloadGenerator
     /** Pages in the working set (prefill wants to cover these). */
     std::uint64_t workingSetPages() const { return workingSet_; }
 
+    /** The working set `spec` spans on a device of `logicalPages`,
+     *  without building a generator. */
+    static std::uint64_t workingSetPages(const WorkloadSpec &spec,
+                                         std::uint64_t logicalPages);
+
   private:
     Lba sampleLba(std::uint32_t pages, bool isRead);
 

@@ -292,15 +292,35 @@ smallGrid()
     return cells;
 }
 
-TEST_F(ProfilerTest, MergedSweepProfileCountsAreJobInvariant)
+/** Cells that share one prefill (Mail and Rocks at two retention
+ *  points after the same pre-cycling) plus an OLTP singleton. */
+std::vector<workload::SweepCell>
+sharedPrefillGrid()
 {
-    if (!prof::compiledIn())
-        GTEST_SKIP() << "built without CUBESSD_PROFILING";
-    prof::setEnabled(true);
+    std::vector<workload::SweepCell> cells;
+    for (const double months : {1.0, 6.0}) {
+        for (const auto &spec : {workload::mail(), workload::rocks()}) {
+            workload::SweepCell cell;
+            cell.config = smallConfig(ssd::FtlKind::Cube, 42);
+            cell.spec = spec;
+            cell.aging = {2000, months};
+            cell.requests = 800;
+            cells.push_back(cell);
+        }
+    }
+    cells.push_back(cells.front());
+    cells.back().spec = workload::oltp();
+    return cells;
+}
 
+/** Run `grid` at --jobs 1 and 4 and check the merged profile counts
+ *  and the worker telemetry. */
+void
+expectJobInvariantProfile(const std::vector<workload::SweepCell> &grid)
+{
     sim::SweepTelemetry seqTel, parTel;
-    const auto seq = workload::runCells(smallGrid(), 1, {}, &seqTel);
-    const auto par = workload::runCells(smallGrid(), 4, {}, &parTel);
+    const auto seq = workload::runCells(grid, 1, {}, &seqTel);
+    const auto par = workload::runCells(grid, 4, {}, &parTel);
     const prof::ProfileData seqProf = workload::mergeCellProfiles(seq);
     const prof::ProfileData parProf = workload::mergeCellProfiles(par);
 
@@ -323,13 +343,45 @@ TEST_F(ProfilerTest, MergedSweepProfileCountsAreJobInvariant)
     // Worker telemetry: one entry on the inline path, `jobs` entries
     // on the pooled path, every cell accounted for exactly once.
     ASSERT_EQ(seqTel.workers.size(), 1u);
-    EXPECT_EQ(seqTel.workers[0].jobs, smallGrid().size());
+    EXPECT_EQ(seqTel.workers[0].jobs, grid.size());
     ASSERT_EQ(parTel.workers.size(), 4u);
     std::uint64_t claimed = 0;
     for (const auto &w : parTel.workers)
         claimed += w.jobs;
-    EXPECT_EQ(claimed, smallGrid().size());
+    EXPECT_EQ(claimed, grid.size());
     EXPECT_GE(parTel.imbalance(), 1.0);
+}
+
+TEST_F(ProfilerTest, MergedSweepProfileCountsAreJobInvariant)
+{
+    if (!prof::compiledIn())
+        GTEST_SKIP() << "built without CUBESSD_PROFILING";
+    prof::setEnabled(true);
+    expectJobInvariantProfile(smallGrid());
+}
+
+TEST_F(ProfilerTest, SharedPrefillProfileCountsAreJobInvariant)
+{
+    // A group's prefill runs once and is credited to its first cell,
+    // whichever worker builds it.
+    if (!prof::compiledIn())
+        GTEST_SKIP() << "built without CUBESSD_PROFILING";
+    prof::setEnabled(true);
+    expectJobInvariantProfile(sharedPrefillGrid());
+}
+
+TEST_F(ProfilerTest, SinceClampsFieldsThatWentDown)
+{
+    // Independent profiles (e.g. two sweeps' merged profiles) need not
+    // be ordered field by field; the difference must not wrap.
+    prof::ProfileData small, large;
+    small.slots[0] = {1, 10, 4};
+    large.slots[0] = {3, 7, 9};
+    const prof::ProfileData d = small.since(large);
+    EXPECT_EQ(d.slots[0].count, 0u);
+    EXPECT_EQ(d.slots[0].ticks, 3u);
+    EXPECT_EQ(d.slots[0].childTicks, 0u);
+    EXPECT_EQ(large.since(small).slots[0].count, 2u);
 }
 
 TEST_F(ProfilerTest, TermFillCountMatchesCacheMissCounters)

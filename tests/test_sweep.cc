@@ -16,15 +16,21 @@
  *     or the other cells; the lowest-index failure is rethrown on the
  *     calling thread, annotated with the failing cell's
  *     configuration.
+ *  4. Shared prefill: cells with equal prefill inputs fork one
+ *     prefilled device, and each still reports exactly what it
+ *     reports when run alone, for any worker count.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "src/metrics/json.h"
 #include "src/sim/sweep.h"
@@ -118,6 +124,140 @@ TEST(SweepDeterminism, MoreWorkersThanCellsIsBitIdentical)
     ASSERT_EQ(seq.size(), par.size());
     for (std::size_t i = 0; i < seq.size(); ++i)
         EXPECT_EQ(fingerprint(seq[i]), fingerprint(par[i]));
+}
+
+/**
+ * Cells that share prefill inputs: one FTL and seed, Mail and Rocks
+ * (equal working sets) at two retention points after the same
+ * pre-cycling — one group of four, interleaved with a singleton (OLTP,
+ * smaller working set) in the middle of the grid.
+ */
+std::vector<workload::SweepCell>
+sharedPrefillGrid()
+{
+    std::vector<workload::SweepCell> cells;
+    auto add = [&](const workload::WorkloadSpec &spec, double months) {
+        workload::SweepCell cell;
+        cell.config = smallConfig(ssd::FtlKind::Cube, 42);
+        cell.spec = spec;
+        cell.aging = {2000, months};
+        cell.requests = 800;
+        cells.push_back(cell);
+    };
+    add(workload::mail(), 1.0);
+    add(workload::rocks(), 1.0);
+    add(workload::oltp(), 1.0);
+    add(workload::mail(), 6.0);
+    add(workload::rocks(), 6.0);
+    return cells;
+}
+
+TEST(SweepSharedPrefill, EveryCellMatchesItsSoloRun)
+{
+    const auto cells = sharedPrefillGrid();
+    std::vector<std::string> solo;
+    for (const auto &cell : cells)
+        solo.push_back(fingerprint(workload::runCells({cell}, 1).at(0)));
+    for (const unsigned jobs : {1u, 2u, 4u, 16u}) {
+        const auto results = workload::runCells(cells, jobs);
+        ASSERT_EQ(results.size(), cells.size());
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            EXPECT_EQ(fingerprint(results[i]), solo[i])
+                << "cell " << i << " diverged under --jobs " << jobs;
+    }
+}
+
+TEST(SweepRunner, SharedSetupBuildsOnceAndStaysWithinBudget)
+{
+    const std::vector<std::vector<std::size_t>> groups = {
+        {0, 3, 5}, {1}, {2, 4, 6, 7}, {8, 9}};
+    for (const unsigned jobs : {1u, 2u, 4u}) {
+        std::vector<std::atomic<int>> builds(groups.size());
+        std::vector<std::atomic<int>> copiesDone(groups.size());
+        std::vector<std::atomic<int>> takes(groups.size());
+        std::vector<std::atomic<int>> ran(10);
+        std::atomic<int> live{0};
+        std::atomic<int> peak{0};
+        auto groupOf = [&](std::size_t i) {
+            for (std::size_t g = 0; g < groups.size(); ++g)
+                if (std::count(groups[g].begin(), groups[g].end(), i))
+                    return g;
+            return groups.size();
+        };
+        auto grow = [&] {
+            const int now = live.fetch_add(1) + 1;
+            int seen = peak.load();
+            while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+            }
+        };
+
+        sim::SharedSetup setup;
+        setup.groups = groups;
+        setup.build = [&](std::size_t g) {
+            builds[g].fetch_add(1);
+            grow();
+        };
+        setup.fork = [&](std::size_t i, bool take) {
+            const std::size_t g = groupOf(i);
+            if (take) {
+                // Every other member's copy has finished by now.
+                EXPECT_EQ(copiesDone[g].load(),
+                          static_cast<int>(groups[g].size()) - 1);
+                takes[g].fetch_add(1);
+                return;
+            }
+            grow();
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            copiesDone[g].fetch_add(1);
+        };
+        sim::SweepRunner runner(jobs);
+        runner.run(
+            ran.size(),
+            [&](std::size_t i) {
+                ran[i].fetch_add(1);
+                std::this_thread::sleep_for(std::chrono::milliseconds(2));
+                live.fetch_sub(1);
+            },
+            nullptr, &setup);
+
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+            EXPECT_EQ(builds[g].load(), 1) << "group " << g;
+            EXPECT_EQ(takes[g].load(), 1) << "group " << g;
+        }
+        for (std::size_t i = 0; i < ran.size(); ++i)
+            EXPECT_EQ(ran[i].load(), 1) << "job " << i;
+        EXPECT_LE(peak.load(), static_cast<int>(runner.budget()))
+            << "jobs=" << jobs;
+        EXPECT_EQ(live.load(), 0);
+    }
+}
+
+TEST(SweepRunner, FailedBuildFailsItsWholeGroup)
+{
+    for (const unsigned jobs : {1u, 4u}) {
+        std::vector<std::atomic<int>> ran(3);
+        sim::SharedSetup setup;
+        setup.groups = {{1}, {0, 2}};
+        setup.build = [](std::size_t g) {
+            if (g == 1)
+                throw std::runtime_error("no base");
+        };
+        setup.fork = [](std::size_t, bool) {};
+        sim::SweepRunner runner(jobs);
+        try {
+            runner.run(
+                ran.size(), [&](std::size_t i) { ran[i].fetch_add(1); },
+                nullptr, &setup);
+            FAIL() << "expected SweepError";
+        } catch (const sim::SweepError &e) {
+            EXPECT_EQ(e.job(), 0u);
+            EXPECT_NE(std::string(e.what()).find("no base"),
+                      std::string::npos);
+        }
+        EXPECT_EQ(ran[0].load(), 0) << "jobs=" << jobs;
+        EXPECT_EQ(ran[1].load(), 1) << "jobs=" << jobs;
+        EXPECT_EQ(ran[2].load(), 0) << "jobs=" << jobs;
+    }
 }
 
 std::string
@@ -240,6 +380,13 @@ TEST(ResolveJobs, CliWinsThenEnvThenOne)
     EXPECT_EQ(sim::resolveJobs(0, kVar), 1u);
     ::setenv(kVar, "-4", 1);
     EXPECT_EQ(sim::resolveJobs(0, kVar), 1u);
+    // Only a whole-string positive integer that fits unsigned counts.
+    for (const char *bad : {"4x", "99999999999", "", "0", " 4", "+4"}) {
+        ::setenv(kVar, bad, 1);
+        EXPECT_EQ(sim::resolveJobs(0, kVar), 1u) << "'" << bad << "'";
+    }
+    ::setenv(kVar, "4294967295", 1);
+    EXPECT_EQ(sim::resolveJobs(0, kVar), 4294967295u);
     ::unsetenv(kVar);
 }
 
