@@ -18,6 +18,7 @@
  */
 
 #include <iostream>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -25,30 +26,8 @@ using namespace cubessd;
 
 namespace {
 
-double
-run(const workload::WorkloadSpec &spec, const nand::AgingState &aging,
-    ssd::FtlKind kind, const ssd::CubeFeatures &features)
-{
-    double sum = 0.0;
-    for (std::uint64_t seed : {42ull, 137ull, 999ull}) {
-        auto config = bench::ssdConfig(kind, seed);
-        config.cubeFeatures = features;
-        ssd::Ssd dev(config);
-        workload::WorkloadGenerator gen(spec, dev.logicalPages(),
-                                        seed + 7);
-        workload::Driver driver(dev, gen);
-        dev.setAging({aging.peCycles, 0.0});
-        driver.prefill(0.2);
-        dev.setAging(aging);
-        sum += driver.run(30000).iops;
-    }
-    return sum / 3.0;
-}
-
-}  // namespace
-
 int
-main()
+runBench()
 {
     std::cout << "=== Ablation: per-technique contribution ===\n";
 
@@ -60,11 +39,11 @@ main()
     };
     const Step steps[] = {
         {"pageFTL (baseline)", ssd::FtlKind::Page, {}},
-        {"+ VFY skipping", ssd::FtlKind::CubeMinus,
+        {"+ VFY skipping", ssd::FtlKind::Cube,
          {true, false, false, false}},
-        {"+ window adjustment", ssd::FtlKind::CubeMinus,
+        {"+ window adjustment", ssd::FtlKind::Cube,
          {true, true, false, false}},
-        {"+ ORT (read reuse)", ssd::FtlKind::CubeMinus,
+        {"+ ORT (read reuse)", ssd::FtlKind::Cube,
          {true, true, true, false}},
         {"+ WAM (= cubeFTL)", ssd::FtlKind::Cube,
          {true, true, true, true}},
@@ -82,14 +61,33 @@ main()
          {2000, 12.0}},
     };
 
+    // Every (scenario, step, seed) cell in one sweep; IOPS are means
+    // over the seeds, summed in seed order.
+    const std::uint64_t seeds[] = {42, 137, 999};
+    std::vector<workload::SweepCell> cells;
+    for (const auto &scenario : scenarios) {
+        for (const auto &step : steps) {
+            for (const std::uint64_t seed : seeds) {
+                cells.push_back(bench::makeCell(
+                    step.kind, scenario.spec, scenario.aging, seed,
+                    bench::benchRequests(30000)));
+                cells.back().config.cubeFeatures = step.features;
+            }
+        }
+    }
+    const auto results = bench::runSweep(cells);
+
+    std::size_t next = 0;
     for (const auto &scenario : scenarios) {
         std::cout << "\n-- " << scenario.name << " --\n";
         metrics::Table table({"configuration", "IOPS", "vs baseline",
                               "step gain"});
         double baseline = 0.0, prev = 0.0;
         for (const auto &step : steps) {
-            const double iops = run(scenario.spec, scenario.aging,
-                                    step.kind, step.features);
+            double sum = 0.0;
+            for (std::size_t s = 0; s < std::size(seeds); ++s)
+                sum += results[next++].run.iops;
+            const double iops = sum / 3.0;
             if (baseline == 0.0)
                 baseline = prev = iops;
             table.row({step.name, metrics::format(iops, 0),
@@ -105,4 +103,12 @@ main()
                  "the aged-state gains; the WAM adds burst-absorption "
                  "on top (cf. Figs. 17/18).\n";
     return 0;
+}
+
+}  // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runMain("ablation_techniques", argc, argv, runBench);
 }

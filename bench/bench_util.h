@@ -17,20 +17,23 @@
  * stdout. Sidecars are written once, from the main thread, after the
  * deterministic merge — never from sweep workers.
  *
- * The system-level sweeps (fig17, fig18) accept `--jobs <n>` (or
- * CUBESSD_JOBS=<n>) to farm independent cells onto worker threads;
- * stdout and sidecars are bit-identical for any job count.
+ * The system-level sweeps (fig17, fig18, ablation_techniques,
+ * ext_ps_aware_ecc) accept `--jobs <n>` (or CUBESSD_JOBS=<n>) to farm
+ * independent cells onto worker threads; stdout and sidecars are
+ * bit-identical for any job count.
  */
 
 #ifndef CUBESSD_BENCH_BENCH_UTIL_H
 #define CUBESSD_BENCH_BENCH_UTIL_H
 
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "src/cubessd.h"
@@ -83,27 +86,52 @@ jobs()
     return sim::resolveJobs(cliJobs(), "CUBESSD_JOBS");
 }
 
-inline void
-parseBenchOptions(int argc, char **argv)
+/**
+ * A bench's main(): parse the options, then run `body`. A negative,
+ * non-numeric, trailing-junk or out-of-range number exits 2 naming the
+ * option, before any simulation starts. A failing sweep cell surfaces
+ * as an exception, annotated with its configuration, after the other
+ * cells finish: it exits 1, and no sidecar is written.
+ */
+template <typename Body>
+int
+runMain(const char *bench, int argc, char **argv, Body &&body)
 {
     auto &options = traceOptions();
     for (int i = 1; i < argc; ++i) {
+        const char *option = argv[i];
         const auto value = [&]() -> const char * {
             if (i + 1 >= argc)
-                fatal("missing value for %s", argv[i]);
+                fatal("missing value for %s", option);
             return argv[++i];
         };
-        if (std::strcmp(argv[i], "--trace-out") == 0)
+        // Into an unsigned `out`, whose type bounds the value.
+        const auto count = [&](auto &out) {
+            const char *text = value();
+            const char *end = text + std::strlen(text);
+            const auto [ptr, ec] = std::from_chars(text, end, out);
+            if (ec == std::errc{} && ptr == end)
+                return;
+            std::cerr << bench << ": invalid value '" << text << "' for "
+                      << option << " (expected a non-negative integer)\n";
+            std::exit(2);
+        };
+        if (std::strcmp(option, "--trace-out") == 0)
             options.out = value();
-        else if (std::strcmp(argv[i], "--sample-interval-us") == 0)
-            options.sampleIntervalUs =
-                static_cast<std::uint64_t>(std::atoll(value()));
-        else if (std::strcmp(argv[i], "--jobs") == 0)
-            cliJobs() = static_cast<unsigned>(std::atoi(value()));
+        else if (std::strcmp(option, "--sample-interval-us") == 0)
+            count(options.sampleIntervalUs);
+        else if (std::strcmp(option, "--jobs") == 0)
+            count(cliJobs());
         else
             fatal("unknown option '%s' (benches accept --trace-out "
                   "<file>, --sample-interval-us <n>, and --jobs <n>)",
-                  argv[i]);
+                  option);
+    }
+    try {
+        return body();
+    } catch (const std::exception &e) {
+        std::cerr << bench << ": " << e.what() << '\n';
+        return 1;
     }
 }
 

@@ -112,11 +112,12 @@ main()
         faults.eraseFailBase = rate / 2.0;
         faults.uncorrectableNormLimit = 25.0;
         const auto r = runWithFaults(faults, spec, aging, requests);
+        const double writeP99Ns =
+            r.run.requestMetrics.latency(ssd::IoType::Write)
+                .percentile(99.0);
         table.row({formatRate(rate),
                    metrics::format(r.run.iops, 0),
-                   metrics::format(
-                       r.run.writeLatencyUs.percentile(99.0) / 1000.0,
-                       3),
+                   metrics::format(writeP99Ns / 1e6, 3),
                    std::to_string(r.stats.retiredBlocks),
                    std::to_string(r.stats.badBlockRelocations),
                    std::to_string(r.stats.flushReplays),
@@ -126,8 +127,7 @@ main()
         json.beginObject();
         json.field("program_fail_base", rate);
         json.field("iops", r.run.iops);
-        json.field("write_p99_us",
-                   r.run.writeLatencyUs.percentile(99.0));
+        json.field("write_p99_us", writeP99Ns / 1e3);
         json.field("retired_blocks", r.stats.retiredBlocks);
         json.field("bad_block_relocations",
                    r.stats.badBlockRelocations);

@@ -22,7 +22,6 @@
  * the JSON sidecar are bit-identical for any job count.
  */
 
-#include <exception>
 #include <iostream>
 #include <vector>
 
@@ -165,14 +164,5 @@ runBench()
 int
 main(int argc, char **argv)
 {
-    bench::parseBenchOptions(argc, argv);
-    try {
-        return runBench();
-    } catch (const std::exception &e) {
-        // Worker errors propagate here (annotated with the failing
-        // cell) instead of exit()ing mid-sweep; the sidecar is only
-        // written after a fully successful merge.
-        std::cerr << "fig17_iops: " << e.what() << '\n';
-        return 1;
-    }
+    return bench::runMain("fig17_iops", argc, argv, runBench);
 }

@@ -11,9 +11,7 @@
  * often blocked behind slow programs.
  */
 
-#include <exception>
 #include <iostream>
-#include <map>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -37,9 +35,12 @@ runBench()
     const nand::AgingState fresh{0, 0.0};
     const std::uint64_t requests = bench::benchRequests(30000);
 
-    const ssd::FtlKind kinds[] = {
-        ssd::FtlKind::Page, ssd::FtlKind::Vert, ssd::FtlKind::CubeMinus,
-        ssd::FtlKind::Cube};
+    // The columns; cubeFTL- is cubeFTL with the WAM off.
+    const char *const names[] = {"pageFTL", "vertFTL", "cubeFTL-",
+                                 "cubeFTL"};
+    const ssd::FtlKind kinds[] = {ssd::FtlKind::Page, ssd::FtlKind::Vert,
+                                  ssd::FtlKind::Cube, ssd::FtlKind::Cube};
+    enum Column { kPage, kVert, kCubeMinus, kCube };
 
     // One cell per FTL; `--jobs N` runs them concurrently, and the
     // cell-order results below make the output independent of which
@@ -48,15 +49,13 @@ runBench()
     std::vector<workload::SweepCell> cells;
     for (const auto kind : kinds)
         cells.push_back(bench::makeCell(kind, spec, fresh, 42, requests));
-    const auto cellResults = bench::runSweep(cells);
+    cells[kCubeMinus].config.cubeFeatures.wam = false;
+    const auto results = bench::runSweep(cells);
 
-    std::map<ssd::FtlKind, workload::RunResult> results;
-    for (std::size_t i = 0; i < std::size(kinds); ++i)
-        results[kinds[i]] = cellResults[i].run;
-
-    // Machine-readable sidecar for CI artifacts; stdout is unchanged.
-    // Per FTL: full latency summaries (incl. p99.9), the per-phase
-    // decomposition, and channel/die utilization.
+    // Machine-readable sidecar for CI artifacts, read from the same
+    // histograms as stdout. Per FTL: full latency summaries (incl.
+    // p99.9), the per-phase decomposition, and channel/die
+    // utilization.
     {
         auto jsonOut = bench::openBenchJson("fig18_latency_cdf");
         metrics::JsonWriter json(jsonOut);
@@ -67,14 +66,14 @@ runBench()
         json.field("workload", spec.name);
         json.key("ftls");
         json.beginObject();
-        for (const auto kind : kinds) {
-            json.key(ssd::ftlKindName(kind));
+        for (std::size_t i = 0; i < std::size(names); ++i) {
+            json.key(names[i]);
             json.beginObject();
             json.key("requests");
             metrics::writeRequestMetrics(json,
-                                         results[kind].requestMetrics);
+                                         results[i].run.requestMetrics);
             json.key("utilization");
-            metrics::writeUtilization(json, results[kind].utilization);
+            metrics::writeUtilization(json, results[i].run.utilization);
             json.endObject();
         }
         json.endObject();
@@ -82,19 +81,21 @@ runBench()
         jsonOut << '\n';
     }
 
-    for (const bool isWrite : {true, false}) {
-        std::cout << "\n-- " << (isWrite ? "write" : "read")
+    // Latencies are recorded in ns and printed in ms.
+    const auto ms = [&](std::size_t column, ssd::IoType type, double p) {
+        const auto &metrics = results[column].run.requestMetrics;
+        return metrics.latency(type).percentile(p) / 1e6;
+    };
+    for (const auto type : {ssd::IoType::Write, ssd::IoType::Read}) {
+        std::cout << "\n-- "
+                  << (type == ssd::IoType::Write ? "write" : "read")
                   << " latency percentiles (ms) --\n";
         metrics::Table table({"percentile", "pageFTL", "vertFTL",
                               "cubeFTL-", "cubeFTL"});
         for (const double p : {50.0, 70.0, 80.0, 90.0, 95.0, 99.0}) {
             std::vector<std::string> row{metrics::format(p, 0)};
-            for (const auto kind : kinds) {
-                auto &rec = isWrite ? results[kind].writeLatencyUs
-                                    : results[kind].readLatencyUs;
-                row.push_back(
-                    metrics::format(rec.percentile(p) / 1000.0, 3));
-            }
+            for (std::size_t i = 0; i < std::size(names); ++i)
+                row.push_back(metrics::format(ms(i, type, p), 3));
             table.row(row);
         }
         table.print(std::cout);
@@ -102,32 +103,28 @@ runBench()
 
     // Compact CDF curves for plotting.
     std::cout << "\n-- write-latency CDF points (ms, F) --\n";
-    for (const auto kind : kinds) {
-        std::cout << ssd::ftlKindName(kind) << ":";
+    for (std::size_t i = 0; i < std::size(names); ++i) {
+        std::cout << names[i] << ":";
         for (const auto &[x, f] :
-             results[kind].writeLatencyUs.cdf(8)) {
-            std::cout << "  (" << metrics::format(x / 1000.0, 2) << ", "
+             results[i].run.requestMetrics.latency(ssd::IoType::Write)
+                 .cdf(8)) {
+            std::cout << "  (" << metrics::format(x / 1e6, 2) << ", "
                       << metrics::format(f, 2) << ")";
         }
         std::cout << "\n";
     }
 
-    const double pageP90 =
-        results[ssd::FtlKind::Page].writeLatencyUs.percentile(90);
-    const double cubeP90 =
-        results[ssd::FtlKind::Cube].writeLatencyUs.percentile(90);
-    const double cubeMinusP90 =
-        results[ssd::FtlKind::CubeMinus].writeLatencyUs.percentile(90);
-    const double pageReadP50 =
-        results[ssd::FtlKind::Page].readLatencyUs.percentile(50);
-    const double cubeReadP50 =
-        results[ssd::FtlKind::Cube].readLatencyUs.percentile(50);
+    const double pageP90 = ms(kPage, ssd::IoType::Write, 90);
+    const double cubeP90 = ms(kCube, ssd::IoType::Write, 90);
+    const double cubeMinusP90 = ms(kCubeMinus, ssd::IoType::Write, 90);
+    const double pageReadP50 = ms(kPage, ssd::IoType::Read, 50);
+    const double cubeReadP50 = ms(kCube, ssd::IoType::Read, 50);
 
     metrics::PaperComparison cmp("Fig. 18 (Rocks latency CDFs)");
     cmp.add("p90 write latency, pageFTL vs cubeFTL",
             "1.10 ms vs 0.72 ms (1.53x)",
-            metrics::format(pageP90 / 1000.0, 2) + " ms vs " +
-                metrics::format(cubeP90 / 1000.0, 2) + " ms (" +
+            metrics::format(pageP90, 2) + " ms vs " +
+                metrics::format(cubeP90, 2) + " ms (" +
                 metrics::format(pageP90 / cubeP90, 2) + "x)",
             "ordering holds; absolute values depend on buffer depth");
     cmp.add("write tail, cubeFTL- vs cubeFTL (the WAM's share)",
@@ -138,9 +135,8 @@ runBench()
             "yes (less blocking behind programs)",
             cubeReadP50 < pageReadP50
                 ? "yes (p50 " +
-                      metrics::format(cubeReadP50 / 1000.0, 2) +
-                      " ms vs " +
-                      metrics::format(pageReadP50 / 1000.0, 2) + " ms)"
+                      metrics::format(cubeReadP50, 2) + " ms vs " +
+                      metrics::format(pageReadP50, 2) + " ms)"
                 : "NO");
     cmp.print(std::cout);
     return 0;
@@ -151,11 +147,5 @@ runBench()
 int
 main(int argc, char **argv)
 {
-    bench::parseBenchOptions(argc, argv);
-    try {
-        return runBench();
-    } catch (const std::exception &e) {
-        std::cerr << "fig18_latency_cdf: " << e.what() << '\n';
-        return 1;
-    }
+    return bench::runMain("fig18_latency_cdf", argc, argv, runBench);
 }

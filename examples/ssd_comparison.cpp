@@ -52,13 +52,18 @@ main(int argc, char **argv)
     metrics::Table table({"FTL", "IOPS", "write p90 (ms)",
                           "read p90 (ms)", "WAF", "avg tPROG (us)",
                           "retries"});
-    double pageIops = 0.0, cubeIops = 0.0;
-    for (const auto kind :
-         {ssd::FtlKind::Page, ssd::FtlKind::Vert, ssd::FtlKind::CubeMinus,
-          ssd::FtlKind::Cube}) {
+    // cubeFTL- is cubeFTL with the WAM (adaptive WL allocation) off.
+    const char *const names[] = {"pageFTL", "vertFTL", "cubeFTL-",
+                                 "cubeFTL"};
+    const ssd::FtlKind kinds[] = {ssd::FtlKind::Page, ssd::FtlKind::Vert,
+                                  ssd::FtlKind::Cube, ssd::FtlKind::Cube};
+    constexpr std::size_t kCubeMinus = 2;
+    double iops[4] = {};
+    for (std::size_t i = 0; i < std::size(kinds); ++i) {
         ssd::SsdConfig config;
         config.chip.geometry.blocksPerChip = 128;
-        config.ftl = kind;
+        config.ftl = kinds[i];
+        config.cubeFeatures.wam = i != kCubeMinus;
         ssd::Ssd dev(config);
         workload::WorkloadGenerator gen(spec, dev.logicalPages(), 7);
         workload::Driver driver(dev, gen);
@@ -67,25 +72,22 @@ main(int argc, char **argv)
         dev.setAging(aging);
         const auto result = driver.run(20000);
         const auto &stats = dev.ftl().stats();
-        table.row({ssd::ftlKindName(kind),
-                   metrics::format(result.iops, 0),
-                   metrics::format(
-                       result.writeLatencyUs.percentile(90) / 1000.0,
-                       2),
-                   metrics::format(
-                       result.readLatencyUs.percentile(90) / 1000.0,
-                       2),
+        // Latencies are recorded in ns; the table prints ms.
+        const auto p90Ms = [&](ssd::IoType type) {
+            return result.requestMetrics.latency(type).percentile(90) /
+                   1e6;
+        };
+        table.row({names[i], metrics::format(result.iops, 0),
+                   metrics::format(p90Ms(ssd::IoType::Write), 2),
+                   metrics::format(p90Ms(ssd::IoType::Read), 2),
                    metrics::format(stats.writeAmplification(), 2),
                    metrics::format(stats.avgProgramLatencyUs(), 0),
                    std::to_string(stats.readRetries)});
-        if (kind == ssd::FtlKind::Page)
-            pageIops = result.iops;
-        if (kind == ssd::FtlKind::Cube)
-            cubeIops = result.iops;
+        iops[i] = result.iops;
     }
     table.print(std::cout);
     std::cout << "\ncubeFTL vs pageFTL: "
-              << metrics::formatPercent(cubeIops / pageIops - 1.0)
+              << metrics::formatPercent(iops[3] / iops[0] - 1.0)
               << " IOPS\n";
     return 0;
 }

@@ -111,69 +111,20 @@ LatencyRecorder::add(double value)
     sorted_ = false;
 }
 
-void
-LatencyRecorder::merge(const LatencyRecorder &other)
-{
-    samples_.insert(samples_.end(), other.samples_.begin(),
-                    other.samples_.end());
-    if (!other.samples_.empty())
-        sorted_ = false;
-}
-
-double
-LatencyRecorder::mean() const
-{
-    if (samples_.empty())
-        return 0.0;
-    double sum = 0.0;
-    for (double s : samples_)
-        sum += s;
-    return sum / static_cast<double>(samples_.size());
-}
-
-void
-LatencyRecorder::ensureSorted() const
-{
-    if (!sorted_) {
-        std::sort(samples_.begin(), samples_.end());
-        sorted_ = true;
-    }
-}
-
 double
 LatencyRecorder::percentile(double p) const
 {
     if (samples_.empty())
         return 0.0;
-    ensureSorted();
+    if (!sorted_) {
+        std::sort(samples_.begin(), samples_.end());
+        sorted_ = true;
+    }
     const double clamped = std::clamp(p, 0.0, 100.0);
     const auto rank = static_cast<std::size_t>(
         std::ceil(clamped / 100.0 * static_cast<double>(samples_.size())));
     const std::size_t idx = rank == 0 ? 0 : rank - 1;
     return samples_[std::min(idx, samples_.size() - 1)];
-}
-
-std::vector<std::pair<double, double>>
-LatencyRecorder::cdf(std::size_t points) const
-{
-    std::vector<std::pair<double, double>> out;
-    if (samples_.empty() || points == 0)
-        return out;
-    ensureSorted();
-    out.reserve(points);
-    const double lo = samples_.front();
-    const double hi = samples_.back();
-    const double step = points > 1
-        ? (hi - lo) / static_cast<double>(points - 1)
-        : 0.0;
-    for (std::size_t i = 0; i < points; ++i) {
-        const double x = lo + step * static_cast<double>(i);
-        const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
-        const double f = static_cast<double>(it - samples_.begin()) /
-                         static_cast<double>(samples_.size());
-        out.emplace_back(x, f);
-    }
-    return out;
 }
 
 PiecewiseLinearTable::PiecewiseLinearTable(

@@ -1,8 +1,8 @@
 /**
  * @file
  * Statistics primitives used by the characterization study and the
- * benchmark harness: running moments, histograms, latency percentiles,
- * and CDF extraction.
+ * benchmark harness: running moments, histograms, exact latency
+ * percentiles and lookup tables.
  */
 
 #ifndef CUBESSD_COMMON_STATS_H
@@ -76,24 +76,17 @@ class Histogram
 };
 
 /**
- * Stores every sample; provides exact percentiles and CDF points.
+ * Stores every sample; exact nearest-rank percentiles.
  *
- * The evaluation runs record 10^5..10^6 latencies per configuration,
- * which comfortably fits in memory and keeps percentile math exact,
- * matching how the paper reports latency CDFs (Fig. 18).
+ * For the chip-level benches, whose sample sets are small. Measured
+ * device runs record latency in metrics::LatencyHistogram instead.
  */
 class LatencyRecorder
 {
   public:
     void add(double value);
-    void reserve(std::size_t n) { samples_.reserve(n); }
-
-    /** Append another recorder's samples (multi-seed aggregation).
-     *  Percentiles over the union are order-independent. */
-    void merge(const LatencyRecorder &other);
 
     std::size_t count() const { return samples_.size(); }
-    double mean() const;
 
     /**
      * @param p percentile in [0, 100]; exact (nearest-rank) on the
@@ -101,17 +94,7 @@ class LatencyRecorder
      */
     double percentile(double p) const;
 
-    /**
-     * Extract an evenly spaced CDF: `points` (x, F(x)) pairs covering
-     * the full sample range.
-     */
-    std::vector<std::pair<double, double>> cdf(std::size_t points) const;
-
-    void reset() { samples_.clear(); sorted_ = true; }
-
   private:
-    void ensureSorted() const;
-
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
 };

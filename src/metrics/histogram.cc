@@ -12,6 +12,8 @@ LatencyHistogram::bucketIndex(std::uint64_t value)
 {
     if (value < kSubBuckets)
         return static_cast<std::size_t>(value);
+    if (value >> kMaxBits != 0)
+        return kBuckets - 1;
     const int octave = 63 - std::countl_zero(value);  // >= kSubBits
     const std::uint64_t sub =
         (value >> (octave - kSubBits)) & (kSubBuckets - 1);
@@ -102,6 +104,33 @@ LatencyHistogram::percentile(double p) const
         }
     }
     return static_cast<double>(max_);
+}
+
+std::vector<std::pair<double, double>>
+LatencyHistogram::cdf(std::size_t points) const
+{
+    std::vector<std::pair<double, double>> out;
+    if (total_ == 0 || points == 0)
+        return out;
+    out.reserve(points);
+    const auto lo = static_cast<double>(min_);
+    const auto hi = static_cast<double>(max_);
+    const double step =
+        points > 1 ? (hi - lo) / static_cast<double>(points - 1) : 0.0;
+    // One pass: x only grows, so counted buckets stay counted.
+    std::size_t bucket = 0;
+    std::uint64_t counted = 0;
+    for (std::size_t i = 0; i < points; ++i) {
+        const double x =
+            i + 1 == points ? hi : lo + step * static_cast<double>(i);
+        for (; bucket < kBuckets &&
+               static_cast<double>(std::max(bucketLow(bucket), min_)) <= x;
+             ++bucket)
+            counted += counts_[bucket];
+        out.emplace_back(x, static_cast<double>(counted) /
+                                static_cast<double>(total_));
+    }
+    return out;
 }
 
 }  // namespace cubessd::metrics

@@ -1,21 +1,24 @@
 /**
  * @file
- * Fixed-bucket log-scale latency histogram (HdrHistogram-style).
+ * Fixed-bucket log-scale latency histogram (HdrHistogram-style): the
+ * one latency accumulator of a measured run.
  *
  * The simulator's headline claims are latency-*distribution* claims
- * (tPROG cuts, NumRetry, tail-latency wins), so perf work needs
- * percentiles that can be diffed across runs, merged across seeds,
- * and exported without storing every sample. LatencyHistogram covers
- * the full SimTime (nanosecond) range with a fixed bucket layout:
+ * (tPROG cuts, NumRetry, tail-latency wins), so percentiles must be
+ * diffable across runs, mergeable across seeds, and exportable without
+ * storing every sample. LatencyHistogram covers [0, 2^40) ns (18.3
+ * minutes) with a fixed bucket layout:
  *
- *  - values 0..7 get exact buckets;
- *  - above that, each power-of-two octave is split into 8 equal
- *    sub-buckets, bounding the relative quantization error of any
- *    reported percentile at 12.5%.
+ *  - values 0..31 get exact buckets;
+ *  - above that, each power-of-two octave is split into 32 equal
+ *    sub-buckets, so a reported percentile is at least the exact
+ *    nearest-rank value and at most 1/32 above it;
+ *  - values of 2^40 ns or more count in the top bucket, while min(),
+ *    max() and sum() stay exact.
  *
  * The layout is value-independent, so histograms merge by summing
  * counts, and a bucket index means the same thing in every run —
- * exactly what BENCH_*.json diffs need. 496 buckets, ~4 KB each.
+ * exactly what BENCH_*.json diffs need. 1152 buckets, ~9 KB each.
  */
 
 #ifndef CUBESSD_METRICS_HISTOGRAM_H
@@ -24,6 +27,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 namespace cubessd::metrics {
 
@@ -31,11 +36,15 @@ class LatencyHistogram
 {
   public:
     /** Sub-buckets per octave = 2^kSubBits. */
-    static constexpr int kSubBits = 3;
+    static constexpr int kSubBits = 5;
     static constexpr std::size_t kSubBuckets = std::size_t{1} << kSubBits;
-    /** Octave 0 is linear (values 0..7); octaves kSubBits..63 each
-     *  contribute kSubBuckets buckets. */
-    static constexpr std::size_t kBuckets = (64 - kSubBits + 1) * kSubBuckets;
+    /** Values below 2^kMaxBits get their own bucket; larger ones count
+     *  in the top bucket. */
+    static constexpr int kMaxBits = 40;
+    /** Octave 0 is linear (values 0..31); octaves kSubBits..kMaxBits-1
+     *  each contribute kSubBuckets buckets. */
+    static constexpr std::size_t kBuckets =
+        (kMaxBits - kSubBits + 1) * kSubBuckets;
 
     void add(std::uint64_t value);
     /** Sum another histogram into this one (same fixed layout). */
@@ -53,9 +62,19 @@ class LatencyHistogram
      * Nearest-rank percentile, p in [0, 100]. Returns the inclusive
      * upper edge of the bucket holding the rank (clamped to the true
      * max), so the reported value is >= the exact percentile by at
-     * most one bucket width (12.5% relative).
+     * most one bucket width (1/32 relative below 2^40).
      */
     double percentile(double p) const;
+
+    /**
+     * `points` evenly spaced (x, F(x)) pairs from min() to max(), F
+     * being the share of samples at or below x. F is read from the
+     * buckets by counting every sample of each bucket that starts at
+     * or below x (its lower edge raised to min()): F(min()) is the
+     * share of min()'s bucket, F(max()) = 1, and below 2^40 F(x) lies
+     * between the exact F(x) and the exact F(x * 33/32).
+     */
+    std::vector<std::pair<double, double>> cdf(std::size_t points) const;
 
     /** @name Fixed bucket layout @{ */
     static std::size_t bucketIndex(std::uint64_t value);

@@ -9,6 +9,9 @@
  * decomposition — enough to answer "where did the p99 go" without
  * storing samples. Everything merges, so multi-seed benches can
  * aggregate before exporting.
+ *
+ * It is a measured run's only latency record, so stdout tables, CDFs
+ * and JSON agree; its 12 histograms (~110 KB) are allocated once.
  */
 
 #ifndef CUBESSD_METRICS_REQUEST_METRICS_H

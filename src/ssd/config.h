@@ -22,16 +22,15 @@ enum class FtlKind
 {
     Page,      ///< baseline page-mapping FTL, PS-unaware
     Vert,      ///< [13]-style static per-layer V_Final adjustment
-    Cube,      ///< cubeFTL: OPM + WAM + ORT + MOS
-    CubeMinus, ///< cubeFTL with the WAM disabled (horizontal-first)
+    Cube,      ///< cubeFTL: OPM + WAM + ORT + MOS (see CubeFeatures)
 };
 
 const char *ftlKindName(FtlKind kind);
 
 /**
  * Per-technique switches for cubeFTL, for ablation studies: each of
- * the paper's four mechanisms can be disabled independently.
- * FtlKind::CubeMinus is equivalent to Cube with wam = false.
+ * the paper's four mechanisms can be disabled independently. The
+ * paper's cubeFTL- (horizontal-first) is Cube with wam = false.
  */
 struct CubeFeatures
 {

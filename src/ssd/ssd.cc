@@ -81,7 +81,6 @@ ftlKindName(FtlKind kind)
       case FtlKind::Page:      return "pageFTL";
       case FtlKind::Vert:      return "vertFTL";
       case FtlKind::Cube:      return "cubeFTL";
-      case FtlKind::CubeMinus: return "cubeFTL-";
     }
     return "?";
 }
@@ -118,14 +117,6 @@ Ssd::Ssd(const SsdConfig &config)
                                               ftl::OpmConfig{},
                                               config_.cubeFeatures);
         break;
-      case FtlKind::CubeMinus: {
-        CubeFeatures features = config_.cubeFeatures;
-        features.wam = false;
-        ftl_ = std::make_unique<ftl::CubeFtl>(config_, units_, queue_,
-                                              ftl::OpmConfig{},
-                                              features);
-        break;
-      }
     }
 
     hostQueue_ = std::make_unique<HostQueue>(queue_, *ftl_,

@@ -96,9 +96,6 @@ MeasuredWindow::utilization() const
 void
 RunResult::record(const ssd::Completion &c)
 {
-    auto &rec = c.type == ssd::IoType::Read ? readLatencyUs
-                                            : writeLatencyUs;
-    rec.add(toMicroseconds(c.latency()));
     requestMetrics.record(c);
     ++statusCounts[static_cast<std::size_t>(c.status)];
     ++completedRequests;

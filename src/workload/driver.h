@@ -7,7 +7,9 @@
  * procedure from three shared pieces: prefillDevice() before the
  * measured window, a MeasuredWindow around it, and RunResult::record()
  * as the per-completion fold (MultiTenantDriver folds per tenant into
- * RequestMetrics instead).
+ * RequestMetrics instead). Either way a completion is folded once, into
+ * fixed-size histograms, so a measured run allocates nothing per
+ * request.
  *
  * Two pacing modes, selected by the workload spec:
  *  - steady closed loop (burstLength == 0): `queueDepth` requests are
@@ -26,7 +28,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/common/stats.h"
 #include "src/metrics/request_metrics.h"
 #include "src/ssd/ssd.h"
 #include "src/workload/workload.h"
@@ -84,10 +85,9 @@ struct RunResult final : ssd::CompletionSink
     std::array<std::uint64_t, ssd::kStatusCount> statusCounts{};
     SimTime elapsed = 0;
     double iops = 0.0;
-    LatencyRecorder readLatencyUs;
-    LatencyRecorder writeLatencyUs;
     /** Per-IoType latency histograms + per-phase decomposition of
-     *  every completion in the measured window. */
+     *  every completion in the measured window: the run's only latency
+     *  record. */
     metrics::RequestMetrics requestMetrics;
     /** Channel/die busy fractions over the measured window. */
     metrics::Utilization utilization;

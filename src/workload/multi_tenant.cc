@@ -11,6 +11,10 @@ namespace cubessd::workload {
 
 namespace {
 
+/** Requests each tenant keeps in flight in closed-loop mode (and
+ *  during calibration). */
+constexpr std::uint32_t kClosedLoopQd = 16;
+
 ssd::SubmissionQueueStats
 statsDelta(const ssd::SubmissionQueueStats &now,
            const ssd::SubmissionQueueStats &before)
@@ -236,7 +240,7 @@ MultiTenantDriver::calibrate()
 
     // Interleave the initial window fill across tenants so no queue
     // gets a head start.
-    for (std::uint32_t d = 0; d < options_.closedLoopQd; ++d)
+    for (std::uint32_t d = 0; d < kClosedLoopQd; ++d)
         for (std::uint32_t t = 0;
              t < tenantCount() && toSubmit_ > 0; ++t)
             submitOne(t);
@@ -310,7 +314,7 @@ MultiTenantDriver::run(std::uint64_t requests)
              t < tenantCount() && toSubmit_ > 0; ++t)
             scheduleArrival(t);
     } else {
-        for (std::uint32_t d = 0; d < options_.closedLoopQd; ++d)
+        for (std::uint32_t d = 0; d < kClosedLoopQd; ++d)
             for (std::uint32_t t = 0;
                  t < tenantCount() && toSubmit_ > 0; ++t)
                 submitOne(t);

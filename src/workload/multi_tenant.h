@@ -8,9 +8,9 @@
  * the queues into the shared ssd::HostQueue by weighted round-robin.
  * Two pacing modes:
  *
- *  - closed loop (default): every tenant keeps `closedLoopQd`
- *    requests in flight, so relative throughput under saturation is
- *    set by the arbitration weights;
+ *  - closed loop (default): every tenant keeps 16 requests in
+ *    flight, so relative throughput under saturation is set by the
+ *    arbitration weights;
  *  - open loop (--open-loop): each tenant's requests arrive by an
  *    independent arrival process (Poisson or bursty) at a configured
  *    rate — either an explicit rate= per tenant or a fraction of the
@@ -57,9 +57,6 @@ struct MultiTenantOptions
     std::uint32_t window = 64;
     /** WRR burst: consecutive commands per weight unit per visit. */
     std::uint32_t arbBurst = 4;
-    /** Requests each tenant keeps in flight in closed-loop mode (and
-     *  during calibration). */
-    std::uint32_t closedLoopQd = 16;
     /** Closed-loop requests used to calibrate device capacity. */
     std::uint64_t calibrationRequests = 4000;
 };

@@ -119,9 +119,9 @@ prefilledDevice(const SweepCell &cell)
 /**
  * Finish one cell on its prefilled device: bake, optional trace
  * attach, measured run, stat capture, trace write. Together with
- * prefilledDevice() this is the procedure the benches always used
- * (bench_util.h runWorkload), so a 1-cell sweep is bit-identical to
- * the historical sequential path.
+ * prefilledDevice() this is the whole Sec. 6.1 procedure, the same as
+ * a standalone Driver run (construct, pre-cycle, Driver::prefill,
+ * bake, Driver::run), so a 1-cell sweep is bit-identical to it.
  */
 CellResult
 runOneCell(const SweepCell &cell, std::unique_ptr<ssd::Ssd> device,

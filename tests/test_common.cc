@@ -200,21 +200,6 @@ TEST(LatencyRecorder, ExactPercentiles)
     EXPECT_DOUBLE_EQ(rec.percentile(0), 1.0);
 }
 
-TEST(LatencyRecorder, CdfMonotone)
-{
-    LatencyRecorder rec;
-    Rng rng(43);
-    for (int i = 0; i < 1000; ++i)
-        rec.add(rng.uniform(0.0, 100.0));
-    const auto cdf = rec.cdf(20);
-    ASSERT_EQ(cdf.size(), 20u);
-    for (std::size_t i = 1; i < cdf.size(); ++i) {
-        EXPECT_LE(cdf[i - 1].first, cdf[i].first);
-        EXPECT_LE(cdf[i - 1].second, cdf[i].second);
-    }
-    EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
-}
-
 TEST(PiecewiseLinearTable, InterpolatesAndClamps)
 {
     PiecewiseLinearTable table({{0.0, 0.0}, {1.0, 100.0}, {2.0, 400.0}});

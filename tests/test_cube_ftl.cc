@@ -131,7 +131,10 @@ TEST(CubeFtl, PsUnawareFtlRetriesEveryTime)
 
 TEST(CubeFtl, CubeMinusUsesSingleWritePointHorizontalOrder)
 {
-    ssd::Ssd dev(smallConfig(ssd::FtlKind::CubeMinus));
+    // cubeFTL- is cubeFTL with the WAM off.
+    auto config = smallConfig(ssd::FtlKind::Cube);
+    config.cubeFeatures.wam = false;
+    ssd::Ssd dev(config);
     for (Lba lba = 0; lba < 300; ++lba)
         writeSync(dev, lba, 1);
     dev.drain();

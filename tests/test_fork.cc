@@ -26,14 +26,22 @@
 namespace cubessd {
 namespace {
 
-constexpr ssd::FtlKind kAllFtls[] = {ssd::FtlKind::Page, ssd::FtlKind::Vert,
-                                     ssd::FtlKind::Cube,
-                                     ssd::FtlKind::CubeMinus};
+/** An FTL under test; cubeFTL- is Cube with the WAM off. */
+struct Ftl
+{
+    ssd::FtlKind kind;
+    bool wam = true;
+};
+
+constexpr Ftl kAllFtls[] = {{ssd::FtlKind::Page},
+                            {ssd::FtlKind::Vert},
+                            {ssd::FtlKind::Cube},
+                            {ssd::FtlKind::Cube, false}};
 
 /** The test_determinism.cc pin shape; `faults` adds program failures
  *  frequent enough that a full fill exhausts the spare blocks. */
 ssd::SsdConfig
-forkConfig(ssd::FtlKind kind, bool faults)
+forkConfig(Ftl ftl, bool faults)
 {
     ssd::SsdConfig config;
     config.channels = 2;
@@ -43,7 +51,8 @@ forkConfig(ssd::FtlKind kind, bool faults)
     config.gcLowWatermark = 2;
     config.gcHighWatermark = 3;
     config.gcUrgentWatermark = 1;
-    config.ftl = kind;
+    config.ftl = ftl.kind;
+    config.cubeFeatures.wam = ftl.wam;
     config.seed = 42;
     config.chip.faults.enabled = faults;
     config.chip.faults.programFailBase = faults ? 0.05 : 0.0;
@@ -52,9 +61,9 @@ forkConfig(ssd::FtlKind kind, bool faults)
 
 /** A drained, prefilled (and, with faults, read-only) device. */
 std::unique_ptr<ssd::Ssd>
-makeBase(ssd::FtlKind kind, bool faults)
+makeBase(Ftl ftl, bool faults)
 {
-    auto dev = std::make_unique<ssd::Ssd>(forkConfig(kind, faults));
+    auto dev = std::make_unique<ssd::Ssd>(forkConfig(ftl, faults));
     dev->setAging({2000, 0.0});
     workload::prefillDevice(*dev, {{0, dev->logicalPages() / 2}}, 0.5);
     dev->setAging({2000, 1.0});
@@ -117,18 +126,19 @@ void
 forEachDevice(Fn &&fn)
 {
     for (const bool faults : {false, true}) {
-        for (const ssd::FtlKind kind : kAllFtls) {
-            SCOPED_TRACE(std::string(ssd::ftlKindName(kind)) +
+        for (const Ftl ftl : kAllFtls) {
+            SCOPED_TRACE(std::string(ssd::ftlKindName(ftl.kind)) +
+                         (ftl.wam ? "" : "-") +
                          (faults ? " with faults" : ""));
-            fn(kind, faults);
+            fn(ftl, faults);
         }
     }
 }
 
 TEST(SsdFork, ForkHasTheBasesStateAndContents)
 {
-    forEachDevice([](ssd::FtlKind kind, bool faults) {
-        const auto base = makeBase(kind, faults);
+    forEachDevice([](Ftl ftl, bool faults) {
+        const auto base = makeBase(ftl, faults);
         if (faults) {
             ASSERT_TRUE(base->ftl().readOnly()) << "tune the fault rate";
         }
@@ -143,8 +153,8 @@ TEST(SsdFork, ForkHasTheBasesStateAndContents)
 
 TEST(SsdFork, SameWorkloadOnBaseAndForkGivesEqualResults)
 {
-    forEachDevice([](ssd::FtlKind kind, bool faults) {
-        const auto base = makeBase(kind, faults);
+    forEachDevice([](Ftl ftl, bool faults) {
+        const auto base = makeBase(ftl, faults);
         ssd::Ssd fork(*base);
         const Outcome forked = runWorkload(fork);
         expectSameOutcome(forked, runWorkload(*base));
@@ -156,19 +166,19 @@ TEST(SsdFork, ForkOutlivesItsBase)
     // Under ASan any reference a fork kept into its source is a
     // use-after-free here; without it, the result still has to match
     // a device that was never copied.
-    forEachDevice([](ssd::FtlKind kind, bool faults) {
-        auto base = makeBase(kind, faults);
+    forEachDevice([](Ftl ftl, bool faults) {
+        auto base = makeBase(ftl, faults);
         auto fork = std::make_unique<ssd::Ssd>(*base);
         base.reset();
         const Outcome forked = runWorkload(*fork);
-        expectSameOutcome(forked, runWorkload(*makeBase(kind, faults)));
+        expectSameOutcome(forked, runWorkload(*makeBase(ftl, faults)));
     });
 }
 
 TEST(SsdFork, OneExtraWriteChangesTheDigest)
 {
-    forEachDevice([](ssd::FtlKind kind, bool faults) {
-        const auto base = makeBase(kind, faults);
+    forEachDevice([](Ftl ftl, bool faults) {
+        const auto base = makeBase(ftl, faults);
         ssd::Ssd fork(*base);
         ssd::HostRequest req;
         req.type = ssd::IoType::Write;
@@ -183,7 +193,7 @@ TEST(SsdFork, ConcurrentForksOfOneBaseMatchTheBase)
 {
     // The sweep pattern: several threads copy one base at once, then
     // the last user runs on the base itself.
-    const auto base = makeBase(ssd::FtlKind::Cube, false);
+    const auto base = makeBase({ssd::FtlKind::Cube}, false);
     std::vector<Outcome> forked(3);
     std::vector<std::thread> threads;
     for (std::size_t t = 0; t < forked.size(); ++t) {
@@ -201,7 +211,7 @@ TEST(SsdFork, ConcurrentForksOfOneBaseMatchTheBase)
 
 TEST(SsdForkDeathTest, CopyWithIoInFlightPanics)
 {
-    ssd::Ssd dev(forkConfig(ssd::FtlKind::Page, false));
+    ssd::Ssd dev(forkConfig({ssd::FtlKind::Page}, false));
     ssd::HostRequest req;
     req.type = ssd::IoType::Write;
     req.lba = 0;

@@ -449,11 +449,11 @@ TEST(MultiTenantDriver, ClosedLoopThroughputFollowsWeights)
     specs.push_back(tenant("heavy", pureSpec("PureReadA", 1.0), 3));
     specs.push_back(tenant("light", pureSpec("PureReadB", 1.0), 1));
 
-    // Saturating closed loop: both tenants keep far more in flight
-    // than the shared window admits, so dispatch share == WRR share.
+    // Saturating closed loop: both tenants keep more in flight (16
+    // each) than the shared window admits, so dispatch share == WRR
+    // share.
     workload::MultiTenantOptions options;
     options.window = 8;
-    options.closedLoopQd = 32;
     workload::MultiTenantDriver driver(dev, specs, options);
     driver.prefill(0.1);
     const auto result = driver.run(4000);

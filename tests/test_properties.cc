@@ -105,17 +105,21 @@ TEST_P(LeaderFollowerProperty, FollowersFasterNeverUncorrectable)
 INSTANTIATE_TEST_SUITE_P(WearSweep, LeaderFollowerProperty,
                          ::testing::Values(0u, 1000u, 2000u));
 
+/** The FTLs under test; cubeFTL- is Cube with the WAM off. The values
+ *  keep the parameter names the suite prints stable. */
+enum class FtlVariant { Page, Vert, Cube, CubeMinus };
+
 /** End-to-end data integrity for random operation sequences across
  *  FTLs and geometries. */
 class FtlFuzzProperty
     : public ::testing::TestWithParam<
-          std::tuple<ssd::FtlKind, std::uint32_t, std::uint64_t>>
+          std::tuple<FtlVariant, std::uint32_t, std::uint64_t>>
 {
 };
 
 TEST_P(FtlFuzzProperty, RandomOpsPreserveLatestData)
 {
-    const auto [kind, wlsPerLayer, seed] = GetParam();
+    const auto [variant, wlsPerLayer, seed] = GetParam();
     ssd::SsdConfig config;
     config.channels = 1;
     config.chipsPerChannel = 2;
@@ -127,7 +131,10 @@ TEST_P(FtlFuzzProperty, RandomOpsPreserveLatestData)
     config.gcLowWatermark = 2;
     config.gcHighWatermark = 3;
     config.gcUrgentWatermark = 1;
-    config.ftl = kind;
+    config.ftl = variant == FtlVariant::Page   ? ssd::FtlKind::Page
+                 : variant == FtlVariant::Vert ? ssd::FtlKind::Vert
+                                               : ssd::FtlKind::Cube;
+    config.cubeFeatures.wam = variant != FtlVariant::CubeMinus;
     config.seed = seed;
     ssd::Ssd dev(config);
 
@@ -159,8 +166,8 @@ TEST_P(FtlFuzzProperty, RandomOpsPreserveLatestData)
 INSTANTIATE_TEST_SUITE_P(
     FtlGeometrySeeds, FtlFuzzProperty,
     ::testing::Combine(
-        ::testing::Values(ssd::FtlKind::Page, ssd::FtlKind::Cube,
-                          ssd::FtlKind::CubeMinus, ssd::FtlKind::Vert),
+        ::testing::Values(FtlVariant::Page, FtlVariant::Cube,
+                          FtlVariant::CubeMinus, FtlVariant::Vert),
         ::testing::Values(2u, 4u),
         ::testing::Values(11ull, 23ull)));
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/ftl/cube_ftl.h"
 #include "src/workload/driver.h"
 #include "tests/closure_adapters.h"
@@ -51,9 +53,10 @@ TEST(SsdIntegration, SteadyRunProducesSaneLatencies)
     const auto result = driver.run(3000);
     EXPECT_EQ(result.completedRequests, 3000u);
     EXPECT_GT(result.iops, 100.0);
-    EXPECT_GT(result.readLatencyUs.count(), 1000u);
-    // Reads: at least a sense + transfer.
-    EXPECT_GT(result.readLatencyUs.percentile(50), 50.0);
+    const auto &reads = result.requestMetrics.latency(ssd::IoType::Read);
+    EXPECT_GT(reads.total(), 1000u);
+    // Reads: at least a sense + transfer (50 us).
+    EXPECT_GT(reads.percentile(50), 50.0 * 1000);
 }
 
 TEST(SsdIntegration, BurstyRunCompletes)
@@ -105,10 +108,14 @@ TEST(SsdIntegration, AgingInjectionSlowsPsUnawareReads)
 
 TEST(SsdIntegration, FourFtlsAllPreserveData)
 {
-    for (auto kind :
-         {ssd::FtlKind::Page, ssd::FtlKind::Vert, ssd::FtlKind::Cube,
-          ssd::FtlKind::CubeMinus}) {
-        ssd::Ssd dev(integrationConfig(kind));
+    // The fourth is cubeFTL-: Cube with the WAM off.
+    const std::pair<ssd::FtlKind, bool> ftls[] = {
+        {ssd::FtlKind::Page, true}, {ssd::FtlKind::Vert, true},
+        {ssd::FtlKind::Cube, true}, {ssd::FtlKind::Cube, false}};
+    for (const auto &[kind, wam] : ftls) {
+        auto config = integrationConfig(kind);
+        config.cubeFeatures.wam = wam;
+        ssd::Ssd dev(config);
         auto spec = workload::mongo();
         workload::WorkloadGenerator gen(spec, dev.logicalPages(), 7);
         workload::Driver driver(dev, gen);
@@ -118,7 +125,7 @@ TEST(SsdIntegration, FourFtlsAllPreserveData)
         dev.ftl().checkConsistency();
         for (Lba lba = 0; lba < dev.logicalPages(); lba += 997)
             EXPECT_TRUE(dev.peek(lba).has_value())
-                << ssd::ftlKindName(kind);
+                << ssd::ftlKindName(kind) << (wam ? "" : "-");
     }
 }
 

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <new>
@@ -162,8 +163,8 @@ TEST(ZeroAlloc, EventQueueSteadyState)
         << allocs << " allocations over " << fired << " events";
 }
 
-/** Closed-loop load generator that bypasses the (allocating) metrics
- *  recorders: completions immediately submit replacement requests. */
+/** Closed-loop load generator that bypasses the workload driver:
+ *  completions immediately submit replacement requests. */
 struct LoadSink final : ssd::CompletionSink
 {
     ssd::Ssd *dev = nullptr;
@@ -246,6 +247,48 @@ TEST(ZeroAlloc, DeviceRequestPathSteadyState)
     EXPECT_GT(dev.ftl().gcStats().collections, gcBefore);
     EXPECT_EQ(allocs, 0u)
         << allocs << " allocations over " << fired << " events";
+}
+
+TEST(ZeroAlloc, DriverRunDoesNotAllocatePerRequest)
+{
+    // The measured run folds every completion into fixed-size
+    // histograms: on a warmed device, Driver::run allocates the same
+    // (per-run, not per-request) amount whatever the request count.
+    ssd::SsdConfig config;
+    config.channels = 2;
+    config.chipsPerChannel = 2;
+    config.chip.geometry.blocksPerChip = 32;
+    config.logicalFraction = 0.75;
+    config.gcLowWatermark = 2;
+    config.gcHighWatermark = 3;
+    config.gcUrgentWatermark = 1;
+    config.ftl = ssd::FtlKind::Cube;
+    config.seed = 42;
+    ssd::Ssd dev(config);
+
+    workload::WorkloadGenerator gen(workload::web(), dev.logicalPages(),
+                                    7);
+    workload::Driver driver(dev, gen);
+    driver.prefill(0.3);
+    driver.run(8000);  // warm-up
+
+    const auto allocsOf = [&](std::uint64_t requests) {
+        const std::uint64_t before = gAllocCount;
+        const workload::RunResult result = driver.run(requests);
+        EXPECT_EQ(result.completedRequests, requests);
+        return gAllocCount - before;
+    };
+    // A device pool may still reach a new high-water mark in any one
+    // run, so compare the fewest allocations over a few runs of each
+    // size.
+    std::uint64_t small = ~std::uint64_t{0};
+    std::uint64_t large = ~std::uint64_t{0};
+    for (int i = 0; i < 3; ++i) {
+        small = std::min(small, allocsOf(1000));
+        large = std::min(large, allocsOf(8000));
+    }
+    EXPECT_EQ(large, small)
+        << "1000 requests: " << small << " allocations, 8000: " << large;
 }
 
 TEST(ZeroAlloc, DeviceRequestPathWithProfilerOn)

@@ -187,8 +187,7 @@ parseFtl(const std::string &name)
 {
     if (name == "page") return ssd::FtlKind::Page;
     if (name == "vert") return ssd::FtlKind::Vert;
-    if (name == "cube") return ssd::FtlKind::Cube;
-    if (name == "cube-") return ssd::FtlKind::CubeMinus;
+    if (name == "cube" || name == "cube-") return ssd::FtlKind::Cube;
     fatal("unknown FTL '%s' (page|vert|cube|cube-)", name.c_str());
 }
 
@@ -361,7 +360,7 @@ printBanner(const Options &opt, const ssd::SsdConfig &config,
               << config.logicalPages() *
                      config.chip.geometry.pageSizeBytes / kGiB
               << " GiB logical), FTL " << ssd::ftlKindName(config.ftl)
-              << '\n';
+              << (config.cubeFeatures.wam ? "" : "-") << '\n';
     if (opt.tenants.empty()) {
         std::cout << "workload: " << workload << " @ " << opt.pe
                   << " P/E + " << opt.retentionMonths
@@ -437,14 +436,16 @@ prefillAndRun(const Options &opt, ssd::Ssd &dev, AnyDriver &driver,
 /** Latency percentiles plus the FTL summary rows shared by the
  *  single-run and sweep tables. */
 void
-addRunRows(metrics::Table &table, const LatencyRecorder &readUs,
-           const LatencyRecorder &writeUs, const ftl::FtlStats &stats)
+addRunRows(metrics::Table &table, const metrics::RequestMetrics &requests,
+           const ftl::FtlStats &stats)
 {
+    const auto &read = requests.latency(ssd::IoType::Read);
+    const auto &write = requests.latency(ssd::IoType::Write);
     for (const double p : {50.0, 90.0, 99.0}) {
         table.row({"write p" + metrics::format(p, 0) + " (ms)",
-                   metrics::format(writeUs.percentile(p) / 1000.0, 3)});
+                   metrics::format(write.percentile(p) / 1e6, 3)});
         table.row({"read p" + metrics::format(p, 0) + " (ms)",
-                   metrics::format(readUs.percentile(p) / 1000.0, 3)});
+                   metrics::format(read.percentile(p) / 1e6, 3)});
     }
     table.row({"write amplification",
                metrics::format(stats.writeAmplification(), 2)});
@@ -819,7 +820,6 @@ runSeedSweep(const Options &opt, const ssd::SsdConfig &config,
     double iopsSum = 0.0;
     double iopsMin = 0.0, iopsMax = 0.0;
     std::uint64_t completed = 0, failed = 0;
-    LatencyRecorder readUs, writeUs;
     metrics::RequestMetrics requests;
     Report report;
     bool anyReadOnly = false;
@@ -830,8 +830,6 @@ runSeedSweep(const Options &opt, const ssd::SsdConfig &config,
         iopsMax = i == 0 ? r.run.iops : std::max(iopsMax, r.run.iops);
         completed += r.run.completedRequests;
         failed += r.run.failedRequests();
-        readUs.merge(r.run.readLatencyUs);
-        writeUs.merge(r.run.writeLatencyUs);
         requests.merge(r.run.requestMetrics);
         report.ftl.merge(r.ftl);
         report.gc.merge(r.gc);
@@ -849,7 +847,7 @@ runSeedSweep(const Options &opt, const ssd::SsdConfig &config,
     table.row({"completed requests", std::to_string(completed)});
     if (failed > 0 || opt.faults.enabled)
         table.row({"failed requests", std::to_string(failed)});
-    addRunRows(table, readUs, writeUs, report.ftl);
+    addRunRows(table, requests, report.ftl);
     if (opt.faults.enabled)
         table.row({"any seed read-only", anyReadOnly ? "yes" : "no"});
     table.print(std::cout);
@@ -909,7 +907,7 @@ runSingle(const Options &opt, const ssd::SsdConfig &config,
     table.row({"IOPS", metrics::format(result.iops, 0)});
     table.row({"simulated time",
                metrics::format(toSeconds(result.elapsed), 3) + " s"});
-    addRunRows(table, result.readLatencyUs, result.writeLatencyUs, stats);
+    addRunRows(table, result.requestMetrics, stats);
     table.row({"safety re-programs",
                std::to_string(stats.safetyReprograms)});
     if (opt.faults.enabled) {
@@ -926,32 +924,24 @@ runSingle(const Options &opt, const ssd::SsdConfig &config,
                    dev.ftl().readOnly() ? "yes" : "no"});
     }
     if (opt.qd > 0) {
-        const auto &read = result.readLatencyUs;
-        const auto &write = result.writeLatencyUs;
-        const double meanLatencyUs =
-            (read.mean() * read.count() + write.mean() * write.count()) /
-            static_cast<double>(read.count() + write.count());
-        // The queue-wait phase histograms keep exact sums.
-        const auto &readWait =
-            result.requestMetrics.phases(ssd::IoType::Read).queueWait;
-        const auto &writeWait =
-            result.requestMetrics.phases(ssd::IoType::Write).queueWait;
-        const double meanWaitNs =
-            (readWait.sum() + writeWait.sum()) /
-            static_cast<double>(readWait.total() + writeWait.total());
+        // Reads and writes pooled; the histograms keep exact sums.
+        const auto &m = result.requestMetrics;
+        auto latency = m.latency(ssd::IoType::Read);
+        latency.merge(m.latency(ssd::IoType::Write));
+        auto wait = m.phases(ssd::IoType::Read).queueWait;
+        wait.merge(m.phases(ssd::IoType::Write).queueWait);
         table.row({"host queue depth", std::to_string(opt.qd)});
         table.row({"mean latency (ms)",
-                   metrics::format(meanLatencyUs / 1000.0, 3)});
+                   metrics::format(latency.mean() / 1e6, 3)});
         table.row({"mean queue wait (ms)",
-                   metrics::format(meanWaitNs / 1e6, 3)});
+                   metrics::format(wait.mean() / 1e6, 3)});
     }
     table.print(std::cout);
 
     std::cout << '\n';
     metrics::gcStatsTable(dev.ftl().gcStats()).print(std::cout);
 
-    if (config.ftl == ssd::FtlKind::Cube ||
-        config.ftl == ssd::FtlKind::CubeMinus) {
+    if (config.ftl == ssd::FtlKind::Cube) {
         const auto &cube = static_cast<ftl::CubeFtl &>(dev.ftl());
         std::cout << "\ncubeFTL: " << cube.cubeStats().followerWithParams
                   << " followers with leader params, "
@@ -1035,6 +1025,7 @@ main(int argc, char **argv)
     config.chip.geometry.blocksPerChip = opt.blocks;
     config.chip.faults = opt.faults;
     config.ftl = parseFtl(opt.ftl);
+    config.cubeFeatures.wam = opt.ftl != "cube-";  // cubeFTL- has no WAM
     config.seed = opt.seed;
     // In multi-tenant mode the WRR arbiter owns the in-flight window
     // (--qd sizes it); the host queue underneath stays unbounded.
