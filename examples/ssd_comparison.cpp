@@ -5,41 +5,30 @@
  *
  *   ./ssd_comparison [workload] [pe_cycles] [retention_months]
  *
- * workload: mail | web | proxy | oltp | rocks | mongo (default oltp)
+ * workload: mail | web | proxy | oltp | rocks | mongo (default oltp;
+ *           any workload::findWorkload name, an unknown one exits 2)
  * Runs pageFTL, vertFTL, cubeFTL-, and cubeFTL, and prints IOPS,
  * latency percentiles, and the PS-aware statistics.
  */
 
 #include <cstdlib>
 #include <iostream>
-#include <string>
 
 #include "src/cubessd.h"
 
 using namespace cubessd;
 
-namespace {
-
-workload::WorkloadSpec
-specByName(const std::string &name)
-{
-    for (const auto &spec : workload::allWorkloads()) {
-        std::string lower = spec.name;
-        for (auto &ch : lower)
-            ch = static_cast<char>(std::tolower(ch));
-        if (lower == name)
-            return spec;
-    }
-    std::cerr << "unknown workload '" << name << "', using OLTP\n";
-    return workload::oltp();
-}
-
-}  // namespace
-
 int
 main(int argc, char **argv)
 {
-    const auto spec = specByName(argc > 1 ? argv[1] : "oltp");
+    const char *name = argc > 1 ? argv[1] : "oltp";
+    const auto found = workload::findWorkload(name);
+    if (!found) {
+        std::cerr << "ssd_comparison: unknown workload '" << name
+                  << "'\n";
+        return 2;
+    }
+    const workload::WorkloadSpec &spec = *found;
     nand::AgingState aging;
     aging.peCycles =
         argc > 2 ? static_cast<PeCycles>(std::atoi(argv[2])) : 0;

@@ -31,13 +31,6 @@ toMicroseconds(SimTime t)
     return static_cast<double>(t) / static_cast<double>(kMicrosecond);
 }
 
-/** Convert a SimTime duration to fractional milliseconds (for reports). */
-constexpr double
-toMilliseconds(SimTime t)
-{
-    return static_cast<double>(t) / static_cast<double>(kMillisecond);
-}
-
 /** Convert a SimTime duration to fractional seconds (for reports). */
 constexpr double
 toSeconds(SimTime t)

@@ -13,9 +13,9 @@
  *  - ORT: caches the most recent good read-reference shift per
  *    physical h-layer and reuses it for every read on that layer.
  *
- * Constructing with `wamEnabled = false` yields the paper's cubeFTL-
- * ablation: PS-aware program/read parameters, but horizontal-first
- * allocation with no workload awareness.
+ * Constructing with `CubeFeatures::wam = false` yields the paper's
+ * cubeFTL- ablation: PS-aware program/read parameters, but
+ * horizontal-first allocation with no workload awareness.
  */
 
 #ifndef CUBESSD_FTL_CUBE_FTL_H
@@ -50,7 +50,6 @@ class CubeFtl : public FtlBase
                                    sim::EventQueue &queue) const override;
 
     const ssd::CubeFeatures &features() const { return features_; }
-    bool wamEnabled() const { return features_.wam; }
     const Ort &ort() const { return ort_; }
     const CubeFtlStats &cubeStats() const { return cubeStats_; }
 

@@ -1,6 +1,7 @@
 #include "src/ftl/ftl_base.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -22,39 +23,17 @@ FtlBase::FtlBase(const ssd::SsdConfig &config,
       buffer_(config.writeBufferPages),
       latestIssued_(config.logicalPages(), 0),
       outstandingFlush_(chips.size(), 0),
-      deferredFlushes_(chips.size())
+      deferredFlushes_(chips.size()),
+      gc_(*this)
 {
-    if (chips_.empty())
-        fatal("FtlBase: no chips");
-    if (config_.writeBufferPages < geom_.pagesPerWl)
-        fatal("FtlBase: write buffer smaller than one WL");
-
-    // The over-provisioned space must cover the active write points
-    // plus the GC watermarks on every chip, or a full device cannot
-    // reach a steady state.
-    const std::uint64_t dataBlocksPerChip =
-        (config_.logicalPages() / chips_.size() + geom_.pagesPerBlock() -
-         1) / geom_.pagesPerBlock();
-    const std::uint64_t spare = geom_.blocksPerChip > dataBlocksPerChip
-        ? geom_.blocksPerChip - dataBlocksPerChip
-        : 0;
-    if (spare < config_.gcHighWatermark + 3) {
-        fatal("FtlBase: only %llu spare blocks per chip; need at least "
-              "gcHighWatermark + 3 = %u (lower logicalFraction or grow "
-              "blocksPerChip)",
-              static_cast<unsigned long long>(spare),
-              config_.gcHighWatermark + 3);
-    }
-    sparePerChip_ = spare;
+    // Ssd validates first; this guards direct construction.
+    if (const std::string err = config_.validate(); !err.empty())
+        fatal("FtlBase: invalid configuration: %s", err.c_str());
     blockMgrs_.reserve(chips_.size());
     for (std::size_t i = 0; i < chips_.size(); ++i)
         blockMgrs_.emplace_back(geom_);
 
     popScratch_.reserve(geom_.pagesPerWl);
-
-    GcHost &host = *this;  // private base: convert inside class scope
-    gcEngine_ = std::make_unique<GcEngine>(
-        config_, chips_, blockMgrs_, mapping_, host, stats_);
 }
 
 FtlBase::FtlBase(const FtlBase &other, std::vector<ssd::ChipUnit> &chips,
@@ -71,10 +50,10 @@ FtlBase::FtlBase(const FtlBase &other, std::vector<ssd::ChipUnit> &chips,
       inFlight_(other.inFlight_),
       outstandingFlush_(other.outstandingFlush_),
       deferredFlushes_(chips.size()),
+      gc_(other.gc_, *this),
       flushCursor_(other.flushCursor_),
       versionCounter_(other.versionCounter_),
       drainMode_(other.drainMode_),
-      sparePerChip_(other.sparePerChip_),
       readOnly_(other.readOnly_),
       stats_(other.stats_)
 {
@@ -89,10 +68,6 @@ FtlBase::FtlBase(const FtlBase &other, std::vector<ssd::ChipUnit> &chips,
             deferredFlushes_[c].push_back(batch);
         }
     }
-    GcHost &host = *this;
-    gcEngine_ = std::make_unique<GcEngine>(*other.gcEngine_, config_,
-                                           chips_, blockMgrs_, mapping_,
-                                           host, stats_);
 }
 
 bool
@@ -119,9 +94,9 @@ FtlBase::hashState(StateHash &h) const
         for (std::size_t i = 0; i < parked.size(); ++i)
             h.add(parked[i]->chip).add(parked[i]->entries);
     }
-    gcEngine_->hashState(h);
+    gc_.hashState(h);
     h.add(flushCursor_).add(versionCounter_).add(drainMode_);
-    h.add(sparePerChip_).add(readOnly_).add(stats_);
+    h.add(readOnly_).add(stats_);
     hashPolicyState(h);
 }
 
@@ -135,9 +110,11 @@ void
 FtlBase::setTrace(trace::TraceSession *session, std::uint32_t track,
                   std::vector<std::uint32_t> gcTracks)
 {
+    if (session != nullptr && gcTracks.size() != chips_.size())
+        fatal("FtlBase::setTrace: need one GC track per chip");
     trace_ = session;
     traceTrack_ = track;
-    gcEngine_->setTrace(session, std::move(gcTracks), &queue_);
+    gc_.setTracks(std::move(gcTracks));
 }
 
 void
@@ -153,7 +130,7 @@ FtlBase::registerCounters(trace::CounterRegistry &reg)
         return n;
     });
     reg.add("gc_pages_moved", "pages", [this](SimTime) {
-        return static_cast<double>(gcEngine_->stats().relocatedPages);
+        return static_cast<double>(stats_.gcRelocatedPages);
     });
     reg.add("write_stalls", "stalls", [this](SimTime) {
         return static_cast<double>(stats_.writeStalls);
@@ -203,6 +180,14 @@ FtlBase::pageInBlock(const nand::PageAddr &addr) const
 {
     return (addr.layer * geom_.wlsPerLayer + addr.wl) * geom_.pagesPerWl +
            addr.page;
+}
+
+nand::PageAddr
+FtlBase::pageAddr(std::uint32_t block, std::uint32_t pageIdx) const
+{
+    return codec_.decode(
+        static_cast<std::uint64_t>(block) * geom_.pagesPerBlock() +
+        pageIdx);
 }
 
 // ---------------------------------------------------------------------
@@ -263,8 +248,7 @@ void
 FtlBase::hostRead(const ssd::HostRequest &req, ssd::CompletionSink *sink,
                   std::uint64_t sinkCtx)
 {
-    if (req.pages == 0 ||
-        req.lba + req.pages > mapping_.logicalPages()) {
+    if (outOfRange(req)) {
         completeWithStatus(req, sink, sinkCtx, ssd::Status::Rejected);
         return;
     }
@@ -384,8 +368,7 @@ void
 FtlBase::hostWrite(const ssd::HostRequest &req,
                    ssd::CompletionSink *sink, std::uint64_t sinkCtx)
 {
-    if (req.pages == 0 ||
-        req.lba + req.pages > mapping_.logicalPages()) {
+    if (outOfRange(req)) {
         completeWithStatus(req, sink, sinkCtx, ssd::Status::Rejected);
         return;
     }
@@ -439,6 +422,15 @@ FtlBase::completeWrite(StalledWrite *write)
                        ssd::IoType::Write, ssd::Status::Ok,
                        config_.bufferReadTime, config_.bufferReadTime);
     stalledPool_.release(write);
+}
+
+bool
+FtlBase::outOfRange(const ssd::HostRequest &req) const
+{
+    // Compared without forming lba + pages, which can wrap past 2^64.
+    const std::uint64_t logical = mapping_.logicalPages();
+    return req.pages == 0 || req.lba >= logical ||
+           req.pages > logical - req.lba;
 }
 
 void
@@ -504,8 +496,8 @@ FtlBase::maybeFlush()
                 // make progress there; if nothing is collectable
                 // (e.g. a pure sequential fill has no invalid pages)
                 // the flush must proceed or the device deadlocks.
-                gcEngine_->maybeStart(c);
-                if (gcEngine_->active(c))
+                gc_.maybeStart(c);
+                if (gc_.active(c))
                     continue;
             }
             if (outstandingFlush_[c] == 0) {
@@ -575,7 +567,7 @@ FtlBase::dispatchFlush(FlushBatch *batch)
         batch->tokens.push_back(e.token);
 
     if (batch->forGc)
-        gcEngine_->noteProgramIssued(chip);
+        gc_.noteProgramIssued(chip);
     else
         ++outstandingFlush_[chip];
 
@@ -610,7 +602,7 @@ FtlBase::handleProgramComplete(FlushBatch *batch,
         // will steer it to a fresh block now that the policy has
         // abandoned its write point on the retired one.
         if (forGc)
-            gcEngine_->noteProgramComplete(chip, result.program.tProg);
+            gc_.noteProgramComplete(chip, result.program.tProg);
         else
             --outstandingFlush_[chip];
         if (result.program.failed) {
@@ -624,7 +616,7 @@ FtlBase::handleProgramComplete(FlushBatch *batch,
                             {{"chip", chip},
                              {"block", choice.wl.block}});
         dispatchFlush(batch);  // reuses the node and its entries
-        gcEngine_->maybeStart(chip);
+        gc_.maybeStart(chip);
         return;
     }
 
@@ -639,7 +631,7 @@ FtlBase::handleProgramComplete(FlushBatch *batch,
         mgr.close(choice.wl.block);
 
     if (forGc)
-        gcEngine_->noteProgramComplete(chip, result.program.tProg);
+        gc_.noteProgramComplete(chip, result.program.tProg);
     else
         --outstandingFlush_[chip];
 
@@ -655,7 +647,7 @@ FtlBase::handleProgramComplete(FlushBatch *batch,
                              {"block", choice.wl.block},
                              {"layer", choice.wl.layer}});
         dispatchFlush(batch);
-        gcEngine_->maybeStart(chip);
+        gc_.maybeStart(chip);
         return;
     }
 
@@ -664,11 +656,11 @@ FtlBase::handleProgramComplete(FlushBatch *batch,
     onProgramComplete(chip, choice, result.program);
 
     if (forGc) {
-        gcEngine_->resume(chip);
+        gc_.resume(chip);
     } else {
         retryStalledWrites();
     }
-    gcEngine_->maybeStart(chip);
+    gc_.maybeStart(chip);
     maybeFlush();
 }
 
@@ -745,16 +737,7 @@ FtlBase::retireBlock(std::uint32_t chip, std::uint32_t block)
     for (std::uint32_t i = 0; i < geom_.pagesPerBlock(); ++i) {
         if (!info.valid[i])
             continue;
-        const Lba lba = info.p2l[i];
-        const nand::PageAddr addr = codec_.decode(
-            static_cast<std::uint64_t>(block) * geom_.pagesPerBlock() +
-            i);
-        FlushEntry entry;
-        entry.lba = lba;
-        entry.token = chips_[chip].chip().pageToken(addr);
-        entry.version = mapping_.mappedVersion(lba);
-        entry.sourcePpa = encodePpa(chip, addr);
-        pending.push_back(entry);
+        pending.push_back(relocationEntry(chip, block, i));
         ++stats_.badBlockRelocations;
     }
     for (std::size_t off = 0; off < pending.size();
@@ -780,13 +763,13 @@ FtlBase::checkReadOnly(std::uint32_t chip)
     if (readOnly_)
         return;
     // Every retirement permanently shrinks the chip's spare pool. Once
-    // it can no longer sustain the construction-time floor (active
-    // write points + GC watermarks), new writes can no longer be
-    // guaranteed a landing block: degrade to read-only *before* the
-    // allocator runs dry so in-flight flushes and relocations still
-    // have room to complete.
+    // it falls below the floor validate() enforces (minSpareBlocks),
+    // new writes can no longer be guaranteed a landing block: degrade
+    // to read-only *before* the allocator runs dry so in-flight
+    // flushes and relocations still have room to complete.
     const std::uint64_t retired = blockMgrs_[chip].retiredCount();
-    if (sparePerChip_ < retired + config_.gcHighWatermark + 3) {
+    if (config_.spareBlocksPerChip() <
+        retired + config_.minSpareBlocks()) {
         readOnly_ = true;
         if (trace_ != nullptr)
             trace_->instant(traceTrack_, "read_only", queue_.now(),
@@ -794,40 +777,6 @@ FtlBase::checkReadOnly(std::uint32_t chip)
                              {"retired",
                               static_cast<std::int64_t>(retired)}});
     }
-}
-
-// ---------------------------------------------------------------------
-// GcHost: services the GC engine (src/ftl/gc.cc) calls back into
-// ---------------------------------------------------------------------
-
-void
-FtlBase::gcProgram(std::uint32_t chip,
-                   const std::vector<FlushEntry> &batch)
-{
-    FlushBatch *b = batchPool_.acquire();
-    b->entries.assign(batch.begin(), batch.end());
-    b->chip = chip;
-    b->forGc = true;
-    dispatchFlush(b);
-}
-
-MilliVolt
-FtlBase::gcReadShift(std::uint32_t chip, const nand::PageAddr &addr)
-{
-    return readShiftFor(chip, addr);
-}
-
-bool
-FtlBase::gcReadSoftHint(std::uint32_t chip, const nand::PageAddr &addr)
-{
-    return readSoftHint(chip, addr);
-}
-
-void
-FtlBase::gcBlockErased(std::uint32_t chip, std::uint32_t block)
-{
-    onBlockErased(chip, block);
-    retryDeferredFlushes(chip);
 }
 
 void
@@ -841,17 +790,29 @@ FtlBase::retryDeferredFlushes(std::uint32_t chip)
     }
 }
 
-void
-FtlBase::gcBlockRetired(std::uint32_t chip, std::uint32_t block)
-{
-    onBlockRetired(chip, block);
-    checkReadOnly(chip);
-}
+// ---------------------------------------------------------------------
+// GC relocation (the engine, src/ftl/gc.cc, drives these)
+// ---------------------------------------------------------------------
 
 void
-FtlBase::gcBackpressureReleased()
+FtlBase::gcProgram(std::uint32_t chip,
+                   const std::vector<FlushEntry> &batch)
 {
-    maybeFlush();
+    FlushBatch *b = batchPool_.acquire();
+    b->entries.assign(batch.begin(), batch.end());
+    b->chip = chip;
+    b->forGc = true;
+    dispatchFlush(b);
+}
+
+FlushEntry
+FtlBase::relocationEntry(std::uint32_t chip, std::uint32_t block,
+                         std::uint32_t pageIdx) const
+{
+    const Lba lba = blockMgrs_[chip].info(block).p2l[pageIdx];
+    const nand::PageAddr addr = pageAddr(block, pageIdx);
+    return {lba, chips_[chip].chip().pageToken(addr),
+            mapping_.mappedVersion(lba), encodePpa(chip, addr)};
 }
 
 // ---------------------------------------------------------------------

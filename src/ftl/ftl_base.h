@@ -9,10 +9,10 @@
  *  - host reads are served from the buffer, from in-flight flushes,
  *    or from NAND,
  *
- * — wires in the standalone GC subsystem (src/ftl/gc.h) for space
- * reclamation, and delegates the *policy* decisions to virtual hooks:
- * which WL to program next and with what parameters
- * (chooseProgramTarget), which read-reference shift to apply
+ * — reclaims space with its GC engine (src/ftl/gc.h), whose
+ * relocations take the same flush path, and delegates the *policy*
+ * decisions to virtual hooks: which WL to program next and with what
+ * parameters (chooseProgramTarget), which read-reference shift to apply
  * (readShiftFor), and what to learn from completed operations
  * (onProgramComplete / onReadComplete). The concrete FTLs of the
  * paper's evaluation (pageFTL, vertFTL, cubeFTL, cubeFTL-) are small
@@ -62,14 +62,12 @@ struct ProgramChoice
     bool monitor = true;    ///< treat the result as fresh leader data
 };
 
-class FtlBase : private GcHost,
-                public sim::EventHandler,
-                public ssd::NandOpListener
+class FtlBase : public sim::EventHandler, public ssd::NandOpListener
 {
   public:
     FtlBase(const ssd::SsdConfig &config,
             std::vector<ssd::ChipUnit> &chips, sim::EventQueue &queue);
-    ~FtlBase() override = default;
+    virtual ~FtlBase() = default;
 
     FtlBase(const FtlBase &) = delete;
     FtlBase &operator=(const FtlBase &) = delete;
@@ -118,8 +116,8 @@ class FtlBase : private GcHost,
     bool readOnly() const { return readOnly_; }
 
     const FtlStats &stats() const { return stats_; }
-    const GcStats &gcStats() const { return gcEngine_->stats(); }
-    const GcEngine &gc() const { return *gcEngine_; }
+    GcStats gcStats() const { return gc_.stats(); }
+    const GcEngine &gc() const { return gc_; }
     const ssd::WriteBuffer &buffer() const { return buffer_; }
     const MappingTable &mapping() const { return mapping_; }
     const BlockManager &blockManager(std::uint32_t chip) const;
@@ -266,6 +264,8 @@ class FtlBase : private GcHost,
     sim::EventQueue &queue() { return queue_; }
 
   private:
+    friend class GcEngine;
+
     /** In-flight multi-page host read (pooled). */
     struct ReadContext
     {
@@ -324,6 +324,9 @@ class FtlBase : private GcHost,
                        const std::vector<FlushEntry> &batch);
     void retryStalledWrites();
 
+    /** Does `req` name no page, or any page past the logical space? */
+    bool outOfRange(const ssd::HostRequest &req) const;
+
     /** Complete a request immediately with a non-Ok status. */
     void completeWithStatus(const ssd::HostRequest &req,
                             ssd::CompletionSink *sink,
@@ -350,16 +353,19 @@ class FtlBase : private GcHost,
      *  was empty, as far as the replenished free list allows. */
     void retryDeferredFlushes(std::uint32_t chip);
 
-    // GcHost: services the GC engine calls back into.
+    /** Program one WL of GC relocations through the flush path (the
+     *  batch is copied). */
     void gcProgram(std::uint32_t chip,
-                   const std::vector<FlushEntry> &batch) override;
-    MilliVolt gcReadShift(std::uint32_t chip,
-                          const nand::PageAddr &addr) override;
-    bool gcReadSoftHint(std::uint32_t chip,
-                        const nand::PageAddr &addr) override;
-    void gcBlockErased(std::uint32_t chip, std::uint32_t block) override;
-    void gcBlockRetired(std::uint32_t chip, std::uint32_t block) override;
-    void gcBackpressureReleased() override;
+                   const std::vector<FlushEntry> &batch);
+
+    /**
+     * The relocation of valid page `pageIdx` of `block` on `chip`: its
+     * LBA, the data token on NAND, the mapped version and the source
+     * PPA, which makes applyMappings drop the copy if the LBA has
+     * moved on by the time it lands.
+     */
+    FlushEntry relocationEntry(std::uint32_t chip, std::uint32_t block,
+                               std::uint32_t pageIdx) const;
 
     std::uint64_t nextVersion() { return ++versionCounter_; }
     static std::uint64_t tokenFor(Lba lba, std::uint64_t version);
@@ -367,6 +373,9 @@ class FtlBase : private GcHost,
     Ppa encodePpa(std::uint32_t chip, const nand::PageAddr &addr) const;
     std::pair<std::uint32_t, nand::PageAddr> decodePpa(Ppa ppa) const;
     std::uint32_t pageInBlock(const nand::PageAddr &addr) const;
+    /** Address of page `pageIdx` of `block` (inverse of pageInBlock). */
+    nand::PageAddr pageAddr(std::uint32_t block,
+                            std::uint32_t pageIdx) const;
 
     ssd::SsdConfig config_;
     std::vector<ssd::ChipUnit> &chips_;
@@ -393,11 +402,10 @@ class FtlBase : private GcHost,
      *  Retried whenever GC returns a block to the free list; empty in
      *  fault-free operation. */
     std::vector<RingDeque<FlushBatch *>> deferredFlushes_;
-    std::unique_ptr<GcEngine> gcEngine_;
+    GcEngine gc_;  ///< after chips_ and geom_, which it reads
     std::uint32_t flushCursor_ = 0;
     std::uint64_t versionCounter_ = 0;
     bool drainMode_ = false;
-    std::uint64_t sparePerChip_ = 0;  ///< initial spare blocks per chip
     bool readOnly_ = false;
     trace::TraceSession *trace_ = nullptr;
     std::uint32_t traceTrack_ = 0;

@@ -1,8 +1,9 @@
 /**
  * @file
- * Cumulative FTL-level counters, shared between the FTL engine and
- * the GC subsystem (which mirrors its GC-specific counters here so
- * existing consumers keep a single place to read totals).
+ * Cumulative FTL-level counters. The FTL engine and its GC engine
+ * count here; GC collections, relocations and erases are counted only
+ * here (FtlBase::gcStats() reports them alongside the GC engine's own
+ * counters).
  */
 
 #ifndef CUBESSD_FTL_FTL_STATS_H

@@ -3,52 +3,45 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/common/logging.h"
+#include "src/ftl/ftl_base.h"
 #include "src/prof/prof.h"
 #include "src/trace/trace.h"
 
 namespace cubessd::ftl {
 
-GcEngine::GcEngine(const ssd::SsdConfig &config,
-                   std::vector<ssd::ChipUnit> &chips,
-                   std::vector<BlockManager> &blockMgrs,
-                   MappingTable &mapping, GcHost &host,
-                   FtlStats &mirror)
-    : config_(config),
-      chips_(chips),
-      blockMgrs_(blockMgrs),
-      mapping_(mapping),
-      host_(host),
-      geom_(config.chip.geometry),
-      codec_(geom_),
-      gc_(chips.size()),
-      mirror_(mirror)
+GcEngine::GcEngine(FtlBase &ftl)
+    : ftl_(ftl),
+      gc_(ftl.chips_.size())
+{
+    reserveScratch();
+}
+
+GcEngine::GcEngine(const GcEngine &other, FtlBase &ftl)
+    : ftl_(ftl),
+      gc_(other.gc_),
+      scanReads_(other.scanReads_),
+      programs_(other.programs_),
+      programLatencySum_(other.programLatencySum_)
+{
+    // A vector copy does not keep capacity; restore the reservations.
+    reserveScratch();
+}
+
+void
+GcEngine::reserveScratch()
 {
     // Worst case per collection: every page of the victim is valid.
     for (auto &gc : gc_)
-        gc.pending.reserve(geom_.pagesPerBlock());
-    batchScratch_.reserve(geom_.pagesPerWl);
+        gc.pending.reserve(ftl_.geom_.pagesPerBlock());
+    batchScratch_.reserve(ftl_.geom_.pagesPerWl);
 }
 
-GcEngine::GcEngine(const GcEngine &other, const ssd::SsdConfig &config,
-                   std::vector<ssd::ChipUnit> &chips,
-                   std::vector<BlockManager> &blockMgrs,
-                   MappingTable &mapping, GcHost &host, FtlStats &mirror)
-    : config_(config),
-      chips_(chips),
-      blockMgrs_(blockMgrs),
-      mapping_(mapping),
-      host_(host),
-      geom_(other.geom_),
-      codec_(other.codec_),
-      gc_(other.gc_),
-      stats_(other.stats_),
-      mirror_(mirror)
+GcStats
+GcEngine::stats() const
 {
-    // A vector copy does not keep capacity; restore the reservations.
-    for (auto &gc : gc_)
-        gc.pending.reserve(geom_.pagesPerBlock());
-    batchScratch_.reserve(geom_.pagesPerWl);
+    const FtlStats &s = ftl_.stats_;
+    return {s.gcCollections, s.gcRelocatedPages, s.erases,
+            scanReads_,      programs_,          programLatencySum_};
 }
 
 void
@@ -59,41 +52,27 @@ GcEngine::hashState(StateHash &h) const
         h.add(gc.outstandingReads).add(gc.outstandingPrograms);
         h.add(gc.scanDone).add(gc.erasing).add(gc.pending);
     }
-    h.add(stats_);
-}
-
-Ppa
-GcEngine::encodePpa(std::uint32_t chip, const nand::PageAddr &addr) const
-{
-    return static_cast<Ppa>(chip) * geom_.pagesPerChip() +
-           codec_.encode(addr);
+    h.add(scanReads_).add(programs_).add(programLatencySum_);
 }
 
 void
-GcEngine::setTrace(trace::TraceSession *session,
-                   std::vector<std::uint32_t> tracks,
-                   const sim::EventQueue *clock)
+GcEngine::setTracks(std::vector<std::uint32_t> tracks)
 {
-    if (session != nullptr &&
-        (tracks.size() != chips_.size() || clock == nullptr))
-        fatal("GcEngine::setTrace: need one track per chip and a clock");
-    trace_ = session;
     tracks_ = std::move(tracks);
-    clock_ = clock;
 }
 
 void
 GcEngine::traceCollectionBegin(std::uint32_t chip)
 {
-    if (trace_ == nullptr)
+    if (ftl_.trace_ == nullptr)
         return;
     const auto &gc = gc_[chip];
-    trace_->begin(
-        tracks_[chip], "gc", clock_->now(),
+    const auto &mgr = ftl_.blockMgrs_[chip];
+    ftl_.trace_->begin(
+        tracks_[chip], "gc", ftl_.queue_.now(),
         {{"victim", gc.victim},
-         {"valid_pages", blockMgrs_[chip].info(gc.victim).validCount},
-         {"free_blocks",
-          static_cast<std::int64_t>(blockMgrs_[chip].freeCount())}});
+         {"valid_pages", mgr.info(gc.victim).validCount},
+         {"free_blocks", static_cast<std::int64_t>(mgr.freeCount())}});
 }
 
 void
@@ -105,10 +84,11 @@ GcEngine::maybeStart(std::uint32_t chip)
     auto &gc = gc_.at(chip);
     if (gc.active)
         return;
-    if (blockMgrs_[chip].freeCount() >= config_.gcLowWatermark)
+    auto &mgr = ftl_.blockMgrs_[chip];
+    if (mgr.freeCount() >= ftl_.config_.gcLowWatermark)
         return;
     PROF_SCOPE(prof::Slot::FtlGc);
-    const auto victim = blockMgrs_[chip].pickVictim();
+    const auto victim = mgr.pickVictim();
     if (!victim)
         return;
     startCollection(chip, *victim);
@@ -121,8 +101,7 @@ GcEngine::startCollection(std::uint32_t chip, std::uint32_t victim)
     gc.reset();
     gc.active = true;
     gc.victim = victim;
-    ++stats_.collections;
-    ++mirror_.gcCollections;
+    ++ftl_.stats_.gcCollections;
     traceCollectionBegin(chip);
     continueOn(chip);
 }
@@ -137,8 +116,8 @@ void
 GcEngine::noteProgramComplete(std::uint32_t chip, SimTime tProg)
 {
     --gc_.at(chip).outstandingPrograms;
-    ++stats_.programs;
-    stats_.programLatencySum += tProg;
+    ++programs_;
+    programLatencySum_ += tProg;
 }
 
 void
@@ -154,36 +133,32 @@ GcEngine::continueOn(std::uint32_t chip)
     if (!gc.active)
         return;  // resume() polls here on every program completion
     PROF_SCOPE(prof::Slot::FtlGc);
-    auto &mgr = blockMgrs_[chip];
-    const auto &info = mgr.info(gc.victim);
+    const auto &info = ftl_.blockMgrs_[chip].info(gc.victim);
+    const std::uint32_t pagesPerBlock = ftl_.geom_.pagesPerBlock();
 
     // Issue the next scan read (one outstanding at a time, so host
     // reads can interleave).
     while (!gc.scanDone && gc.outstandingReads == 0) {
-        while (gc.scanIndex < geom_.pagesPerBlock() &&
-               !info.valid[gc.scanIndex]) {
+        while (gc.scanIndex < pagesPerBlock && !info.valid[gc.scanIndex])
             ++gc.scanIndex;
-        }
-        if (gc.scanIndex >= geom_.pagesPerBlock()) {
+        if (gc.scanIndex >= pagesPerBlock) {
             gc.scanDone = true;
             break;
         }
         const std::uint32_t pageIdx = gc.scanIndex++;
-        const nand::PageAddr addr =
-            codec_.decode(static_cast<std::uint64_t>(gc.victim) *
-                              geom_.pagesPerBlock() + pageIdx);
+        const nand::PageAddr addr = ftl_.pageAddr(gc.victim, pageIdx);
         ssd::NandOp op;
         op.kind = ssd::NandOp::Kind::Read;
         op.page = addr;
-        op.readShiftMv = host_.gcReadShift(chip, addr);
-        op.readSoftHint = host_.gcReadSoftHint(chip, addr);
+        op.readShiftMv = ftl_.readShiftFor(chip, addr);
+        op.readSoftHint = ftl_.readSoftHint(chip, addr);
         op.listener = this;
         op.ctx = pageIdx;
         op.chip = chip;
         ++gc.outstandingReads;
-        ++stats_.scanReads;
-        ++mirror_.nandReads;
-        chips_[chip].enqueue(op);
+        ++scanReads_;
+        ++ftl_.stats_.nandReads;
+        ftl_.chips_[chip].enqueue(op);
     }
 
     maybeDispatchProgram(chip, /*force=*/gc.scanDone &&
@@ -201,21 +176,11 @@ GcEngine::finishScanPage(std::uint32_t chip,
 {
     // Called only from onNandOpComplete, whose FtlGc scope is open.
     auto &gc = gc_[chip];
-    const auto &info = blockMgrs_[chip].info(gc.victim);
-    if (!info.valid[pageInBlockIdx])
+    if (!ftl_.blockMgrs_[chip].info(gc.victim).valid[pageInBlockIdx])
         return;  // invalidated by a racing host write: nothing to move
-    const Lba lba = info.p2l[pageInBlockIdx];
-    const nand::PageAddr addr =
-        codec_.decode(static_cast<std::uint64_t>(gc.victim) *
-                          geom_.pagesPerBlock() + pageInBlockIdx);
-    FlushEntry entry;
-    entry.lba = lba;
-    entry.token = chips_[chip].chip().pageToken(addr);
-    entry.version = mapping_.mappedVersion(lba);
-    entry.sourcePpa = encodePpa(chip, addr);
-    gc.pending.push_back(entry);
-    ++stats_.relocatedPages;
-    ++mirror_.gcRelocatedPages;
+    gc.pending.push_back(
+        ftl_.relocationEntry(chip, gc.victim, pageInBlockIdx));
+    ++ftl_.stats_.gcRelocatedPages;
 }
 
 void
@@ -223,18 +188,19 @@ GcEngine::maybeDispatchProgram(std::uint32_t chip, bool force)
 {
     // Called only from continueOn, whose FtlGc scope is open.
     auto &gc = gc_[chip];
-    while (gc.pending.size() >= geom_.pagesPerWl ||
+    const std::uint32_t pagesPerWl = ftl_.geom_.pagesPerWl;
+    while (gc.pending.size() >= pagesPerWl ||
            (force && !gc.pending.empty())) {
         const std::size_t take =
-            std::min<std::size_t>(gc.pending.size(), geom_.pagesPerWl);
+            std::min<std::size_t>(gc.pending.size(), pagesPerWl);
         batchScratch_.assign(
             gc.pending.begin(),
             gc.pending.begin() + static_cast<long>(take));
         gc.pending.erase(gc.pending.begin(),
                          gc.pending.begin() + static_cast<long>(take));
-        while (batchScratch_.size() < geom_.pagesPerWl)
+        while (batchScratch_.size() < pagesPerWl)
             batchScratch_.push_back(FlushEntry{});
-        host_.gcProgram(chip, batchScratch_);
+        ftl_.gcProgram(chip, batchScratch_);
     }
 }
 
@@ -249,7 +215,7 @@ GcEngine::eraseVictim(std::uint32_t chip)
     op.block = gc.victim;
     op.listener = this;
     op.chip = chip;
-    chips_[chip].enqueue(op);
+    ftl_.chips_[chip].enqueue(op);
 }
 
 void
@@ -259,7 +225,7 @@ GcEngine::onNandOpComplete(const ssd::NandOp &op,
     PROF_SCOPE(prof::Slot::FtlGc);
     if (op.kind == ssd::NandOp::Kind::Read) {
         const auto pageIdx = static_cast<std::uint32_t>(op.ctx);
-        mirror_.readRetries +=
+        ftl_.stats_.readRetries +=
             static_cast<std::uint64_t>(result.read.numRetries);
         --gc_[op.chip].outstandingReads;
         finishScanPage(op.chip, pageIdx);
@@ -275,35 +241,39 @@ GcEngine::handleEraseComplete(std::uint32_t chip,
 {
     // Called only from onNandOpComplete, whose FtlGc scope is open.
     auto &gc = gc_[chip];
+    auto &mgr = ftl_.blockMgrs_[chip];
+    trace::TraceSession *trace = ftl_.trace_;
     const std::uint32_t victim = gc.victim;
-    ++stats_.erases;
-    ++mirror_.erases;
+    ++ftl_.stats_.erases;
     if (result.eraseFailed) {
         // Erase-status fail: the block never returns to the free
         // pool. All its pages were already relocated (GC erases
         // only fully-invalid victims), so retirement is clean.
-        blockMgrs_[chip].retire(victim);
-        ++mirror_.eraseFailures;
-        ++mirror_.retiredBlocks;
-        if (trace_ != nullptr)
-            trace_->instant(tracks_[chip], "gc_erase_fail",
-                            clock_->now(), {{"block", victim}});
-        host_.gcBlockRetired(chip, victim);
+        mgr.retire(victim);
+        ++ftl_.stats_.eraseFailures;
+        ++ftl_.stats_.retiredBlocks;
+        if (trace != nullptr)
+            trace->instant(tracks_[chip], "gc_erase_fail",
+                           ftl_.queue_.now(), {{"block", victim}});
+        ftl_.onBlockRetired(chip, victim);
+        ftl_.checkReadOnly(chip);
     } else {
-        blockMgrs_[chip].release(victim);
-        host_.gcBlockErased(chip, victim);
+        mgr.release(victim);
+        ftl_.onBlockErased(chip, victim);
+        ftl_.retryDeferredFlushes(chip);
     }
     gc.active = false;
     gc.erasing = false;
-    if (trace_ != nullptr)
-        trace_->end(tracks_[chip], clock_->now());
+    if (trace != nullptr)
+        trace->end(tracks_[chip], ftl_.queue_.now());
     // Hysteresis: keep collecting until the high watermark.
-    if (blockMgrs_[chip].freeCount() < config_.gcHighWatermark) {
-        const auto next = blockMgrs_[chip].pickVictim();
+    if (mgr.freeCount() < ftl_.config_.gcHighWatermark) {
+        const auto next = mgr.pickVictim();
         if (next)
             startCollection(chip, *next);
     }
-    host_.gcBackpressureReleased();
+    // Free blocks were reclaimed: retry any held-back host flushes.
+    ftl_.maybeFlush();
 }
 
 }  // namespace cubessd::ftl

@@ -1,17 +1,19 @@
 /**
  * @file
- * Standalone garbage-collection subsystem.
+ * Garbage collection of the FTL engine.
  *
- * GcEngine owns the per-chip GC state machine that used to live in
- * FtlBase: victim scan reads, WL-sized relocation programs, and the
- * final erase, with hysteresis between the low and high free-block
- * watermarks of SsdConfig. Victims are picked greedily (the closed
- * block with the fewest valid pages, BlockManager::pickVictim).
+ * GcEngine is FtlBase's per-chip GC state machine: victim scan reads,
+ * WL-sized relocation programs, and the final erase, with hysteresis
+ * between the low and high free-block watermarks of SsdConfig. Victims
+ * are picked greedily (the closed block with the fewest valid pages,
+ * BlockManager::pickVictim).
  *
  * The engine drives NAND directly for scans and erases but routes
- * relocation programs back through the FTL's flush path (GcHost), so
- * program-target policy (leader/follower steering, safety checks)
- * applies to GC traffic exactly as to host traffic.
+ * relocation programs through the FTL's flush path (FtlBase::gcProgram),
+ * so program-target policy (leader/follower steering, safety checks)
+ * applies to GC traffic exactly as to host traffic. It is a by-value
+ * member and a friend of FtlBase, and works on the FTL's own geometry,
+ * block managers, mapping, counters and event queue.
  */
 
 #ifndef CUBESSD_FTL_GC_H
@@ -20,17 +22,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/state_hash.h"
 #include "src/common/types.h"
-#include "src/ftl/block_manager.h"
-#include "src/ftl/ftl_stats.h"
-#include "src/ftl/mapping.h"
-#include "src/nand/geometry.h"
 #include "src/ssd/chip_unit.h"
-#include "src/ssd/config.h"
-
-namespace cubessd::trace {
-class TraceSession;
-}
 
 namespace cubessd::ftl {
 
@@ -43,7 +37,11 @@ struct FlushEntry
     Ppa sourcePpa = kInvalidPpa;    ///< set for GC relocations
 };
 
-/** Cumulative counters of the GC subsystem. */
+/**
+ * Cumulative GC counters of one device (FtlBase::gcStats()):
+ * collections, relocatedPages and erases are FtlStats' gcCollections,
+ * gcRelocatedPages and erases; GcEngine counts the rest.
+ */
 struct GcStats
 {
     std::uint64_t collections = 0;    ///< victims picked
@@ -78,63 +76,25 @@ struct GcStats
     }
 };
 
+class FtlBase;
+
 /**
- * Services the GC engine needs from the surrounding FTL. Implemented
- * by FtlBase; kept abstract so the engine is testable and reusable.
+ * The garbage collector of one FtlBase, held by value in it: per-chip
+ * collection progress plus the GC-only counters (scan reads, programs,
+ * their latency). Everything else it reads and updates — block
+ * managers, mapping, chips, the flush path and the collection,
+ * relocation and erase counters of FtlStats — is the FTL's own.
  */
-class GcHost
-{
-  public:
-    virtual ~GcHost() = default;
-
-    /** Program one WL of relocated pages through the flush path (the
-     *  host copies the batch; the reference is valid only for the
-     *  duration of the call). */
-    virtual void gcProgram(std::uint32_t chip,
-                           const std::vector<FlushEntry> &batch) = 0;
-
-    /** Read-reference shift for a scan read (policy hook). */
-    virtual MilliVolt gcReadShift(std::uint32_t chip,
-                                  const nand::PageAddr &addr) = 0;
-
-    /** Soft-decode hint for a scan read (policy hook). */
-    virtual bool gcReadSoftHint(std::uint32_t chip,
-                                const nand::PageAddr &addr) = 0;
-
-    /** A victim finished erasing and was released to the free list. */
-    virtual void gcBlockErased(std::uint32_t chip,
-                               std::uint32_t block) = 0;
-
-    /**
-     * A victim's erase reported status fail and the block was retired
-     * to the bad-block list instead of returning to the free pool.
-     */
-    virtual void gcBlockRetired(std::uint32_t chip,
-                                std::uint32_t block) = 0;
-
-    /** Free blocks were reclaimed: retry any held-back host flushes. */
-    virtual void gcBackpressureReleased() = 0;
-};
-
 class GcEngine final : public ssd::NandOpListener
 {
   public:
-    /**
-     * @param mirror  FtlStats whose GC counters (gcCollections,
-     *                gcRelocatedPages, erases, nandReads, readRetries)
-     *                the engine keeps in sync with its own GcStats.
-     */
-    GcEngine(const ssd::SsdConfig &config,
-             std::vector<ssd::ChipUnit> &chips,
-             std::vector<BlockManager> &blockMgrs, MappingTable &mapping,
-             GcHost &host, FtlStats &mirror);
+    /** Idle engine of `ftl`, whose chips and geometry must already be
+     *  constructed. */
+    explicit GcEngine(FtlBase &ftl);
 
-    /** Copy of `other`'s per-chip progress and statistics, bound to
-     *  another FTL's structures (FtlBase's copy). */
-    GcEngine(const GcEngine &other, const ssd::SsdConfig &config,
-             std::vector<ssd::ChipUnit> &chips,
-             std::vector<BlockManager> &blockMgrs, MappingTable &mapping,
-             GcHost &host, FtlStats &mirror);
+    /** Copy of `other`'s per-chip progress and counters, bound to
+     *  `ftl` (FtlBase's copy). No trace tracks are copied. */
+    GcEngine(const GcEngine &other, FtlBase &ftl);
 
     GcEngine(const GcEngine &) = delete;
     GcEngine &operator=(const GcEngine &) = delete;
@@ -149,29 +109,29 @@ class GcEngine final : public ssd::NandOpListener
     void noteProgramIssued(std::uint32_t chip);
 
     /**
-     * A relocation program completed on the die (called before the
-     * FTL's safety-check/mapping phase so a safety re-program can
-     * re-issue the batch).
+     * A relocation program completed on the die, failed or not (called
+     * before the FTL's safety-check/mapping phase so a safety
+     * re-program can re-issue the batch).
      */
     void noteProgramComplete(std::uint32_t chip, SimTime tProg);
 
     /** Resume the state machine after a relocation program applied. */
     void resume(std::uint32_t chip);
 
-    const GcStats &stats() const { return stats_; }
+    /** The FTL's collection, relocation and erase counts plus the
+     *  engine's own. */
+    GcStats stats() const;
 
     /** Fold every chip's collection progress and the counters in. */
     void hashState(StateHash &h) const;
 
     /**
      * Record each collection as a begin/end span on the chip's GC
-     * track (one entry per chip in `tracks`), timestamped off `clock`
-     * (observation only). At most one collection runs per chip, so
-     * per-track nesting is trivially respected.
+     * track (one entry per chip) of the FTL's trace session. At most
+     * one collection runs per chip, so per-track nesting is trivially
+     * respected.
      */
-    void setTrace(trace::TraceSession *session,
-                  std::vector<std::uint32_t> tracks,
-                  const sim::EventQueue *clock);
+    void setTracks(std::vector<std::uint32_t> tracks);
 
     /** ssd::NandOpListener: scan reads and victim erases complete
      *  here (op.ctx carries the page index for reads). */
@@ -207,6 +167,8 @@ class GcEngine final : public ssd::NandOpListener
         }
     };
 
+    /** Reserve the worst-case relocation and batch capacity. */
+    void reserveScratch();
     void startCollection(std::uint32_t chip, std::uint32_t victim);
     void handleEraseComplete(std::uint32_t chip,
                              const ssd::NandOpResult &result);
@@ -216,22 +178,14 @@ class GcEngine final : public ssd::NandOpListener
                         std::uint32_t pageInBlockIdx);
     void maybeDispatchProgram(std::uint32_t chip, bool force);
     void eraseVictim(std::uint32_t chip);
-    Ppa encodePpa(std::uint32_t chip, const nand::PageAddr &addr) const;
 
-    const ssd::SsdConfig &config_;
-    std::vector<ssd::ChipUnit> &chips_;
-    std::vector<BlockManager> &blockMgrs_;
-    MappingTable &mapping_;
-    GcHost &host_;
-    nand::NandGeometry geom_;
-    nand::AddressCodec codec_;
+    FtlBase &ftl_;
     std::vector<ChipState> gc_;
     std::vector<FlushEntry> batchScratch_;  ///< staging for gcProgram
-    GcStats stats_;
-    FtlStats &mirror_;
-    trace::TraceSession *trace_ = nullptr;
-    std::vector<std::uint32_t> tracks_;
-    const sim::EventQueue *clock_ = nullptr;
+    std::uint64_t scanReads_ = 0;
+    std::uint64_t programs_ = 0;  ///< failed relocation programs too
+    SimTime programLatencySum_ = 0;
+    std::vector<std::uint32_t> tracks_;  ///< per-chip GC trace track
 };
 
 }  // namespace cubessd::ftl

@@ -57,8 +57,9 @@ void printCdf(std::ostream &out, const std::string &title,
               const std::vector<std::pair<double, double>> &cdf);
 
 /**
- * Render the GC subsystem's counters (collections, relocated pages,
- * erases, GC-induced program latency) as a metric/value table.
+ * Render a device's GC counters (FtlBase::gcStats(): collections,
+ * relocated pages, erases, GC-induced program latency) as a
+ * metric/value table.
  */
 Table gcStatsTable(const ftl::GcStats &stats);
 

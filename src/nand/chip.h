@@ -95,10 +95,8 @@ class NandChip
     const ErrorModel &errors() const { return errors_; }
     const VthModel &vth() const { return vth_; }
     const IsppEngine &ispp() const { return ispp_; }
-    const ReadModel &readModel() const { return read_; }
     const ecc::EccModel &ecc() const { return ecc_; }
     const NandTiming &timing() const { return config_.timing; }
-    const FaultInjector &faultInjector() const { return faults_; }
     /** @} */
 
     /**

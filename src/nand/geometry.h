@@ -41,10 +41,6 @@ struct NandGeometry
     {
         return static_cast<std::uint64_t>(blocksPerChip) * pagesPerBlock();
     }
-    std::uint64_t bytesPerChip() const
-    {
-        return pagesPerChip() * pageSizeBytes;
-    }
 
     /** Validate dimension sanity; returns false on any zero dimension. */
     bool valid() const

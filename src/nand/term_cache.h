@@ -116,7 +116,6 @@ class ErrorTermCache
 
     /** Fold every entry, the generation and the counters in. */
     void hashState(StateHash &h) const;
-    void resetCounters() { counters_ = TermCacheCounters{}; }
 
     /** WL-level hit fraction in [0, 1]; 0 when no lookups happened. */
     double

@@ -78,7 +78,7 @@ namespace cubessd::prof {
  */
 enum class Slot : std::uint8_t
 {
-    SimLoop = 0,           ///< EventQueue::run/step/runUntil drivers
+    SimLoop = 0,           ///< EventQueue::run (drains to empty)
     SchedGeneric,          ///< dispatch of EventKind::Generic
     SchedChipOp,           ///< dispatch of EventKind::ChipOpComplete
     SchedRequestComplete,  ///< dispatch of EventKind::RequestComplete

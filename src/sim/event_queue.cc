@@ -219,8 +219,8 @@ EventQueue::step()
     // No SimLoop scope here: the workload drivers call step() once per
     // event, and an umbrella scope per event would cost as much as the
     // dispatch it wraps while its self time (peekMin + unlink) is
-    // negligible. run()/runUntil() keep the umbrella — they are called
-    // once per drain.
+    // negligible. run() keeps the umbrella — it is called once per
+    // drain.
     Event *e = peekMin();
     if (e == nullptr)
         return false;
@@ -236,51 +236,8 @@ EventQueue::run()
 {
     PROF_SCOPE(prof::Slot::SimLoop);
     std::uint64_t fired = 0;
-    while (pending_ != 0) {
-        Event *head = peekMin();
-        const SimTime when = head->when;
-        // Unlink the whole same-timestamp run in one pass; it is a
-        // contiguous, seq-ordered prefix of the bucket list. Events the
-        // dispatched handlers schedule at `when` get higher seqs and
-        // re-enter the bucket for the next iteration — the same order
-        // repeated step() would produce.
-        Event *tail = head;
-        std::size_t n = 1;
-        while (tail->next != nullptr && tail->next->when == when) {
-            tail = tail->next;
-            ++n;
-        }
-        buckets_[curBucket_] = tail->next;
-        tail->next = nullptr;
-        pending_ -= n;
-        fired += n;
-        advanceClock(when);
-        for (Event *cur = head; cur != nullptr;) {
-            Event *next = cur->next;   // dispatch() recycles the record
-            dispatch(cur);
-            cur = next;
-        }
-    }
-    return fired;
-}
-
-std::uint64_t
-EventQueue::runUntil(SimTime deadline)
-{
-    PROF_SCOPE(prof::Slot::SimLoop);
-    std::uint64_t fired = 0;
-    while (pending_ != 0) {
-        Event *e = peekMin();
-        if (e->when > deadline)
-            break;
-        buckets_[curBucket_] = e->next;
-        --pending_;
-        advanceClock(e->when);
-        dispatch(e);
+    while (step())
         ++fired;
-    }
-    if (now_ < deadline && pending_ == 0)
-        now_ = deadline;
     return fired;
 }
 

@@ -108,19 +108,10 @@ class EventQueue
     bool step();
 
     /**
-     * Run until the queue is empty. Events sharing a timestamp are
-     * dequeued as one batch (single cursor scan), then dispatched in
-     * seq order — observable behavior is identical to repeated step().
+     * step() until the queue is empty, under one profiler scope.
      * @return number of events fired.
      */
     std::uint64_t run();
-
-    /**
-     * Run until the queue is empty or the clock would pass `deadline`.
-     * Events at exactly `deadline` still fire.
-     * @return number of events fired.
-     */
-    std::uint64_t runUntil(SimTime deadline);
 
     /**
      * Install a periodic sampling hook: before each event fires, `fn`

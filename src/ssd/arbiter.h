@@ -72,11 +72,6 @@ class WrrArbiter final : public CompletionSink
     /** Register one submission queue. @return its index. */
     std::uint32_t addQueue(std::uint32_t weight);
 
-    std::uint32_t queueCount() const
-    {
-        return static_cast<std::uint32_t>(queues_.size());
-    }
-
     /**
      * Append a request to submission queue `queue`. If the shared
      * window has room and the WRR scan reaches this queue, it is
@@ -90,11 +85,6 @@ class WrrArbiter final : public CompletionSink
 
     /** Requests dispatched and not yet completed. */
     std::uint32_t inFlight() const { return inFlight_; }
-    /** Requests currently parked in submission queue `queue`. */
-    std::size_t backlog(std::uint32_t queue) const
-    {
-        return queues_[queue].pending.size();
-    }
     const SubmissionQueueStats &stats(std::uint32_t queue) const
     {
         return queues_[queue].stats;

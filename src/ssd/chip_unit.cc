@@ -17,7 +17,7 @@ ChipUnit::ChipUnit(nand::NandChip &chip, Channel &channel,
 ChipUnit::ChipUnit(const ChipUnit &other, nand::NandChip &chip,
                    Channel &channel, sim::EventQueue &queue)
     : chip_(chip), channel_(channel), queue_(queue), active_(other.active_),
-      busyTime_(other.busyTime_), opsCompleted_(other.opsCompleted_)
+      busyTime_(other.busyTime_)
 {
 }
 
@@ -103,7 +103,6 @@ ChipUnit::onEvent(sim::EventKind, const sim::EventPayload &)
     active_ ^= 1;
     busy_ = false;
     busyTime_ += done.result.end - done.result.start;
-    ++opsCompleted_;
     if (done.op.listener != nullptr)
         done.op.listener->onNandOpComplete(done.op, done.result);
     tryStart();

@@ -111,15 +111,13 @@ class ChipUnit final : public sim::EventHandler
      *  only from the non-const completion path (see the Ort
      *  stats-counter convention). */
     SimTime busyTime() const { return busyTime_; }
-    /** Operations executed to completion. */
-    std::uint64_t opsCompleted() const { return opsCompleted_; }
 
     /** Fold the die's queue state and counters in. */
     void
     hashState(StateHash &h) const
     {
         h.add(busy_).add(active_).add(pending_.size());
-        h.add(busyTime_).add(opsCompleted_);
+        h.add(busyTime_);
     }
 
     nand::NandChip &chip() { return chip_; }
@@ -162,7 +160,6 @@ class ChipUnit final : public sim::EventHandler
     Slot slots_[2];
     int active_ = 0;
     SimTime busyTime_ = 0;
-    std::uint64_t opsCompleted_ = 0;
     trace::TraceSession *trace_ = nullptr;
     std::uint32_t track_ = 0;
 };

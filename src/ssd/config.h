@@ -89,8 +89,8 @@ struct SsdConfig
      * surface as fatal errors deep inside construction: zero geometry,
      * a logicalFraction outside (0, 1], misordered GC watermarks, a
      * write buffer smaller than one WL, out-of-range fault
-     * probabilities, or too little over-provisioned space for the GC
-     * watermarks.
+     * probabilities, or fewer than minSpareBlocks() spare blocks per
+     * chip.
      *
      * @return an empty string if the configuration is usable, else a
      *         descriptive error message naming the offending field.
@@ -105,6 +105,27 @@ struct SsdConfig
                          totalChips();
         return static_cast<std::uint64_t>(raw * logicalFraction);
     }
+
+    /** Blocks per chip beyond those the logical space fills. */
+    std::uint64_t
+    spareBlocksPerChip() const
+    {
+        const std::uint64_t perBlock = chip.geometry.pagesPerBlock();
+        const std::uint64_t dataBlocks =
+            (logicalPages() / totalChips() + perBlock - 1) / perBlock;
+        return chip.geometry.blocksPerChip > dataBlocks
+            ? chip.geometry.blocksPerChip - dataBlocks
+            : 0;
+    }
+
+    /**
+     * Fewest spare blocks per chip a full device can run on: the GC
+     * high watermark plus the most write points any FTL keeps open
+     * per chip (cubeFTL's two host blocks and one GC block). Below it
+     * validate() refuses the config, and a running device whose
+     * retirements shrink a chip's spares under it turns read-only.
+     */
+    std::uint64_t minSpareBlocks() const { return gcHighWatermark + 3; }
 
     bool operator==(const SsdConfig &) const = default;
 };

@@ -44,18 +44,10 @@ SsdConfig::validate() const
         return "gcLowWatermark must not exceed gcHighWatermark "
                "(GC hysteresis range is [low, high])";
 
-    // Over-provisioned space must cover the active write points plus
-    // the GC watermarks on every chip (same floor FtlBase enforces).
-    const std::uint64_t dataBlocksPerChip =
-        (logicalPages() / totalChips() + geom.pagesPerBlock() - 1) /
-        geom.pagesPerBlock();
-    const std::uint64_t spare = geom.blocksPerChip > dataBlocksPerChip
-        ? geom.blocksPerChip - dataBlocksPerChip
-        : 0;
-    if (spare < gcHighWatermark + 3)
-        return "only " + std::to_string(spare) +
+    if (spareBlocksPerChip() < minSpareBlocks())
+        return "only " + std::to_string(spareBlocksPerChip()) +
                " spare blocks per chip; need at least gcHighWatermark "
-               "+ 3 = " + std::to_string(gcHighWatermark + 3) +
+               "+ 3 = " + std::to_string(minSpareBlocks()) +
                " (lower logicalFraction or grow blocksPerChip)";
 
     const auto &faults = chip.faults;

@@ -95,7 +95,6 @@ class TraceSession
      */
     std::uint32_t addTrack(std::string name);
 
-    std::size_t trackCount() const { return trackNames_.size(); }
     const std::string &trackName(std::uint32_t track) const
     {
         return trackNames_.at(track);

@@ -136,16 +136,11 @@ class MultiTenantDriver final : public ssd::CompletionSink,
     {
         return static_cast<std::uint32_t>(tenants_.size());
     }
-    const TenantSpec &spec(std::uint32_t tenant) const
-    {
-        return tenants_[tenant].spec;
-    }
     /** The logical-page slice tenant `tenant` issues against. */
     const TenantNamespace &nameSpace(std::uint32_t tenant) const
     {
         return tenants_[tenant].ns;
     }
-    ssd::WrrArbiter &arbiter() { return arbiter_; }
 
     /** ssd::CompletionSink: a tenant's request completed (ctx is the
      *  tenant index). */

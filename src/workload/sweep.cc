@@ -1,7 +1,6 @@
 #include "src/workload/sweep.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -238,19 +237,15 @@ runCells(const std::vector<SweepCell> &cells, unsigned jobs,
         });
     };
 
-    // Exactly-one-tracer rule: the designated cell claims the trace
-    // via an atomic flag, so no two cells can ever race on the trace
-    // file — even if a caller ever designates duplicate indices.
-    std::atomic<bool> traceClaimed{false};
+    // Exactly-one-tracer rule: SweepRunner runs each index exactly
+    // once, so only cell `trace.cell` ever writes the trace file.
     const bool wantTrace = !trace.out.empty();
 
     sim::SweepRunner runner(jobs);
     runner.run(
         cells.size(),
         [&](std::size_t i) {
-            const bool traceThisCell =
-                wantTrace && i == trace.cell &&
-                !traceClaimed.exchange(true, std::memory_order_acq_rel);
+            const bool traceThisCell = wantTrace && i == trace.cell;
             annotated(cells, i, [&] {
                 results[i] = runOneCell(cells[i], std::move(devices[i]),
                                         traceThisCell, trace);

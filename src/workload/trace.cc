@@ -1,8 +1,10 @@
 #include "src/workload/trace.h"
 
-#include <cstdlib>
+#include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "src/common/logging.h"
 #include "src/common/units.h"
@@ -38,20 +40,41 @@ namespace {
 /** Bytes per logical page when converting MSR byte extents. */
 constexpr std::uint64_t kMsrPageBytes = 16 * 1024;
 
+/** Parse all of `field` as an unsigned decimal: no sign, no blanks,
+ *  no overflow. */
+bool
+parseUnsigned(std::string_view field, std::uint64_t *out)
+{
+    const char *end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+}
+
+/** A page count that fits HostRequest::pages (and is not 0). */
+bool
+validPages(std::uint64_t pages)
+{
+    return pages != 0 && pages <= std::numeric_limits<std::uint32_t>::max();
+}
+
 /** Parse one native "<arrival_ns> <R|W> <lba> <pages>" line. */
 std::string
 parseNativeLine(const std::string &line, std::uint64_t lineNo,
                 ssd::HostRequest *req)
 {
     std::istringstream fields(line);
-    char op = 0;
-    if (!(fields >> req->arrival >> op >> req->lba >> req->pages) ||
-        (op != 'R' && op != 'W') || req->pages == 0) {
+    std::string arrival, op, lba, pages, extra;
+    std::uint64_t pageCount = 0;
+    if (!(fields >> arrival >> op >> lba >> pages) || (fields >> extra) ||
+        (op != "R" && op != "W") || !parseUnsigned(arrival, &req->arrival) ||
+        !parseUnsigned(lba, &req->lba) || !parseUnsigned(pages, &pageCount) ||
+        !validPages(pageCount)) {
         return "malformed trace line " + std::to_string(lineNo) +
                " (expected '<arrival_ns> <R|W> <lba> <pages>'): '" +
                line + "'";
     }
-    req->type = op == 'R' ? ssd::IoType::Read : ssd::IoType::Write;
+    req->type = op == "R" ? ssd::IoType::Read : ssd::IoType::Write;
+    req->pages = static_cast<std::uint32_t>(pageCount);
     return "";
 }
 
@@ -64,6 +87,10 @@ std::string
 parseMsrLine(const std::string &line, std::uint64_t lineNo,
              std::uint64_t *baseTicks, ssd::HostRequest *req)
 {
+    const auto malformed = [lineNo](const std::string &why) {
+        return "malformed MSR-Cambridge record on line " +
+               std::to_string(lineNo) + why;
+    };
     std::istringstream fields(line);
     std::string timestamp, hostname, disk, type, offset, size;
     if (!std::getline(fields, timestamp, ',') ||
@@ -72,40 +99,29 @@ parseMsrLine(const std::string &line, std::uint64_t lineNo,
         !std::getline(fields, type, ',') ||
         !std::getline(fields, offset, ',') ||
         !std::getline(fields, size, ',')) {
-        return "malformed MSR-Cambridge record on line " +
-               std::to_string(lineNo) +
-               " (expected 'timestamp,hostname,disk,type,offset,size,"
-               "latency'): '" + line + "'";
+        return malformed(" (expected 'timestamp,hostname,disk,type,"
+                         "offset,size,latency'): '" + line + "'");
     }
 
     if (type != "Read" && type != "Write") {
-        return "malformed MSR-Cambridge record on line " +
-               std::to_string(lineNo) + ": bad I/O type '" + type +
-               "' (expected Read or Write)";
+        return malformed(": bad I/O type '" + type +
+                         "' (expected Read or Write)");
     }
     req->type =
         type == "Read" ? ssd::IoType::Read : ssd::IoType::Write;
 
-    char *end = nullptr;
-    const std::uint64_t ticks =
-        std::strtoull(timestamp.c_str(), &end, 10);
-    if (end == timestamp.c_str() || *end != '\0') {
-        return "malformed MSR-Cambridge record on line " +
-               std::to_string(lineNo) + ": bad timestamp '" +
-               timestamp + "'";
-    }
-    const std::uint64_t offsetBytes =
-        std::strtoull(offset.c_str(), &end, 10);
-    if (end == offset.c_str() || *end != '\0') {
-        return "malformed MSR-Cambridge record on line " +
-               std::to_string(lineNo) + ": bad offset '" + offset + "'";
-    }
-    const std::uint64_t sizeBytes =
-        std::strtoull(size.c_str(), &end, 10);
-    if (end == size.c_str() || *end != '\0' || sizeBytes == 0) {
-        return "malformed MSR-Cambridge record on line " +
-               std::to_string(lineNo) + ": bad size '" + size + "'";
-    }
+    std::uint64_t ticks = 0;
+    if (!parseUnsigned(timestamp, &ticks))
+        return malformed(": bad timestamp '" + timestamp + "'");
+    std::uint64_t offsetBytes = 0;
+    if (!parseUnsigned(offset, &offsetBytes))
+        return malformed(": bad offset '" + offset + "'");
+    std::uint64_t sizeBytes = 0;
+    if (!parseUnsigned(size, &sizeBytes) || sizeBytes == 0)
+        return malformed(": bad size '" + size + "'");
+    if (sizeBytes > std::numeric_limits<std::uint64_t>::max() - offsetBytes)
+        return malformed(": offset " + offset + " + size " + size +
+                         " overflows");
 
     if (*baseTicks == 0)
         *baseTicks = ticks;
@@ -114,11 +130,17 @@ parseMsrLine(const std::string &line, std::uint64_t lineNo,
     // out-of-order timestamp instead of underflowing).
     const std::uint64_t rebased =
         ticks > *baseTicks ? ticks - *baseTicks : 0;
+    if (rebased > std::numeric_limits<SimTime>::max() / 100)
+        return malformed(": timestamp '" + timestamp +
+                         "' is too far past the first record's");
     req->arrival = static_cast<SimTime>(rebased * 100);
     req->lba = offsetBytes / kMsrPageBytes;
     const std::uint64_t endByte = offsetBytes + sizeBytes;
-    req->pages = static_cast<std::uint32_t>(
-        (endByte + kMsrPageBytes - 1) / kMsrPageBytes - req->lba);
+    const std::uint64_t endPage =
+        endByte / kMsrPageBytes + (endByte % kMsrPageBytes != 0);
+    if (!validPages(endPage - req->lba))
+        return malformed(": bad size '" + size + "'");
+    req->pages = static_cast<std::uint32_t>(endPage - req->lba);
     return "";
 }
 

@@ -87,27 +87,6 @@ TEST(EventQueue, StepReturnsFalseWhenEmpty)
     EXPECT_FALSE(eq.step());
 }
 
-TEST(EventQueue, RunUntilStopsAtDeadline)
-{
-    EventQueue eq;
-    int fired = 0;
-    test::schedule(eq, 10, [&] { ++fired; });
-    test::schedule(eq, 20, [&] { ++fired; });
-    test::schedule(eq, 30, [&] { ++fired; });
-    EXPECT_EQ(eq.runUntil(20), 2u);
-    EXPECT_EQ(fired, 2);
-    EXPECT_EQ(eq.pending(), 1u);
-    EXPECT_EQ(eq.now(), 20u);
-    eq.run();  // fire the last event so its adapter is freed
-}
-
-TEST(EventQueue, RunUntilAdvancesClockWhenIdle)
-{
-    EventQueue eq;
-    eq.runUntil(100);
-    EXPECT_EQ(eq.now(), 100u);
-}
-
 TEST(EventQueue, ScheduleAtAbsoluteTime)
 {
     EventQueue eq;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "src/ftl/ftl_base.h"
@@ -241,7 +242,23 @@ TEST(FaultDevice, OutOfRangeRequestsAreRejected)
     zero.pages = 0;
     EXPECT_EQ(dev.submitSync(zero).status, ssd::Status::Rejected);
 
-    EXPECT_EQ(dev.ftl().stats().rejectedRequests, 3u);
+    // A range whose lba + pages wraps past 2^64 is out of range too,
+    // neither a buffer hit nor a write past the mapping.
+    for (const auto type : {ssd::IoType::Read, ssd::IoType::Write}) {
+        for (const auto &[lba, pages] :
+             {std::pair<Lba, std::uint32_t>{~Lba{0} - 1, 2},
+              std::pair<Lba, std::uint32_t>{~Lba{0}, 1}}) {
+            ssd::HostRequest req;
+            req.type = type;
+            req.lba = lba;
+            req.pages = pages;
+            EXPECT_EQ(dev.submitSync(req).status, ssd::Status::Rejected)
+                << "lba " << lba << " x " << pages;
+        }
+    }
+
+    EXPECT_EQ(dev.ftl().stats().rejectedRequests, 7u);
+    dev.ftl().checkConsistency();
 }
 
 TEST(FaultDevice, QueueDepthOneBackpressureWithFailures)

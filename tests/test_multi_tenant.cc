@@ -11,6 +11,7 @@
 #include <cmath>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/units.h"
@@ -590,6 +591,47 @@ TEST(TraceReaderMsr, MalformedLinesNameFormatAndLine)
     EXPECT_NE(err.find("malformed trace line 1"), std::string::npos);
     EXPECT_NE(err.find("<arrival_ns> <R|W> <lba> <pages>"),
               std::string::npos);
+
+    // Numbers carry no sign and must fit their field: a negative LBA
+    // or page count, an LBA past 2^64 - 1 and a page count past
+    // 2^32 - 1 are malformed, not wrapped.
+    for (const char *line :
+         {"0 R -1 1", "0 W 5 -1", "0 R 18446744073709551616 1",
+          "0 W 5 4294967296", "0 W 5 0", "0 R 5 1 extra"}) {
+        std::istringstream in(std::string("# header\n") + line + "\n");
+        requests.clear();
+        err = workload::TraceReader::parse(in, &requests);
+        EXPECT_NE(err.find("malformed trace line 2"), std::string::npos)
+            << line;
+        EXPECT_TRUE(requests.empty()) << line;
+    }
+
+    const std::pair<const char *, const char *> msrCases[] = {
+        {"128166372003061629,hm,0,Read,-16384,16384,1", "bad offset"},
+        {"128166372003061629,hm,0,Read,0,-1,1", "bad size"},
+        {"128166372003061629,hm,0,Write,18446744073709535232,16385,1",
+         "overflows"},
+        // 2^32 pages of 16 KB.
+        {"128166372003061629,hm,0,Write,0,70368744177664,1",
+         "bad size"},
+    };
+    for (const auto &[record, expect] : msrCases) {
+        std::istringstream in(std::string(record) + "\n");
+        requests.clear();
+        err = workload::TraceReader::parse(in, &requests);
+        EXPECT_NE(err.find("MSR-Cambridge record on line 1"),
+                  std::string::npos) << record;
+        EXPECT_NE(err.find(expect), std::string::npos) << record;
+    }
+
+    // An arrival beyond 2^64 ns after the first record.
+    std::istringstream late("1,hm,0,Read,0,16384,1\n"
+                            "18446744073709551615,hm,0,Read,0,16384,1\n");
+    requests.clear();
+    err = workload::TraceReader::parse(late, &requests);
+    EXPECT_NE(err.find("MSR-Cambridge record on line 2"),
+              std::string::npos);
+    EXPECT_NE(err.find("timestamp"), std::string::npos);
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include <tuple>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/ftl/ftl_base.h"
 #include "src/sim/event_queue.h"
 #include "src/ssd/ssd.h"
@@ -303,6 +304,67 @@ TEST(TraceIntegration, TracedRunSerializesToValidChromeTrace)
     // Nothing dropped in this small run, so async spans pair up.
     EXPECT_EQ(session.dropped(), 0u);
     EXPECT_EQ(asyncBegins, asyncEnds);
+}
+
+TEST(TraceIntegration, GcCollectionsAreSpansOnTheirChipTrack)
+{
+    // Random overwrites on a tiny device whose erases sometimes fail:
+    // every collection is one "gc" span on its chip's GC track, and
+    // every failed victim erase an instant inside that span.
+    ssd::SsdConfig config;
+    config.channels = 1;
+    config.chipsPerChannel = 2;
+    config.chip.geometry.blocksPerChip = 16;
+    config.chip.geometry.layersPerBlock = 8;
+    config.chip.geometry.wlsPerLayer = 4;
+    config.writeBufferPages = 24;
+    config.logicalFraction = 0.6;
+    config.gcLowWatermark = 2;
+    config.gcHighWatermark = 3;
+    config.gcUrgentWatermark = 1;
+    config.ftl = ssd::FtlKind::Cube;
+    config.chip.faults.enabled = true;
+    config.chip.faults.eraseFailBase = 0.05;
+    config.seed = 5;
+    ssd::Ssd dev(config);
+    TraceSession session;
+    dev.attachTrace(&session);
+    Rng rng(3);
+    const Lba span = dev.logicalPages() * 9 / 10;
+    for (int i = 0; i < 20000; ++i) {
+        ssd::HostRequest req;
+        req.type = ssd::IoType::Write;
+        req.lba = rng.uniformInt(span);
+        dev.submitSync(req);
+    }
+    dev.drain();
+    ASSERT_EQ(session.dropped(), 0u);
+
+    std::map<std::uint32_t, int> depth;  // open GC spans per track
+    std::uint64_t spans = 0;
+    std::uint64_t failedErases = 0;
+    for (std::size_t i = 0; i < session.size(); ++i) {
+        const auto &e = session.event(i);
+        if (session.trackName(e.track).rfind("gc/chip", 0) != 0)
+            continue;
+        if (e.kind == EventKind::Begin) {
+            EXPECT_STREQ(e.name, "gc");
+            EXPECT_EQ(depth[e.track]++, 0);
+            ++spans;
+        } else if (e.kind == EventKind::End) {
+            EXPECT_EQ(--depth[e.track], 0);
+        } else {
+            EXPECT_STREQ(e.name, "gc_erase_fail");
+            EXPECT_EQ(depth[e.track], 1);
+            ++failedErases;
+        }
+    }
+    for (const auto &[track, open] : depth)
+        EXPECT_EQ(open, 0) << session.trackName(track);
+    EXPECT_GT(spans, 0u);
+    EXPECT_EQ(spans, dev.ftl().gcStats().collections);
+    EXPECT_GT(failedErases, 0u);
+    EXPECT_EQ(failedErases, dev.ftl().stats().eraseFailures);
 }
 
 TEST(TraceIntegration, TracingIsObservationOnly)
