@@ -25,6 +25,10 @@ inline constexpr Ppa kInvalidPpa = ~static_cast<Ppa>(0);
 /** Sentinel for "no logical page mapped". */
 inline constexpr Lba kInvalidLba = ~static_cast<Lba>(0);
 
+/** Sentinel of the FTL's 32-bit PPA and LBA arrays. SsdConfig::validate()
+ *  keeps every PPA and LBA of a device below it. */
+inline constexpr std::uint32_t kInvalid32 = ~std::uint32_t{0};
+
 /** Program/erase cycle count of a block. */
 using PeCycles = std::uint32_t;
 

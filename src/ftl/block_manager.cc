@@ -11,8 +11,7 @@ BlockManager::BlockManager(const nand::NandGeometry &geom)
 {
     blocks_.resize(geom_.blocksPerChip);
     for (std::uint32_t b = 0; b < geom_.blocksPerChip; ++b) {
-        blocks_[b].p2l.assign(geom_.pagesPerBlock(), kInvalidLba);
-        blocks_[b].valid.assign(geom_.pagesPerBlock(), false);
+        blocks_[b].p2l.assign(geom_.pagesPerBlock(), kInvalid32);
         freeList_.push_back(b);
     }
 }
@@ -49,8 +48,7 @@ BlockManager::release(std::uint32_t block)
     if (info.validCount != 0)
         panic("BlockManager: releasing block %u with %u valid pages",
               block, info.validCount);
-    info.p2l.assign(geom_.pagesPerBlock(), kInvalidLba);
-    info.valid.assign(geom_.pagesPerBlock(), false);
+    info.p2l.assign(geom_.pagesPerBlock(), kInvalid32);
     info.programmedWls = 0;
     ++info.eraseCount;
     info.isFree = true;
@@ -85,11 +83,14 @@ BlockManager::markValid(std::uint32_t block, std::uint32_t pageInBlock,
                         Lba lba)
 {
     auto &info = blocks_.at(block);
-    if (info.valid.at(pageInBlock))
+    std::uint32_t &entry = info.p2l.at(pageInBlock);
+    if (entry != kInvalid32)
         panic("BlockManager: page %u of block %u already valid",
               pageInBlock, block);
-    info.valid[pageInBlock] = true;
-    info.p2l[pageInBlock] = lba;
+    if (lba >= kInvalid32)
+        panic("BlockManager: LBA %llu does not fit the reverse map",
+              static_cast<unsigned long long>(lba));
+    entry = static_cast<std::uint32_t>(lba);
     ++info.validCount;
 }
 
@@ -97,10 +98,10 @@ void
 BlockManager::markInvalid(std::uint32_t block, std::uint32_t pageInBlock)
 {
     auto &info = blocks_.at(block);
-    if (!info.valid.at(pageInBlock))
+    std::uint32_t &entry = info.p2l.at(pageInBlock);
+    if (entry == kInvalid32)
         return;  // idempotent: racing invalidations are benign
-    info.valid[pageInBlock] = false;
-    info.p2l[pageInBlock] = kInvalidLba;
+    entry = kInvalid32;
     --info.validCount;
 }
 
@@ -162,10 +163,43 @@ BlockManager::wearSpread() const
 }
 
 void
+BlockManager::checkConsistency(std::uint64_t logicalPages) const
+{
+    std::vector<std::uint32_t> listed(blocks_.size(), 0);
+    for (const std::uint32_t block : freeList_)
+        ++listed.at(block);
+    for (std::uint32_t b = 0; b < blocks_.size(); ++b) {
+        const BlockInfo &info = blocks_[b];
+        std::uint32_t valid = 0;
+        for (const std::uint32_t lba : info.p2l) {
+            if (lba == kInvalid32)
+                continue;
+            if (lba >= logicalPages)
+                panic("consistency: block %u holds LBA %u beyond the "
+                      "%llu logical pages",
+                      b, lba, static_cast<unsigned long long>(logicalPages));
+            ++valid;
+        }
+        if (valid != info.validCount)
+            panic("consistency: block %u counts %u valid pages but "
+                  "holds %u",
+                  b, info.validCount, valid);
+        if (info.isFree && valid != 0)
+            panic("consistency: free block %u holds %u valid pages", b,
+                  valid);
+        if (listed[b] != (info.isFree ? 1u : 0u))
+            panic("consistency: %s block %u is on the free list %u "
+                  "times",
+                  info.isFree ? "free" : info.isBad ? "retired" : "used",
+                  b, listed[b]);
+    }
+}
+
+void
 BlockManager::hashState(StateHash &h) const
 {
     for (const BlockInfo &b : blocks_) {
-        h.add(b.p2l).add(b.valid).add(b.validCount).add(b.programmedWls);
+        h.add(b.p2l).add(b.validCount).add(b.programmedWls);
         h.add(b.eraseCount).add(b.isFree).add(b.isActive).add(b.isBad);
     }
     h.add(freeList_.size());

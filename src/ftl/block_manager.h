@@ -21,14 +21,23 @@ namespace cubessd::ftl {
 /** State of one physical block within a chip. */
 struct BlockInfo
 {
-    std::vector<Lba> p2l;        ///< reverse map (kInvalidLba if none)
-    std::vector<bool> valid;     ///< per-page validity
+    /** Reverse map: the LBA whose current data each page holds, or
+     *  kInvalid32. A page is valid exactly when it has an entry. */
+    std::vector<std::uint32_t> p2l;
     std::uint32_t validCount = 0;
     std::uint32_t programmedWls = 0;
     std::uint32_t eraseCount = 0;  ///< wear (for wear leveling)
     bool isFree = true;
     bool isActive = false;       ///< open as a write point (not a victim)
     bool isBad = false;          ///< retired after a program/erase fail
+
+    bool isValid(std::uint32_t page) const { return p2l[page] != kInvalid32; }
+
+    /** LBA whose data `page` holds, or kInvalidLba if it is invalid. */
+    Lba lbaAt(std::uint32_t page) const
+    {
+        return isValid(page) ? p2l[page] : kInvalidLba;
+    }
 };
 
 class BlockManager
@@ -74,7 +83,8 @@ class BlockManager
         return blocks_.at(block);
     }
 
-    /** Record that `pageInBlock` of `block` now holds `lba`'s data. */
+    /** Record that `pageInBlock` of `block` now holds `lba`'s data
+     *  (`lba` must be below kInvalid32). */
     void markValid(std::uint32_t block, std::uint32_t pageInBlock,
                    Lba lba);
 
@@ -99,8 +109,17 @@ class BlockManager
     /** Wear imbalance: max - min erase count across all blocks. */
     std::uint32_t wearSpread() const;
 
-    /** Fold every block's reverse map, validity, wear and status plus
-     *  the free-list order in. */
+    /**
+     * Verify each block's bookkeeping against its own pages; panics on
+     * violation. Each validCount equals the block's reverse entries,
+     * every entry is below `logicalPages`, a free block holds no valid
+     * page and is on the free list exactly once, and no other block
+     * (retired ones included) is on it.
+     */
+    void checkConsistency(std::uint64_t logicalPages) const;
+
+    /** Fold every block's reverse map, wear and status plus the
+     *  free-list order in. */
     void hashState(StateHash &h) const;
 
   private:

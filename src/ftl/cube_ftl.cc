@@ -20,10 +20,10 @@ CubeFtl::CubeFtl(const ssd::SsdConfig &config,
       features_(features),
       state_(chipCount())
 {
-    const auto &geom = config.chip.geometry;
+    const ParamSlot slot{kInvalid32, std::vector<LeaderParams>(
+                                         geometry().layersPerBlock)};
     for (auto &cs : state_)
-        cs.params.resize(static_cast<std::size_t>(geom.blocksPerChip) *
-                         geom.layersPerBlock);
+        cs.slots.assign(features_.wam ? 3 : 2, slot);
 }
 
 CubeFtl::CubeFtl(const CubeFtl &other, std::vector<ssd::ChipUnit> &chips,
@@ -55,10 +55,14 @@ CubeFtl::hashPolicyState(StateHash &h) const
         h.add(cs.open).add(cs.gcOpen);
         for (const MixedWritePoint *wp : {&cs.host[0], &cs.host[1], &cs.gc})
             h.add(*wp);
-        for (const LeaderParams &p : cs.params) {
-            h.add(p.valid).add(p.skipPlan).add(p.skipPlanUnshifted);
-            h.add(p.vStartAdjMv).add(p.vFinalAdjMv).add(p.leaderBerEp1Norm);
-            h.add(p.expectedMultiplier).add(p.epoch);
+        for (const ParamSlot &slot : cs.slots) {
+            h.add(slot.block);
+            for (const LeaderParams &p : slot.layers) {
+                h.add(p.valid).add(p.skipPlan).add(p.skipPlanUnshifted);
+                h.add(p.vStartAdjMv).add(p.vFinalAdjMv);
+                h.add(p.leaderBerEp1Norm).add(p.expectedMultiplier);
+                h.add(p.epoch);
+            }
         }
     }
     h.add(cubeStats_);
@@ -158,18 +162,15 @@ CubeFtl::finalizeChoice(std::uint32_t chip, const WlChoice &pick)
         choice.monitor = true;
         return choice;
     }
-    auto &cs = state_[chip];
-    const LeaderParams &params =
-        cs.params[paramKey(pick.wl.block, pick.wl.layer)];
+    const LeaderParams *params = leaderParams(chip, pick.wl);
     // Epoch gate on the low 32 bits (the erase count) only: retention
     // advances age leader and follower identically, so parameters stay
     // applicable across them — but never across an erase of the block.
-    const bool epochMatches =
-        static_cast<std::uint32_t>(params.epoch) ==
-        chipModel(chip).eraseCount(pick.wl.block);
-    if (params.valid && epochMatches) {
-        choice.cmd = params.followerCommand(features_.vfySkip,
-                                            features_.windowAdjust);
+    if (params != nullptr && params->valid &&
+        static_cast<std::uint32_t>(params->epoch) ==
+            chipModel(chip).eraseCount(pick.wl.block)) {
+        choice.cmd = params->followerCommand(features_.vfySkip,
+                                             features_.windowAdjust);
         choice.monitor = false;
         ++cubeStats_.followerWithParams;
     } else {
@@ -226,9 +227,36 @@ CubeFtl::onProgramComplete(std::uint32_t chip,
         LeaderParams params = opm_.derive(
             result, chipModel(chip).blockAging(choice.wl.block));
         params.epoch = chipModel(chip).blockEpoch(choice.wl.block);
-        state_[chip].params[paramKey(choice.wl.block, choice.wl.layer)] =
-            params;
+        LeaderParams *cached = leaderParams(chip, choice.wl);
+        if (cached == nullptr)
+            cached = &takeSlot(chip, choice.wl.block)[choice.wl.layer];
+        *cached = params;
     }
+}
+
+LeaderParams *
+CubeFtl::leaderParams(std::uint32_t chip, const nand::WlAddr &wl)
+{
+    for (ParamSlot &slot : state_[chip].slots) {
+        if (slot.block == wl.block)
+            return &slot.layers[wl.layer];
+    }
+    return nullptr;
+}
+
+std::vector<LeaderParams> &
+CubeFtl::takeSlot(std::uint32_t chip, std::uint32_t block)
+{
+    for (ParamSlot &slot : state_[chip].slots) {
+        if (slot.block != kInvalid32 &&
+            blockManager(chip).info(slot.block).isActive)
+            continue;
+        slot.block = block;
+        slot.layers.assign(slot.layers.size(), LeaderParams{});
+        return slot.layers;
+    }
+    panic("CubeFtl: chip %u programs more blocks than it has write "
+          "points", chip);
 }
 
 void
@@ -245,10 +273,10 @@ void
 CubeFtl::onBlockErased(std::uint32_t chip, std::uint32_t block)
 {
     ort_.resetBlock(chip, block);
-    auto &params = state_[chip].params;
-    const std::uint64_t base = paramKey(block, 0);
-    for (std::uint32_t l = 0; l < geometry().layersPerBlock; ++l)
-        params[base + l] = LeaderParams{};
+    for (ParamSlot &slot : state_[chip].slots) {
+        if (slot.block == block)
+            slot.block = kInvalid32;
+    }
 }
 
 void
@@ -278,15 +306,14 @@ CubeFtl::safetyCheck(std::uint32_t chip, const ProgramChoice &choice,
                      const nand::WlProgramResult &result)
 {
     PROF_SCOPE(prof::Slot::FtlOpm);
-    LeaderParams &params =
-        state_[chip].params[paramKey(choice.wl.block, choice.wl.layer)];
-    if (!params.valid)
+    LeaderParams *params = leaderParams(chip, choice.wl);
+    if (params == nullptr || !params->valid)
         return false;
-    if (opm_.needsReprogram(params, result)) {
+    if (opm_.needsReprogram(*params, result)) {
         // The monitored parameters no longer reflect reality (e.g. a
         // sudden operating-condition change); drop them so the
         // re-program is monitored afresh.
-        params = LeaderParams{};
+        *params = LeaderParams{};
         return true;
     }
     return false;

@@ -82,6 +82,13 @@ class CubeFtl : public FtlBase
                      const nand::WlProgramResult &result) override;
 
   private:
+    /** OPM parameters of one block being programmed, per h-layer. */
+    struct ParamSlot
+    {
+        std::uint32_t block = kInvalid32;  ///< kInvalid32: free
+        std::vector<LeaderParams> layers;
+    };
+
     /** Host write points (two active blocks per chip) + one GC point. */
     struct ChipState
     {
@@ -89,17 +96,24 @@ class CubeFtl : public FtlBase
         MixedWritePoint host[2];
         MixedWritePoint gc;
         bool gcOpen = false;
-        /** OPM parameter cache, dense over the chip's h-layers:
-         *  indexed by (block * L + layer), absent = !valid. Flat so
-         *  the program hot path never touches the heap. */
-        std::vector<LeaderParams> params;
+        /** OPM parameter cache: one slot per write point, sized at
+         *  construction so the program path never touches the heap. */
+        std::vector<ParamSlot> slots;
     };
 
-    std::uint64_t paramKey(std::uint32_t block, std::uint32_t layer) const
-    {
-        return static_cast<std::uint64_t>(block) *
-                   geometry().layersPerBlock + layer;
-    }
+    /** Cached parameters of `wl`'s h-layer, or null if its block
+     *  holds no slot (which reads as an invalid entry). */
+    LeaderParams *leaderParams(std::uint32_t chip, const nand::WlAddr &wl);
+
+    /**
+     * Give `block` a slot of invalid entries. A block takes one at its
+     * first monitored completion and needs it until it closes: each
+     * die programs in dispatch order, so a write point's old block
+     * closes before its next block's first completion, and a slot
+     * whose block is no longer active (closed or retired) is free.
+     */
+    std::vector<LeaderParams> &takeSlot(std::uint32_t chip,
+                                        std::uint32_t block);
 
     void ensureOpen(std::uint32_t chip);
     WlChoice pickHostWl(std::uint32_t chip, double mu);

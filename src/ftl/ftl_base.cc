@@ -21,7 +21,6 @@ FtlBase::FtlBase(const ssd::SsdConfig &config,
       codec_(geom_),
       mapping_(config.logicalPages()),
       buffer_(config.writeBufferPages),
-      latestIssued_(config.logicalPages(), 0),
       outstandingFlush_(chips.size(), 0),
       deferredFlushes_(chips.size()),
       gc_(*this)
@@ -46,7 +45,6 @@ FtlBase::FtlBase(const FtlBase &other, std::vector<ssd::ChipUnit> &chips,
       mapping_(other.mapping_),
       blockMgrs_(other.blockMgrs_),
       buffer_(other.buffer_),
-      latestIssued_(other.latestIssued_),
       inFlight_(other.inFlight_),
       outstandingFlush_(other.outstandingFlush_),
       deferredFlushes_(chips.size()),
@@ -88,7 +86,7 @@ FtlBase::hashState(StateHash &h) const
     for (const BlockManager &mgr : blockMgrs_)
         mgr.hashState(h);
     buffer_.hashState(h);
-    h.add(latestIssued_).add(inFlight_.size()).add(outstandingFlush_);
+    h.add(inFlight_.size()).add(outstandingFlush_);
     for (const auto &parked : deferredFlushes_) {
         h.add(parked.size());
         for (std::size_t i = 0; i < parked.size(); ++i)
@@ -408,7 +406,6 @@ FtlBase::processWrite(StalledWrite *write)
             stalled_.push_back(write);
             return;
         }
-        latestIssued_[lba] = version;
         ++stats_.hostWritePages;
         ++write->nextPage;
     }
@@ -735,7 +732,7 @@ FtlBase::retireBlock(std::uint32_t chip, std::uint32_t block)
     std::vector<FlushEntry> pending;
     const auto &info = mgr.info(block);
     for (std::uint32_t i = 0; i < geom_.pagesPerBlock(); ++i) {
-        if (!info.valid[i])
+        if (!info.isValid(i))
             continue;
         pending.push_back(relocationEntry(chip, block, i));
         ++stats_.badBlockRelocations;
@@ -809,7 +806,7 @@ FlushEntry
 FtlBase::relocationEntry(std::uint32_t chip, std::uint32_t block,
                          std::uint32_t pageIdx) const
 {
-    const Lba lba = blockMgrs_[chip].info(block).p2l[pageIdx];
+    const Lba lba = blockMgrs_[chip].info(block).lbaAt(pageIdx);
     const nand::PageAddr addr = pageAddr(block, pageIdx);
     return {lba, chips_[chip].chip().pageToken(addr),
             mapping_.mappedVersion(lba), encodePpa(chip, addr)};
@@ -848,10 +845,10 @@ FtlBase::checkConsistency() const
         const auto [chip, addr] = decodePpa(*ppa);
         const auto &info = blockMgrs_[chip].info(addr.block);
         const std::uint32_t idx = pageInBlock(addr);
-        if (!info.valid[idx])
+        if (!info.isValid(idx))
             panic("consistency: LBA %llu maps to invalid page",
                   static_cast<unsigned long long>(lba));
-        if (info.p2l[idx] != lba)
+        if (info.lbaAt(idx) != lba)
             panic("consistency: P2L mismatch for LBA %llu",
                   static_cast<unsigned long long>(lba));
     }
@@ -862,6 +859,12 @@ FtlBase::checkConsistency() const
         panic("consistency: %llu valid pages vs %llu mapped LBAs",
               static_cast<unsigned long long>(valid),
               static_cast<unsigned long long>(mapped));
+    if (mapping_.mappedCount() != mapped)
+        panic("consistency: mapping counts %llu mapped LBAs, holds %llu",
+              static_cast<unsigned long long>(mapping_.mappedCount()),
+              static_cast<unsigned long long>(mapped));
+    for (const auto &mgr : blockMgrs_)
+        mgr.checkConsistency(mapping_.logicalPages());
 
     // The FTL's wear bookkeeping must track the chips' runtime erase
     // counts — the low half of the aging epoch that gates cached

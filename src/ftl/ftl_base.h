@@ -386,7 +386,6 @@ class FtlBase : public sim::EventHandler, public ssd::NandOpListener
     MappingTable mapping_;
     std::vector<BlockManager> blockMgrs_;
     ssd::WriteBuffer buffer_;
-    std::vector<std::uint64_t> latestIssued_;  ///< per-LBA write version
     FlatMap64<InFlightWrite> inFlight_;  ///< lba -> buffered flush data
     ObjectPool<ReadContext> readCtxPool_;
     ObjectPool<StalledWrite> stalledPool_;

@@ -139,7 +139,7 @@ GcEngine::continueOn(std::uint32_t chip)
     // Issue the next scan read (one outstanding at a time, so host
     // reads can interleave).
     while (!gc.scanDone && gc.outstandingReads == 0) {
-        while (gc.scanIndex < pagesPerBlock && !info.valid[gc.scanIndex])
+        while (gc.scanIndex < pagesPerBlock && !info.isValid(gc.scanIndex))
             ++gc.scanIndex;
         if (gc.scanIndex >= pagesPerBlock) {
             gc.scanDone = true;
@@ -176,7 +176,7 @@ GcEngine::finishScanPage(std::uint32_t chip,
 {
     // Called only from onNandOpComplete, whose FtlGc scope is open.
     auto &gc = gc_[chip];
-    if (!ftl_.blockMgrs_[chip].info(gc.victim).valid[pageInBlockIdx])
+    if (!ftl_.blockMgrs_[chip].info(gc.victim).isValid(pageInBlockIdx))
         return;  // invalidated by a racing host write: nothing to move
     gc.pending.push_back(
         ftl_.relocationEntry(chip, gc.victim, pageInBlockIdx));

@@ -5,43 +5,54 @@
 namespace cubessd::ftl {
 
 MappingTable::MappingTable(std::uint64_t logicalPages)
-    : l2p_(logicalPages, kInvalidPpa), version_(logicalPages, 0)
+    : entries_(logicalPages)
 {
     if (logicalPages == 0)
         fatal("MappingTable: zero logical pages");
 }
 
+void
+MappingTable::checkRange(Lba lba, const char *op) const
+{
+    if (lba >= entries_.size())
+        panic("MappingTable::%s: LBA %llu out of range", op,
+              static_cast<unsigned long long>(lba));
+}
+
 std::optional<Ppa>
 MappingTable::lookup(Lba lba) const
 {
-    if (lba >= l2p_.size())
-        panic("MappingTable::lookup: LBA %llu out of range",
-              static_cast<unsigned long long>(lba));
-    if (l2p_[lba] == kInvalidPpa)
+    checkRange(lba, "lookup");
+    const std::uint32_t ppa = entries_[lba].ppa;
+    if (ppa == kInvalid32)
         return std::nullopt;
-    return l2p_[lba];
+    return ppa;
 }
 
 std::uint64_t
 MappingTable::mappedVersion(Lba lba) const
 {
-    if (lba >= version_.size())
-        panic("MappingTable::mappedVersion: LBA out of range");
-    return version_[lba];
+    checkRange(lba, "mappedVersion");
+    const Entry &e = entries_[lba];
+    return static_cast<std::uint64_t>(e.versionHi) << 32 | e.versionLo;
 }
 
 std::optional<Ppa>
 MappingTable::map(Lba lba, Ppa ppa, std::uint64_t version)
 {
-    if (lba >= l2p_.size())
-        panic("MappingTable::map: LBA out of range");
-    const Ppa old = l2p_[lba];
-    if (old == kInvalidPpa && ppa != kInvalidPpa)
+    checkRange(lba, "map");
+    if (ppa >= kInvalid32)
+        panic("MappingTable::map: PPA %llu does not fit 32 bits",
+              static_cast<unsigned long long>(ppa));
+    Entry &e = entries_[lba];
+    const std::uint32_t old = e.ppa;
+    e = Entry{static_cast<std::uint32_t>(ppa),
+              static_cast<std::uint32_t>(version),
+              static_cast<std::uint32_t>(version >> 32)};
+    if (old == kInvalid32) {
         ++mapped_;
-    l2p_[lba] = ppa;
-    version_[lba] = version;
-    if (old == kInvalidPpa)
         return std::nullopt;
+    }
     return old;
 }
 

@@ -25,7 +25,7 @@ class MappingTable
   public:
     explicit MappingTable(std::uint64_t logicalPages);
 
-    std::uint64_t logicalPages() const { return l2p_.size(); }
+    std::uint64_t logicalPages() const { return entries_.size(); }
 
     /**
      * @return the mapped PPA, or std::nullopt if the LBA was never
@@ -38,7 +38,8 @@ class MappingTable
     std::uint64_t mappedVersion(Lba lba) const;
 
     /**
-     * Point `lba` at `ppa` with `version`.
+     * Point `lba` at `ppa` with `version`. Panics if `ppa` is
+     * kInvalid32 or more, which no validated device reaches.
      * @return the previously mapped PPA (std::nullopt if none), which
      *         the caller must invalidate.
      */
@@ -47,16 +48,29 @@ class MappingTable
     /** Number of currently mapped logical pages. */
     std::uint64_t mappedCount() const { return mapped_; }
 
-    /** Fold both directions of the table in. */
+    /** Fold every entry and the mapped count in. */
     void
     hashState(StateHash &h) const
     {
-        h.add(l2p_).add(version_).add(mapped_);
+        h.add(entries_).add(mapped_);
     }
 
   private:
-    std::vector<Ppa> l2p_;
-    std::vector<std::uint64_t> version_;
+    /** One LBA's PPA and the version of the data there. The 64-bit
+     *  version is split in halves so the entry packs into 12 bytes
+     *  without a packing attribute. */
+    struct Entry
+    {
+        std::uint32_t ppa = kInvalid32;
+        std::uint32_t versionLo = 0;
+        std::uint32_t versionHi = 0;
+    };
+    static_assert(sizeof(Entry) == 12);
+
+    /** Panic, naming `op`, unless `lba` is a logical page. */
+    void checkRange(Lba lba, const char *op) const;
+
+    std::vector<Entry> entries_;
     std::uint64_t mapped_ = 0;
 };
 

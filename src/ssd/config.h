@@ -87,10 +87,11 @@ struct SsdConfig
     /**
      * Check the configuration for contradictions that would otherwise
      * surface as fatal errors deep inside construction: zero geometry,
-     * a logicalFraction outside (0, 1], misordered GC watermarks, a
-     * write buffer smaller than one WL, out-of-range fault
-     * probabilities, or fewer than minSpareBlocks() spare blocks per
-     * chip.
+     * 2^32 - 1 or more physical pages (beyond the FTL's 32-bit page
+     * numbers), a logicalFraction outside (0, 1], misordered GC
+     * watermarks, a write buffer smaller than one WL, out-of-range
+     * fault probabilities, or fewer than minSpareBlocks() spare blocks
+     * per chip.
      *
      * @return an empty string if the configuration is usable, else a
      *         descriptive error message naming the offending field.

@@ -30,6 +30,20 @@ SsdConfig::validate() const
                "pageSizeBytes must all be positive)";
     }
 
+    // The FTL numbers pages and LBAs in 32 bits beside kInvalid32.
+    // Each factor is below 2^32 and the product so far is below
+    // kInvalid32, so no step wraps.
+    std::uint64_t physicalPages = 1;
+    for (const std::uint64_t factor :
+         {channels, chipsPerChannel, geom.blocksPerChip,
+          geom.layersPerBlock, geom.wlsPerLayer, geom.pagesPerWl}) {
+        physicalPages *= factor;
+        if (physicalPages >= kInvalid32)
+            return "the device has 2^32 - 1 or more physical pages; the "
+                   "FTL numbers pages in 32 bits (shrink blocksPerChip "
+                   "or the chip count)";
+    }
+
     if (!(logicalFraction > 0.0) || logicalFraction > 1.0)
         return "logicalFraction must be in (0, 1]";
 

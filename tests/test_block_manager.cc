@@ -66,14 +66,47 @@ TEST_F(BlockManagerTest, ValidAccounting)
     mgr_.markValid(b, 0, 100);
     mgr_.markValid(b, 5, 105);
     EXPECT_EQ(mgr_.info(b).validCount, 2u);
-    EXPECT_EQ(mgr_.info(b).p2l[5], 105u);
+    EXPECT_EQ(mgr_.info(b).lbaAt(5), 105u);
     mgr_.markInvalid(b, 0);
     EXPECT_EQ(mgr_.info(b).validCount, 1u);
-    EXPECT_EQ(mgr_.info(b).p2l[0], kInvalidLba);
+    EXPECT_EQ(mgr_.info(b).lbaAt(0), kInvalidLba);
     // Idempotent double-invalidation.
     mgr_.markInvalid(b, 0);
     EXPECT_EQ(mgr_.info(b).validCount, 1u);
     EXPECT_EQ(mgr_.totalValid(), 1u);
+    EXPECT_FALSE(mgr_.info(b).isValid(0));
+    EXPECT_TRUE(mgr_.info(b).isValid(5));
+    mgr_.markInvalid(b, 5);
+    mgr_.close(b);
+    mgr_.release(b);
+    for (std::uint32_t p = 0; p < tinyGeom().pagesPerBlock(); ++p) {
+        EXPECT_FALSE(mgr_.info(b).isValid(p));
+        EXPECT_EQ(mgr_.info(b).lbaAt(p), kInvalidLba);
+    }
+    mgr_.checkConsistency(1000);
+}
+
+TEST(BlockManagerDeathTest, ConsistencyCheckCatchesCorruptBookkeeping)
+{
+    BlockManager mgr(tinyGeom());
+    const auto b = mgr.allocate();
+    mgr.markValid(b, 2, 9);
+    mgr.retire(mgr.allocate());
+    mgr.checkConsistency(10);
+    EXPECT_DEATH(mgr.checkConsistency(9), "LBA 9 beyond the 9 logical");
+    ++mgr.info(b).validCount;
+    EXPECT_DEATH(mgr.checkConsistency(10), "counts 2 valid pages");
+    --mgr.info(b).validCount;
+    mgr.info(mgr.allocate()).isFree = true;
+    EXPECT_DEATH(mgr.checkConsistency(10),
+                 "free block 2 is on the free list 0 times");
+}
+
+TEST(BlockManagerDeathTest, MarkValidRejectsAnLbaTooWideForTheMap)
+{
+    BlockManager mgr(tinyGeom());
+    EXPECT_DEATH(mgr.markValid(mgr.allocate(), 0, kInvalid32),
+                 "does not fit");
 }
 
 TEST_F(BlockManagerTest, VictimIsLeastValid)

@@ -357,6 +357,23 @@ TEST(ConfigValidate, ReportsDescriptiveErrors)
         c.chip.faults.wearScale = -1.0;
         EXPECT_NE(c.validate().find("wearScale"), std::string::npos);
     }
+    {
+        // 4.6G physical pages: more than the FTL's 32-bit page numbers
+        // hold, and the 32-bit chips-times-pages products would wrap.
+        ssd::SsdConfig c;
+        c.chip.geometry.blocksPerChip = 1000000;
+        EXPECT_NE(c.validate().find("physical pages"), std::string::npos);
+        // 2^32 - 2 pages is the largest device that fits.
+        c.channels = 1;
+        c.chipsPerChannel = 2;
+        c.chip.geometry.blocksPerChip = 1;
+        c.chip.geometry.layersPerBlock = 1;
+        c.chip.geometry.wlsPerLayer = 1;
+        c.chip.geometry.pagesPerWl = 0x7fffffff;
+        EXPECT_EQ(c.validate().find("physical pages"), std::string::npos);
+        c.chip.geometry.pagesPerWl = 0x80000000;
+        EXPECT_NE(c.validate().find("physical pages"), std::string::npos);
+    }
 }
 
 TEST(ConfigValidateDeathTest, SsdConstructorRejectsInvalidConfig)

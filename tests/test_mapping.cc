@@ -42,11 +42,32 @@ TEST(Mapping, MappedCountTracksFirstMapping)
     EXPECT_EQ(map.mappedCount(), 2u);
 }
 
+TEST(Mapping, WideVersionAndLargestPpaRoundTrip)
+{
+    // The entry keeps the version in two 32-bit halves and the PPA in
+    // 32 bits beside the sentinel.
+    MappingTable map(10);
+    const std::uint64_t version = (std::uint64_t{1} << 40) + 7;
+    const Ppa ppa = kInvalid32 - 1;
+    EXPECT_EQ(map.map(4, ppa, version), std::nullopt);
+    EXPECT_EQ(map.lookup(4), ppa);
+    EXPECT_EQ(map.mappedVersion(4), version);
+    EXPECT_EQ(map.map(4, 5, version + 1), ppa);
+    EXPECT_EQ(map.mappedVersion(4), version + 1);
+}
+
 TEST(MappingDeathTest, OutOfRangePanics)
 {
     MappingTable map(10);
     EXPECT_DEATH(map.lookup(10), "out of range");
     EXPECT_DEATH(map.map(11, 0, 1), "out of range");
+}
+
+TEST(MappingDeathTest, PpaTooWideForAnEntryPanics)
+{
+    MappingTable map(10);
+    EXPECT_DEATH(map.map(1, kInvalid32, 1), "does not fit 32 bits");
+    EXPECT_DEATH(map.map(1, Ppa{1} << 32, 1), "does not fit 32 bits");
 }
 
 }  // namespace

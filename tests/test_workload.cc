@@ -22,12 +22,14 @@ TEST(Workload, AllSpecsWellFormed)
         EXPECT_LE(spec.readFraction, 1.0);
         EXPECT_GE(spec.minPages, 1u);
         EXPECT_GE(spec.maxPages, spec.minPages);
-        if (spec.maxWritePages != 0)
+        if (spec.maxWritePages != 0) {
             EXPECT_GE(spec.maxWritePages, spec.minWritePages);
+        }
         EXPECT_GT(spec.workingSetFraction, 0.0);
         EXPECT_LE(spec.workingSetFraction, 1.0);
-        if (spec.burstLength > 0)
+        if (spec.burstLength > 0) {
             EXPECT_GT(spec.interBurstGap, 0u);
+        }
     }
 }
 

@@ -6,7 +6,8 @@
  * wrapper and asserts the zero-allocation contract of the event/
  * request pipeline: after a warm-up phase has grown every pool, map
  * and ring to its working-set size, driving further events through
- * the device performs NO heap allocations at all.
+ * the device performs NO heap allocations at all. It also bounds the
+ * bytes a device allocates when it is built.
  *
  * Kept as its own executable (see tests/CMakeLists.txt) so the
  * operator new/delete overrides cannot interfere with the main test
@@ -32,6 +33,7 @@ namespace {
 // Not atomic: the simulator is single-threaded and gtest does not
 // allocate concurrently with the measured regions.
 std::uint64_t gAllocCount = 0;
+std::uint64_t gAllocBytes = 0;
 
 }  // namespace
 
@@ -39,6 +41,7 @@ void *
 operator new(std::size_t size)
 {
     ++gAllocCount;
+    gAllocBytes += size;
     if (void *p = std::malloc(size ? size : 1))
         return p;
     throw std::bad_alloc{};
@@ -54,6 +57,7 @@ void *
 operator new(std::size_t size, std::align_val_t align)
 {
     ++gAllocCount;
+    gAllocBytes += size;
     if (void *p = std::aligned_alloc(static_cast<std::size_t>(align),
                                      (size + static_cast<std::size_t>(align) - 1) &
                                          ~(static_cast<std::size_t>(align) - 1)))
@@ -117,6 +121,34 @@ operator delete[](void *p, std::size_t, std::align_val_t) noexcept
 
 namespace cubessd {
 namespace {
+
+TEST(ZeroAlloc, ConstructionBytesPerPhysicalPage)
+{
+    // Device-sized state is per LBA (the 12-byte mapping entry), per
+    // page (4-byte reverse map, NAND data token), per WL (term cache,
+    // program state) and per h-layer (ORT): 39.3-40.4 bytes per
+    // physical page at these sizes. Another 4-byte per-page or per-LBA
+    // array, or leader parameters kept for every h-layer, crosses the
+    // bound.
+    constexpr double kMaxBytesPerPage = 42.0;
+    for (const ssd::FtlKind kind :
+         {ssd::FtlKind::Page, ssd::FtlKind::Vert, ssd::FtlKind::Cube}) {
+        for (const std::uint32_t blocks : {96u, 428u}) {
+            ssd::SsdConfig config;
+            config.chip.geometry.blocksPerChip = blocks;
+            config.ftl = kind;
+            const std::uint64_t before = gAllocBytes;
+            { const ssd::Ssd dev(config); }
+            const double perPage =
+                static_cast<double>(gAllocBytes - before) /
+                static_cast<double>(config.totalChips() *
+                                    config.chip.geometry.pagesPerChip());
+            EXPECT_LE(perPage, kMaxBytesPerPage)
+                << ssd::ftlKindName(kind) << " at " << blocks
+                << " blocks per chip";
+        }
+    }
+}
 
 /** Typed self-rescheduling actor (the micro hot path). */
 struct PingActor final : sim::EventHandler
