@@ -11,6 +11,10 @@
  *
  * The free list is a pointer stack whose capacity is re-reserved on
  * every chunk growth, so release() itself never allocates.
+ *
+ * A copy is an empty pool: the objects are scratch space of their
+ * owner, and a pool is only copied when none is in use (a drained
+ * device; anything else panics).
  */
 
 #ifndef CUBESSD_COMMON_POOL_H
@@ -20,12 +24,25 @@
 #include <memory>
 #include <vector>
 
+#include "src/common/logging.h"
+
 namespace cubessd {
 
 template <typename T, std::size_t ChunkSize = 64>
 class ObjectPool
 {
   public:
+    ObjectPool() = default;
+
+    ObjectPool(const ObjectPool &other)
+    {
+        if (other.inUse() != 0)
+            panic("ObjectPool: cannot copy a pool with %zu objects in use",
+                  other.inUse());
+    }
+
+    ObjectPool &operator=(const ObjectPool &) = delete;
+
     /** Take an object (recycled or fresh); fields hold whatever the
      *  previous user left — callers must set what they read. */
     T *

@@ -49,7 +49,6 @@
 #include "src/ftl/ftl_base.h"
 #include "src/ftl/page_ftl.h"
 #include "src/ftl/program_order.h"
-#include "src/ftl/vert_ftl.h"
 #include "src/metrics/histogram.h"
 #include "src/metrics/json.h"
 #include "src/metrics/report.h"

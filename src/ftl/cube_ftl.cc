@@ -6,14 +6,11 @@
 
 namespace cubessd::ftl {
 
-CubeFtl::CubeFtl(const ssd::SsdConfig &config,
-                 std::vector<ssd::ChipUnit> &chips,
-                 sim::EventQueue &queue, const OpmConfig &opmConfig,
+CubeFtl::CubeFtl(const ssd::SsdConfig &config, const nand::NandChip &model,
                  const ssd::CubeFeatures &features)
-    : FtlBase(config, chips, queue),
-      opm_(opmConfig, chips.front().chip().errors(),
-           chips.front().chip().ecc(),
-           chips.front().chip().ispp().config().deltaVMv),
+    : FtlBase(config),
+      opm_(OpmConfig{}, model.errors(), model.ecc(),
+           model.ispp().config().deltaVMv),
       wam_(config.bufferHighWatermark),
       ort_(chipCount(), config.chip.geometry.blocksPerChip,
            config.chip.geometry.layersPerBlock),
@@ -26,25 +23,10 @@ CubeFtl::CubeFtl(const ssd::SsdConfig &config,
         cs.slots.assign(features_.wam ? 3 : 2, slot);
 }
 
-CubeFtl::CubeFtl(const CubeFtl &other, std::vector<ssd::ChipUnit> &chips,
-                 sim::EventQueue &queue)
-    : FtlBase(other, chips, queue),
-      opm_(other.opm_.config(), chips.front().chip().errors(),
-           chips.front().chip().ecc(),
-           chips.front().chip().ispp().config().deltaVMv),
-      wam_(other.wam_),
-      ort_(other.ort_),
-      features_(other.features_),
-      state_(other.state_),
-      cubeStats_(other.cubeStats_)
-{
-}
-
 std::unique_ptr<FtlBase>
-CubeFtl::clone(std::vector<ssd::ChipUnit> &chips,
-               sim::EventQueue &queue) const
+CubeFtl::clone() const
 {
-    return std::unique_ptr<FtlBase>(new CubeFtl(*this, chips, queue));
+    return std::make_unique<CubeFtl>(*this);
 }
 
 void

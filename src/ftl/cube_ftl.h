@@ -41,13 +41,16 @@ struct CubeFtlStats
 class CubeFtl : public FtlBase
 {
   public:
-    CubeFtl(const ssd::SsdConfig &config,
-            std::vector<ssd::ChipUnit> &chips, sim::EventQueue &queue,
-            const OpmConfig &opmConfig = {},
+    /**
+     * @param model chip 0's model, whose error, ECC and ISPP models
+     *        set up the OPM (every chip shares their configuration).
+     * @param features technique switches (config.cubeFeatures for a
+     *        device).
+     */
+    CubeFtl(const ssd::SsdConfig &config, const nand::NandChip &model,
             const ssd::CubeFeatures &features = {});
 
-    std::unique_ptr<FtlBase> clone(std::vector<ssd::ChipUnit> &chips,
-                                   sim::EventQueue &queue) const override;
+    std::unique_ptr<FtlBase> clone() const override;
 
     const ssd::CubeFeatures &features() const { return features_; }
     const Ort &ort() const { return ort_; }
@@ -58,10 +61,6 @@ class CubeFtl : public FtlBase
     void registerCounters(trace::CounterRegistry &reg) override;
 
   protected:
-    /** Copy of idle `other` for clone(). */
-    CubeFtl(const CubeFtl &other, std::vector<ssd::ChipUnit> &chips,
-            sim::EventQueue &queue);
-
     void hashPolicyState(StateHash &h) const override;
 
     ProgramChoice chooseProgramTarget(std::uint32_t chip, bool forGc,

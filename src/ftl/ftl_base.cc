@@ -11,72 +11,32 @@
 
 namespace cubessd::ftl {
 
-FtlBase::FtlBase(const ssd::SsdConfig &config,
-                 std::vector<ssd::ChipUnit> &chips,
-                 sim::EventQueue &queue)
+FtlBase::FtlBase(const ssd::SsdConfig &config)
     : config_(config),
-      chips_(chips),
-      queue_(queue),
       geom_(config.chip.geometry),
       codec_(geom_),
       mapping_(config.logicalPages()),
       buffer_(config.writeBufferPages),
-      outstandingFlush_(chips.size(), 0),
-      deferredFlushes_(chips.size()),
-      gc_(*this)
+      outstandingFlush_(config.totalChips(), 0),
+      deferredFlushes_(config.totalChips()),
+      gc_(config.totalChips(), geom_.pagesPerBlock())
 {
     // Ssd validates first; this guards direct construction.
     if (const std::string err = config_.validate(); !err.empty())
         fatal("FtlBase: invalid configuration: %s", err.c_str());
-    blockMgrs_.reserve(chips_.size());
-    for (std::size_t i = 0; i < chips_.size(); ++i)
+    blockMgrs_.reserve(chipCount());
+    for (std::uint32_t i = 0; i < chipCount(); ++i)
         blockMgrs_.emplace_back(geom_);
 
     popScratch_.reserve(geom_.pagesPerWl);
 }
 
-FtlBase::FtlBase(const FtlBase &other, std::vector<ssd::ChipUnit> &chips,
-                 sim::EventQueue &queue)
-    : config_(other.config_),
-      chips_(chips),
-      queue_(queue),
-      geom_(other.geom_),
-      codec_(other.codec_),
-      mapping_(other.mapping_),
-      blockMgrs_(other.blockMgrs_),
-      buffer_(other.buffer_),
-      inFlight_(other.inFlight_),
-      outstandingFlush_(other.outstandingFlush_),
-      deferredFlushes_(chips.size()),
-      gc_(other.gc_, *this),
-      flushCursor_(other.flushCursor_),
-      versionCounter_(other.versionCounter_),
-      drainMode_(other.drainMode_),
-      readOnly_(other.readOnly_),
-      stats_(other.stats_)
-{
-    popScratch_.reserve(geom_.pagesPerWl);
-    // Parked batches are state, not traffic: they wait for a free
-    // block that only GC can return.
-    for (std::size_t c = 0; c < chips.size(); ++c) {
-        const auto &parked = other.deferredFlushes_[c];
-        for (std::size_t i = 0; i < parked.size(); ++i) {
-            FlushBatch *batch = batchPool_.acquire();
-            *batch = *parked[i];
-            deferredFlushes_[c].push_back(batch);
-        }
-    }
-}
-
 bool
 FtlBase::idle() const
 {
-    std::size_t parked = 0;
-    for (const auto &chipParked : deferredFlushes_)
-        parked += chipParked.size();
     return buffer_.empty() && stalled_.empty() &&
            readCtxPool_.inUse() == 0 && stalledPool_.inUse() == 0 &&
-           batchPool_.inUse() == parked;
+           batchPool_.inUse() == 0;
 }
 
 void
@@ -87,11 +47,8 @@ FtlBase::hashState(StateHash &h) const
         mgr.hashState(h);
     buffer_.hashState(h);
     h.add(inFlight_.size()).add(outstandingFlush_);
-    for (const auto &parked : deferredFlushes_) {
-        h.add(parked.size());
-        for (std::size_t i = 0; i < parked.size(); ++i)
-            h.add(parked[i]->chip).add(parked[i]->entries);
-    }
+    for (const auto &parked : deferredFlushes_)
+        h.add(parked);
     gc_.hashState(h);
     h.add(flushCursor_).add(versionCounter_).add(drainMode_);
     h.add(readOnly_).add(stats_);
@@ -108,7 +65,7 @@ void
 FtlBase::setTrace(trace::TraceSession *session, std::uint32_t track,
                   std::vector<std::uint32_t> gcTracks)
 {
-    if (session != nullptr && gcTracks.size() != chips_.size())
+    if (session != nullptr && gcTracks.size() != chipCount())
         fatal("FtlBase::setTrace: need one GC track per chip");
     trace_ = session;
     traceTrack_ = track;
@@ -208,8 +165,8 @@ FtlBase::scheduleCompletion(ssd::CompletionSink *sink,
     payload.requestComplete.type = static_cast<std::uint8_t>(type);
     payload.requestComplete.status = static_cast<std::uint8_t>(status);
     payload.requestComplete.bufferPhase = bufferPhase;
-    queue_.schedule(delay, sim::EventKind::RequestComplete, this,
-                    payload);
+    queue_->schedule(delay, sim::EventKind::RequestComplete, this,
+                     payload);
 }
 
 void
@@ -229,7 +186,7 @@ FtlBase::onEvent(sim::EventKind kind, const sim::EventPayload &payload)
     c.type = static_cast<ssd::IoType>(rc.type);
     c.pages = rc.pages;
     c.arrival = rc.arrival;
-    c.finish = queue_.now();
+    c.finish = queue_->now();
     c.status = static_cast<ssd::Status>(rc.status);
     // Writes complete at the DRAM buffer; any extra latency is stall
     // time waiting for flushes (the unattributed remainder).
@@ -279,9 +236,9 @@ FtlBase::hostRead(const ssd::HostRequest &req, ssd::CompletionSink *sink,
             ctx->phases.buffer += config_.bufferReadTime;
             sim::EventPayload payload;
             payload.readPiece.ctx = ctx;
-            queue_.schedule(config_.bufferReadTime,
-                            sim::EventKind::ReadPieceDone, this,
-                            payload);
+            queue_->schedule(config_.bufferReadTime,
+                             sim::EventKind::ReadPieceDone, this,
+                             payload);
             continue;
         }
         if (!ppa) {
@@ -289,9 +246,9 @@ FtlBase::hostRead(const ssd::HostRequest &req, ssd::CompletionSink *sink,
             ctx->phases.buffer += config_.bufferReadTime;
             sim::EventPayload payload;
             payload.readPiece.ctx = ctx;
-            queue_.schedule(config_.bufferReadTime,
-                            sim::EventKind::ReadPieceDone, this,
-                            payload);
+            queue_->schedule(config_.bufferReadTime,
+                             sim::EventKind::ReadPieceDone, this,
+                             payload);
             continue;
         }
 
@@ -306,7 +263,7 @@ FtlBase::hostRead(const ssd::HostRequest &req, ssd::CompletionSink *sink,
         op.ctx = reinterpret_cast<std::uint64_t>(ctx);
         op.chip = chip;
         ++stats_.nandReads;
-        chips_[chip].enqueue(op);
+        units_[chip].enqueue(op);
     }
 }
 
@@ -322,7 +279,7 @@ FtlBase::finishReadPiece(ReadContext *ctx)
     c.type = ssd::IoType::Read;
     c.pages = ctx->pages;
     c.arrival = ctx->arrival;
-    c.finish = queue_.now();
+    c.finish = queue_->now();
     c.status = ctx->status;
     c.phases = ctx->phases;
     ssd::CompletionSink *sink = ctx->sink;
@@ -336,6 +293,10 @@ void
 FtlBase::onNandOpComplete(const ssd::NandOp &op,
                           const ssd::NandOpResult &result)
 {
+    if (op.tagGc && op.kind != ssd::NandOp::Kind::Program) {
+        gc_.onNandOpComplete(*this, op, result);  // scan read or erase
+        return;
+    }
     if (op.kind == ssd::NandOp::Kind::Read) {
         auto *ctx = reinterpret_cast<ReadContext *>(op.ctx);
         stats_.readRetries +=
@@ -399,7 +360,7 @@ FtlBase::processWrite(StalledWrite *write)
             ++stats_.writeStalls;
             if (trace_ != nullptr)
                 trace_->instant(
-                    traceTrack_, "write_stall", queue_.now(),
+                    traceTrack_, "write_stall", queue_->now(),
                     {{"lba", static_cast<std::int64_t>(lba)},
                      {"stalled_requests",
                       static_cast<std::int64_t>(stalled_.size() + 1)}});
@@ -484,16 +445,16 @@ FtlBase::maybeFlush()
         // Find a chip without an outstanding host flush. Chips that
         // are urgently low on free blocks are skipped (backpressure):
         // their remaining blocks are reserved for GC to make progress.
-        std::uint32_t chip = chips_.size();
-        for (std::uint32_t i = 0; i < chips_.size(); ++i) {
-            const std::uint32_t c =
-                (flushCursor_ + i) % chips_.size();
+        const std::uint32_t chips = chipCount();
+        std::uint32_t chip = chips;
+        for (std::uint32_t i = 0; i < chips; ++i) {
+            const std::uint32_t c = (flushCursor_ + i) % chips;
             if (blockMgrs_[c].freeCount() <= config_.gcUrgentWatermark) {
                 // Hold host flushes back only while GC can actually
                 // make progress there; if nothing is collectable
                 // (e.g. a pure sequential fill has no invalid pages)
                 // the flush must proceed or the device deadlocks.
-                gc_.maybeStart(c);
+                gc_.maybeStart(*this, c);
                 if (gc_.active(c))
                     continue;
             }
@@ -502,9 +463,9 @@ FtlBase::maybeFlush()
                 break;
             }
         }
-        if (chip == chips_.size())
+        if (chip == chips)
             break;
-        flushCursor_ = (chip + 1) % chips_.size();
+        flushCursor_ = (chip + 1) % chips;
 
         popScratch_.clear();
         buffer_.popOldest(geom_.pagesPerWl, popScratch_);
@@ -546,8 +507,11 @@ FtlBase::dispatchFlush(FlushBatch *batch)
         ++stats_.flushDeferrals;
         if (trace_ != nullptr)
             trace_->instant(traceTrack_, "flush_deferred",
-                            queue_.now(), {{"chip", chip}});
-        deferredFlushes_[chip].push_back(batch);
+                            queue_->now(), {{"chip", chip}});
+        auto &parked = deferredFlushes_[chip];
+        parked.insert(parked.end(), batch->entries.begin(),
+                      batch->entries.end());
+        batchPool_.release(batch);
         return;
     }
 
@@ -579,7 +543,7 @@ FtlBase::dispatchFlush(FlushBatch *batch)
     op.listener = this;
     op.ctx = reinterpret_cast<std::uint64_t>(batch);
     op.chip = chip;
-    chips_[chip].enqueue(op);
+    units_[chip].enqueue(op);
 }
 
 void
@@ -609,11 +573,11 @@ FtlBase::handleProgramComplete(FlushBatch *batch,
         }
         ++stats_.flushReplays;
         if (trace_ != nullptr)
-            trace_->instant(traceTrack_, "flush_replay", queue_.now(),
+            trace_->instant(traceTrack_, "flush_replay", queue_->now(),
                             {{"chip", chip},
                              {"block", choice.wl.block}});
         dispatchFlush(batch);  // reuses the node and its entries
-        gc_.maybeStart(chip);
+        gc_.maybeStart(*this, chip);
         return;
     }
 
@@ -639,12 +603,12 @@ FtlBase::handleProgramComplete(FlushBatch *batch,
         ++stats_.safetyReprograms;
         if (trace_ != nullptr)
             trace_->instant(traceTrack_, "safety_reprogram",
-                            queue_.now(),
+                            queue_->now(),
                             {{"chip", chip},
                              {"block", choice.wl.block},
                              {"layer", choice.wl.layer}});
         dispatchFlush(batch);
-        gc_.maybeStart(chip);
+        gc_.maybeStart(*this, chip);
         return;
     }
 
@@ -653,11 +617,11 @@ FtlBase::handleProgramComplete(FlushBatch *batch,
     onProgramComplete(chip, choice, result.program);
 
     if (forGc) {
-        gc_.resume(chip);
+        gc_.resume(*this, chip);
     } else {
         retryStalledWrites();
     }
-    gc_.maybeStart(chip);
+    gc_.maybeStart(*this, chip);
     maybeFlush();
 }
 
@@ -718,7 +682,7 @@ FtlBase::retireBlock(std::uint32_t chip, std::uint32_t block)
     mgr.retire(block);
     ++stats_.retiredBlocks;
     if (trace_ != nullptr)
-        trace_->instant(traceTrack_, "block_retired", queue_.now(),
+        trace_->instant(traceTrack_, "block_retired", queue_->now(),
                         {{"chip", chip}, {"block", block}});
     onBlockRetired(chip, block);
 
@@ -769,7 +733,7 @@ FtlBase::checkReadOnly(std::uint32_t chip)
         retired + config_.minSpareBlocks()) {
         readOnly_ = true;
         if (trace_ != nullptr)
-            trace_->instant(traceTrack_, "read_only", queue_.now(),
+            trace_->instant(traceTrack_, "read_only", queue_->now(),
                             {{"chip", chip},
                              {"retired",
                               static_cast<std::int64_t>(retired)}});
@@ -779,10 +743,14 @@ FtlBase::checkReadOnly(std::uint32_t chip)
 void
 FtlBase::retryDeferredFlushes(std::uint32_t chip)
 {
-    while (!deferredFlushes_[chip].empty() &&
-           blockMgrs_[chip].freeCount() > 0) {
-        FlushBatch *batch = deferredFlushes_[chip].front();
-        deferredFlushes_[chip].pop_front();
+    auto &parked = deferredFlushes_[chip];
+    const auto wl = static_cast<std::ptrdiff_t>(geom_.pagesPerWl);
+    while (!parked.empty() && blockMgrs_[chip].freeCount() > 0) {
+        FlushBatch *batch = batchPool_.acquire();
+        batch->entries.assign(parked.begin(), parked.begin() + wl);
+        parked.erase(parked.begin(), parked.begin() + wl);
+        batch->chip = chip;
+        batch->forGc = false;
         dispatchFlush(batch);
     }
 }
@@ -792,11 +760,11 @@ FtlBase::retryDeferredFlushes(std::uint32_t chip)
 // ---------------------------------------------------------------------
 
 void
-FtlBase::gcProgram(std::uint32_t chip,
-                   const std::vector<FlushEntry> &batch)
+FtlBase::gcProgram(std::uint32_t chip, std::span<const FlushEntry> batch)
 {
     FlushBatch *b = batchPool_.acquire();
     b->entries.assign(batch.begin(), batch.end());
+    b->entries.resize(geom_.pagesPerWl);  // padding stays invalid
     b->chip = chip;
     b->forGc = true;
     dispatchFlush(b);
@@ -808,7 +776,7 @@ FtlBase::relocationEntry(std::uint32_t chip, std::uint32_t block,
 {
     const Lba lba = blockMgrs_[chip].info(block).lbaAt(pageIdx);
     const nand::PageAddr addr = pageAddr(block, pageIdx);
-    return {lba, chips_[chip].chip().pageToken(addr),
+    return {lba, units_[chip].chip().pageToken(addr),
             mapping_.mappedVersion(lba), encodePpa(chip, addr)};
 }
 
@@ -829,7 +797,7 @@ FtlBase::peek(Lba lba) const
     if (!ppa)
         return std::nullopt;
     const auto [chip, addr] = decodePpa(*ppa);
-    return chips_[chip].chip().pageToken(addr);
+    return units_[chip].chip().pageToken(addr);
 }
 
 void
@@ -874,9 +842,9 @@ FtlBase::checkConsistency() const
     // event (release). Retired blocks are exempt: a failed erase still
     // bumps the chip counter, but the block never returns through
     // release().
-    for (std::uint32_t chip = 0; chip < chips_.size(); ++chip) {
+    for (std::uint32_t chip = 0; chip < chipCount(); ++chip) {
         const auto &mgr = blockMgrs_[chip];
-        const auto &model = chips_[chip].chip();
+        const auto &model = units_[chip].chip();
         for (std::uint32_t b = 0; b < geometry().blocksPerChip; ++b) {
             const BlockInfo &info = mgr.info(b);
             if (info.isBad)

@@ -22,6 +22,10 @@
  * parked writes and flush batches live in free-list pools, completions
  * travel as typed events / CompletionSink calls, the in-flight index
  * is a flat hash map, and NAND completions arrive via NandOpListener.
+ *
+ * An FTL is a plain value. Its two links, the device's chip units and
+ * event queue, are set by wire(); a copy (clone()) carries every
+ * structure and counter and is wired to its own device.
  */
 
 #ifndef CUBESSD_FTL_FTL_BASE_H
@@ -30,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/common/flat_map.h"
@@ -65,25 +70,28 @@ struct ProgramChoice
 class FtlBase : public sim::EventHandler, public ssd::NandOpListener
 {
   public:
-    FtlBase(const ssd::SsdConfig &config,
-            std::vector<ssd::ChipUnit> &chips, sim::EventQueue &queue);
+    /** An FTL for `config`'s chips; wire() it before submitting. */
+    explicit FtlBase(const ssd::SsdConfig &config);
     virtual ~FtlBase() = default;
 
-    FtlBase(const FtlBase &) = delete;
     FtlBase &operator=(const FtlBase &) = delete;
 
-    /**
-     * Copy of this idle FTL (see idle()) with every structure and
-     * counter, driving another device's `chips` through `queue`
-     * (Ssd's copy). No trace attachment is copied.
-     */
-    virtual std::unique_ptr<FtlBase>
-    clone(std::vector<ssd::ChipUnit> &chips,
-          sim::EventQueue &queue) const = 0;
+    /** Link the FTL to the device's chip units (one per chip) and
+     *  event queue. */
+    void
+    wire(std::vector<ssd::ChipUnit> &units, sim::EventQueue &queue)
+    {
+        units_ = units;
+        queue_ = &queue;
+    }
+
+    /** Copy of this idle FTL (see idle()): every structure, counter and
+     *  link. The copy must be wired to its own device. */
+    virtual std::unique_ptr<FtlBase> clone() const = 0;
 
     /** Nothing buffered, stalled or in flight: every pooled read
-     *  context and stalled write is free, and every flush batch in use
-     *  is one parked for want of a free block. */
+     *  context, stalled write and flush batch is free (batches parked
+     *  for want of a free block are held by value, not pooled). */
     bool idle() const;
 
     /** Fold the mapping, block managers, buffer, GC engine, policy
@@ -116,7 +124,7 @@ class FtlBase : public sim::EventHandler, public ssd::NandOpListener
     bool readOnly() const { return readOnly_; }
 
     const FtlStats &stats() const { return stats_; }
-    GcStats gcStats() const { return gc_.stats(); }
+    GcStats gcStats() const { return gc_.stats(*this); }
     const GcEngine &gc() const { return gc_; }
     const ssd::WriteBuffer &buffer() const { return buffer_; }
     const MappingTable &mapping() const { return mapping_; }
@@ -151,14 +159,14 @@ class FtlBase : public sim::EventHandler, public ssd::NandOpListener
     void onEvent(sim::EventKind kind,
                  const sim::EventPayload &payload) override;
 
-    /** ssd::NandOpListener: host reads and flush programs complete. */
+    /** ssd::NandOpListener: host reads and flush programs complete
+     *  here, and GC scan reads and erases pass on to the GC engine. */
     void onNandOpComplete(const ssd::NandOp &op,
                           const ssd::NandOpResult &result) override;
 
   protected:
-    /** Copy of idle `other` for clone(), bound to `chips` and `queue`. */
-    FtlBase(const FtlBase &other, std::vector<ssd::ChipUnit> &chips,
-            sim::EventQueue &queue);
+    /** For clone(): protected, so a copy cannot slice. */
+    FtlBase(const FtlBase &) = default;
 
     /** Fold the policy's own state (write points, caches) in. */
     virtual void hashPolicyState(StateHash &h) const { (void)h; }
@@ -252,16 +260,12 @@ class FtlBase : public sim::EventHandler, public ssd::NandOpListener
     const nand::NandChip &
     chipModel(std::uint32_t chip) const
     {
-        return chips_.at(chip).chip();
+        return units_[chip].chip();
     }
 
     const ssd::SsdConfig &config() const { return config_; }
-    std::uint32_t chipCount() const
-    {
-        return static_cast<std::uint32_t>(chips_.size());
-    }
+    std::uint32_t chipCount() const { return config_.totalChips(); }
     const nand::NandGeometry &geometry() const { return geom_; }
-    sim::EventQueue &queue() { return queue_; }
 
   private:
     friend class GcEngine;
@@ -354,9 +358,8 @@ class FtlBase : public sim::EventHandler, public ssd::NandOpListener
     void retryDeferredFlushes(std::uint32_t chip);
 
     /** Program one WL of GC relocations through the flush path (the
-     *  batch is copied). */
-    void gcProgram(std::uint32_t chip,
-                   const std::vector<FlushEntry> &batch);
+     *  entries are copied; a short batch is padded to a full WL). */
+    void gcProgram(std::uint32_t chip, std::span<const FlushEntry> batch);
 
     /**
      * The relocation of valid page `pageIdx` of `block` on `chip`: its
@@ -378,8 +381,8 @@ class FtlBase : public sim::EventHandler, public ssd::NandOpListener
                             std::uint32_t pageIdx) const;
 
     ssd::SsdConfig config_;
-    std::vector<ssd::ChipUnit> &chips_;
-    sim::EventQueue &queue_;
+    std::span<ssd::ChipUnit> units_;    ///< link, set by wire()
+    sim::EventQueue *queue_ = nullptr;  ///< link, set by wire()
     nand::NandGeometry geom_;
     nand::AddressCodec codec_;
 
@@ -396,12 +399,14 @@ class FtlBase : public sim::EventHandler, public ssd::NandOpListener
      *  maybeFlush throttle); bad-block relocations can push it higher
      *  transiently, hence a count rather than a flag. */
     std::vector<std::uint32_t> outstandingFlush_;
-    /** Host-path batches parked because the chip had no free block to
-     *  land them on (cascading retirement under fault injection).
-     *  Retried whenever GC returns a block to the free list; empty in
-     *  fault-free operation. */
-    std::vector<RingDeque<FlushBatch *>> deferredFlushes_;
-    GcEngine gc_;  ///< after chips_ and geom_, which it reads
+    /** Entries of host-path batches parked because the chip had no
+     *  free block to land them on (cascading retirement under fault
+     *  injection), one WL's worth per batch, oldest first. Retried
+     *  whenever GC returns a block to the free list; empty in
+     *  fault-free operation. Parking appends and replaying copies
+     *  out, so once warm the path allocates nothing. */
+    std::vector<std::vector<FlushEntry>> deferredFlushes_;
+    GcEngine gc_;
     std::uint32_t flushCursor_ = 0;
     std::uint64_t versionCounter_ = 0;
     bool drainMode_ = false;

@@ -9,37 +9,17 @@
 
 namespace cubessd::ftl {
 
-GcEngine::GcEngine(FtlBase &ftl)
-    : ftl_(ftl),
-      gc_(ftl.chips_.size())
+GcEngine::GcEngine(std::uint32_t chips, std::uint32_t pagesPerBlock)
+    : gc_(chips)
 {
-    reserveScratch();
-}
-
-GcEngine::GcEngine(const GcEngine &other, FtlBase &ftl)
-    : ftl_(ftl),
-      gc_(other.gc_),
-      scanReads_(other.scanReads_),
-      programs_(other.programs_),
-      programLatencySum_(other.programLatencySum_)
-{
-    // A vector copy does not keep capacity; restore the reservations.
-    reserveScratch();
-}
-
-void
-GcEngine::reserveScratch()
-{
-    // Worst case per collection: every page of the victim is valid.
     for (auto &gc : gc_)
-        gc.pending.reserve(ftl_.geom_.pagesPerBlock());
-    batchScratch_.reserve(ftl_.geom_.pagesPerWl);
+        gc.pending.resize(pagesPerBlock);
 }
 
 GcStats
-GcEngine::stats() const
+GcEngine::stats(const FtlBase &ftl) const
 {
-    const FtlStats &s = ftl_.stats_;
+    const FtlStats &s = ftl.stats_;
     return {s.gcCollections, s.gcRelocatedPages, s.erases,
             scanReads_,      programs_,          programLatencySum_};
 }
@@ -50,7 +30,9 @@ GcEngine::hashState(StateHash &h) const
     for (const ChipState &gc : gc_) {
         h.add(gc.active).add(gc.victim).add(gc.scanIndex);
         h.add(gc.outstandingReads).add(gc.outstandingPrograms);
-        h.add(gc.scanDone).add(gc.erasing).add(gc.pending);
+        h.add(gc.scanDone).add(gc.erasing).add(gc.head).add(gc.tail);
+        for (const FlushEntry &e : gc.waiting())
+            h.add(e);
     }
     h.add(scanReads_).add(programs_).add(programLatencySum_);
 }
@@ -62,21 +44,21 @@ GcEngine::setTracks(std::vector<std::uint32_t> tracks)
 }
 
 void
-GcEngine::traceCollectionBegin(std::uint32_t chip)
+GcEngine::traceCollectionBegin(FtlBase &ftl, std::uint32_t chip)
 {
-    if (ftl_.trace_ == nullptr)
+    if (ftl.trace_ == nullptr)
         return;
     const auto &gc = gc_[chip];
-    const auto &mgr = ftl_.blockMgrs_[chip];
-    ftl_.trace_->begin(
-        tracks_[chip], "gc", ftl_.queue_.now(),
+    const auto &mgr = ftl.blockMgrs_[chip];
+    ftl.trace_->begin(
+        tracks_[chip], "gc", ftl.queue_->now(),
         {{"victim", gc.victim},
          {"valid_pages", mgr.info(gc.victim).validCount},
          {"free_blocks", static_cast<std::int64_t>(mgr.freeCount())}});
 }
 
 void
-GcEngine::maybeStart(std::uint32_t chip)
+GcEngine::maybeStart(FtlBase &ftl, std::uint32_t chip)
 {
     // The scope opens only past the early-outs: maybeStart is polled
     // on every host program, and profiling the two-compare idle check
@@ -84,26 +66,27 @@ GcEngine::maybeStart(std::uint32_t chip)
     auto &gc = gc_.at(chip);
     if (gc.active)
         return;
-    auto &mgr = ftl_.blockMgrs_[chip];
-    if (mgr.freeCount() >= ftl_.config_.gcLowWatermark)
+    auto &mgr = ftl.blockMgrs_[chip];
+    if (mgr.freeCount() >= ftl.config_.gcLowWatermark)
         return;
     PROF_SCOPE(prof::Slot::FtlGc);
     const auto victim = mgr.pickVictim();
     if (!victim)
         return;
-    startCollection(chip, *victim);
+    startCollection(ftl, chip, *victim);
 }
 
 void
-GcEngine::startCollection(std::uint32_t chip, std::uint32_t victim)
+GcEngine::startCollection(FtlBase &ftl, std::uint32_t chip,
+                          std::uint32_t victim)
 {
     auto &gc = gc_[chip];
     gc.reset();
     gc.active = true;
     gc.victim = victim;
-    ++ftl_.stats_.gcCollections;
-    traceCollectionBegin(chip);
-    continueOn(chip);
+    ++ftl.stats_.gcCollections;
+    traceCollectionBegin(ftl, chip);
+    continueOn(ftl, chip);
 }
 
 void
@@ -121,20 +104,20 @@ GcEngine::noteProgramComplete(std::uint32_t chip, SimTime tProg)
 }
 
 void
-GcEngine::resume(std::uint32_t chip)
+GcEngine::resume(FtlBase &ftl, std::uint32_t chip)
 {
-    continueOn(chip);
+    continueOn(ftl, chip);
 }
 
 void
-GcEngine::continueOn(std::uint32_t chip)
+GcEngine::continueOn(FtlBase &ftl, std::uint32_t chip)
 {
     auto &gc = gc_[chip];
     if (!gc.active)
         return;  // resume() polls here on every program completion
     PROF_SCOPE(prof::Slot::FtlGc);
-    const auto &info = ftl_.blockMgrs_[chip].info(gc.victim);
-    const std::uint32_t pagesPerBlock = ftl_.geom_.pagesPerBlock();
+    const auto &info = ftl.blockMgrs_[chip].info(gc.victim);
+    const std::uint32_t pagesPerBlock = ftl.geom_.pagesPerBlock();
 
     // Issue the next scan read (one outstanding at a time, so host
     // reads can interleave).
@@ -146,66 +129,63 @@ GcEngine::continueOn(std::uint32_t chip)
             break;
         }
         const std::uint32_t pageIdx = gc.scanIndex++;
-        const nand::PageAddr addr = ftl_.pageAddr(gc.victim, pageIdx);
+        const nand::PageAddr addr = ftl.pageAddr(gc.victim, pageIdx);
         ssd::NandOp op;
         op.kind = ssd::NandOp::Kind::Read;
         op.page = addr;
-        op.readShiftMv = ftl_.readShiftFor(chip, addr);
-        op.readSoftHint = ftl_.readSoftHint(chip, addr);
-        op.listener = this;
+        op.readShiftMv = ftl.readShiftFor(chip, addr);
+        op.readSoftHint = ftl.readSoftHint(chip, addr);
+        op.listener = &ftl;
         op.ctx = pageIdx;
         op.chip = chip;
+        op.tagGc = true;
         ++gc.outstandingReads;
         ++scanReads_;
-        ++ftl_.stats_.nandReads;
-        ftl_.chips_[chip].enqueue(op);
+        ++ftl.stats_.nandReads;
+        ftl.units_[chip].enqueue(op);
     }
 
-    maybeDispatchProgram(chip, /*force=*/gc.scanDone &&
-                                   gc.outstandingReads == 0);
+    maybeDispatchProgram(ftl, chip, /*force=*/gc.scanDone &&
+                                        gc.outstandingReads == 0);
 
-    if (gc.scanDone && gc.outstandingReads == 0 && gc.pending.empty() &&
+    if (gc.scanDone && gc.outstandingReads == 0 && gc.head == gc.tail &&
         gc.outstandingPrograms == 0 && !gc.erasing) {
-        eraseVictim(chip);
+        eraseVictim(ftl, chip);
     }
 }
 
 void
-GcEngine::finishScanPage(std::uint32_t chip,
+GcEngine::finishScanPage(FtlBase &ftl, std::uint32_t chip,
                          std::uint32_t pageInBlockIdx)
 {
     // Called only from onNandOpComplete, whose FtlGc scope is open.
     auto &gc = gc_[chip];
-    if (!ftl_.blockMgrs_[chip].info(gc.victim).isValid(pageInBlockIdx))
+    if (!ftl.blockMgrs_[chip].info(gc.victim).isValid(pageInBlockIdx))
         return;  // invalidated by a racing host write: nothing to move
-    gc.pending.push_back(
-        ftl_.relocationEntry(chip, gc.victim, pageInBlockIdx));
-    ++ftl_.stats_.gcRelocatedPages;
+    gc.pending[gc.tail++] =
+        ftl.relocationEntry(chip, gc.victim, pageInBlockIdx);
+    ++ftl.stats_.gcRelocatedPages;
 }
 
 void
-GcEngine::maybeDispatchProgram(std::uint32_t chip, bool force)
+GcEngine::maybeDispatchProgram(FtlBase &ftl, std::uint32_t chip,
+                               bool force)
 {
     // Called only from continueOn, whose FtlGc scope is open.
     auto &gc = gc_[chip];
-    const std::uint32_t pagesPerWl = ftl_.geom_.pagesPerWl;
-    while (gc.pending.size() >= pagesPerWl ||
-           (force && !gc.pending.empty())) {
-        const std::size_t take =
-            std::min<std::size_t>(gc.pending.size(), pagesPerWl);
-        batchScratch_.assign(
-            gc.pending.begin(),
-            gc.pending.begin() + static_cast<long>(take));
-        gc.pending.erase(gc.pending.begin(),
-                         gc.pending.begin() + static_cast<long>(take));
-        while (batchScratch_.size() < pagesPerWl)
-            batchScratch_.push_back(FlushEntry{});
-        ftl_.gcProgram(chip, batchScratch_);
+    const std::uint32_t pagesPerWl = ftl.geom_.pagesPerWl;
+    while (gc.tail - gc.head >= pagesPerWl ||
+           (force && gc.head != gc.tail)) {
+        const std::uint32_t take = std::min(gc.tail - gc.head, pagesPerWl);
+        const std::span<const FlushEntry> batch =
+            gc.waiting().first(take);
+        gc.head += take;
+        ftl.gcProgram(chip, batch);
     }
 }
 
 void
-GcEngine::eraseVictim(std::uint32_t chip)
+GcEngine::eraseVictim(FtlBase &ftl, std::uint32_t chip)
 {
     // Called only from continueOn, whose FtlGc scope is open.
     auto &gc = gc_[chip];
@@ -213,67 +193,68 @@ GcEngine::eraseVictim(std::uint32_t chip)
     ssd::NandOp op;
     op.kind = ssd::NandOp::Kind::Erase;
     op.block = gc.victim;
-    op.listener = this;
+    op.listener = &ftl;
     op.chip = chip;
-    ftl_.chips_[chip].enqueue(op);
+    op.tagGc = true;
+    ftl.units_[chip].enqueue(op);
 }
 
 void
-GcEngine::onNandOpComplete(const ssd::NandOp &op,
+GcEngine::onNandOpComplete(FtlBase &ftl, const ssd::NandOp &op,
                            const ssd::NandOpResult &result)
 {
     PROF_SCOPE(prof::Slot::FtlGc);
     if (op.kind == ssd::NandOp::Kind::Read) {
         const auto pageIdx = static_cast<std::uint32_t>(op.ctx);
-        ftl_.stats_.readRetries +=
+        ftl.stats_.readRetries +=
             static_cast<std::uint64_t>(result.read.numRetries);
         --gc_[op.chip].outstandingReads;
-        finishScanPage(op.chip, pageIdx);
-        continueOn(op.chip);
+        finishScanPage(ftl, op.chip, pageIdx);
+        continueOn(ftl, op.chip);
         return;
     }
-    handleEraseComplete(op.chip, result);
+    handleEraseComplete(ftl, op.chip, result);
 }
 
 void
-GcEngine::handleEraseComplete(std::uint32_t chip,
+GcEngine::handleEraseComplete(FtlBase &ftl, std::uint32_t chip,
                               const ssd::NandOpResult &result)
 {
     // Called only from onNandOpComplete, whose FtlGc scope is open.
     auto &gc = gc_[chip];
-    auto &mgr = ftl_.blockMgrs_[chip];
-    trace::TraceSession *trace = ftl_.trace_;
+    auto &mgr = ftl.blockMgrs_[chip];
+    trace::TraceSession *trace = ftl.trace_;
     const std::uint32_t victim = gc.victim;
-    ++ftl_.stats_.erases;
+    ++ftl.stats_.erases;
     if (result.eraseFailed) {
         // Erase-status fail: the block never returns to the free
         // pool. All its pages were already relocated (GC erases
         // only fully-invalid victims), so retirement is clean.
         mgr.retire(victim);
-        ++ftl_.stats_.eraseFailures;
-        ++ftl_.stats_.retiredBlocks;
+        ++ftl.stats_.eraseFailures;
+        ++ftl.stats_.retiredBlocks;
         if (trace != nullptr)
             trace->instant(tracks_[chip], "gc_erase_fail",
-                           ftl_.queue_.now(), {{"block", victim}});
-        ftl_.onBlockRetired(chip, victim);
-        ftl_.checkReadOnly(chip);
+                           ftl.queue_->now(), {{"block", victim}});
+        ftl.onBlockRetired(chip, victim);
+        ftl.checkReadOnly(chip);
     } else {
         mgr.release(victim);
-        ftl_.onBlockErased(chip, victim);
-        ftl_.retryDeferredFlushes(chip);
+        ftl.onBlockErased(chip, victim);
+        ftl.retryDeferredFlushes(chip);
     }
     gc.active = false;
     gc.erasing = false;
     if (trace != nullptr)
-        trace->end(tracks_[chip], ftl_.queue_.now());
+        trace->end(tracks_[chip], ftl.queue_->now());
     // Hysteresis: keep collecting until the high watermark.
-    if (mgr.freeCount() < ftl_.config_.gcHighWatermark) {
+    if (mgr.freeCount() < ftl.config_.gcHighWatermark) {
         const auto next = mgr.pickVictim();
         if (next)
-            startCollection(chip, *next);
+            startCollection(ftl, chip, *next);
     }
     // Free blocks were reclaimed: retry any held-back host flushes.
-    ftl_.maybeFlush();
+    ftl.maybeFlush();
 }
 
 }  // namespace cubessd::ftl

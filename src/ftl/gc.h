@@ -12,8 +12,9 @@
  * relocation programs through the FTL's flush path (FtlBase::gcProgram),
  * so program-target policy (leader/follower steering, safety checks)
  * applies to GC traffic exactly as to host traffic. It is a by-value
- * member and a friend of FtlBase, and works on the FTL's own geometry,
- * block managers, mapping, counters and event queue.
+ * member and a friend of FtlBase, which passes itself to every call:
+ * the engine works on the FTL's own geometry, block managers, mapping,
+ * counters and event queue, and holds no reference to it.
  */
 
 #ifndef CUBESSD_FTL_GC_H
@@ -21,6 +22,8 @@
 
 #include <cstdint>
 #include <vector>
+
+#include <span>
 
 #include "src/common/state_hash.h"
 #include "src/common/types.h"
@@ -83,24 +86,17 @@ class FtlBase;
  * collection progress plus the GC-only counters (scan reads, programs,
  * their latency). Everything else it reads and updates — block
  * managers, mapping, chips, the flush path and the collection,
- * relocation and erase counters of FtlStats — is the FTL's own.
+ * relocation and erase counters of FtlStats — is the FTL's own, passed
+ * in as `ftl`.
  */
-class GcEngine final : public ssd::NandOpListener
+class GcEngine final
 {
   public:
-    /** Idle engine of `ftl`, whose chips and geometry must already be
-     *  constructed. */
-    explicit GcEngine(FtlBase &ftl);
-
-    /** Copy of `other`'s per-chip progress and counters, bound to
-     *  `ftl` (FtlBase's copy). No trace tracks are copied. */
-    GcEngine(const GcEngine &other, FtlBase &ftl);
-
-    GcEngine(const GcEngine &) = delete;
-    GcEngine &operator=(const GcEngine &) = delete;
+    /** Idle engine for `chips` chips of `pagesPerBlock` pages. */
+    GcEngine(std::uint32_t chips, std::uint32_t pagesPerBlock);
 
     /** Start collecting on `chip` if below the low watermark. */
-    void maybeStart(std::uint32_t chip);
+    void maybeStart(FtlBase &ftl, std::uint32_t chip);
 
     /** Is a collection in progress on `chip`? */
     bool active(std::uint32_t chip) const { return gc_.at(chip).active; }
@@ -116,11 +112,11 @@ class GcEngine final : public ssd::NandOpListener
     void noteProgramComplete(std::uint32_t chip, SimTime tProg);
 
     /** Resume the state machine after a relocation program applied. */
-    void resume(std::uint32_t chip);
+    void resume(FtlBase &ftl, std::uint32_t chip);
 
-    /** The FTL's collection, relocation and erase counts plus the
+    /** `ftl`'s collection, relocation and erase counts plus the
      *  engine's own. */
-    GcStats stats() const;
+    GcStats stats(const FtlBase &ftl) const;
 
     /** Fold every chip's collection progress and the counters in. */
     void hashState(StateHash &h) const;
@@ -133,10 +129,11 @@ class GcEngine final : public ssd::NandOpListener
      */
     void setTracks(std::vector<std::uint32_t> tracks);
 
-    /** ssd::NandOpListener: scan reads and victim erases complete
-     *  here (op.ctx carries the page index for reads). */
-    void onNandOpComplete(const ssd::NandOp &op,
-                          const ssd::NandOpResult &result) override;
+    /** A scan read or victim erase completed (FtlBase hands over
+     *  every op tagged tagGc except programs; op.ctx carries the page
+     *  index for reads). */
+    void onNandOpComplete(FtlBase &ftl, const ssd::NandOp &op,
+                          const ssd::NandOpResult &result);
 
   private:
     /** Per-chip GC progress. */
@@ -149,10 +146,22 @@ class GcEngine final : public ssd::NandOpListener
         std::uint32_t outstandingPrograms = 0;
         bool scanDone = false;
         bool erasing = false;
-        std::vector<FlushEntry> pending; ///< relocated pages to program
+        /** Relocated pages waiting to be programmed: pending[head,
+         *  tail). A collection appends each valid page of its victim
+         *  at most once, so one block's worth of slots, sized at
+         *  construction, always suffices: the hot path never
+         *  allocates, and a copy keeps the room. */
+        std::vector<FlushEntry> pending;
+        std::uint32_t head = 0;
+        std::uint32_t tail = 0;
 
-        /** Back to idle, keeping `pending`'s capacity for the next
-         *  collection (the hot path must not reallocate). */
+        std::span<const FlushEntry>
+        waiting() const
+        {
+            return {pending.data() + head, tail - head};
+        }
+
+        /** Back to idle for the next collection. */
         void
         reset()
         {
@@ -163,25 +172,24 @@ class GcEngine final : public ssd::NandOpListener
             outstandingPrograms = 0;
             scanDone = false;
             erasing = false;
-            pending.clear();
+            head = 0;
+            tail = 0;
         }
     };
 
-    /** Reserve the worst-case relocation and batch capacity. */
-    void reserveScratch();
-    void startCollection(std::uint32_t chip, std::uint32_t victim);
-    void handleEraseComplete(std::uint32_t chip,
+    void startCollection(FtlBase &ftl, std::uint32_t chip,
+                         std::uint32_t victim);
+    void handleEraseComplete(FtlBase &ftl, std::uint32_t chip,
                              const ssd::NandOpResult &result);
-    void continueOn(std::uint32_t chip);
-    void traceCollectionBegin(std::uint32_t chip);
-    void finishScanPage(std::uint32_t chip,
+    void continueOn(FtlBase &ftl, std::uint32_t chip);
+    void traceCollectionBegin(FtlBase &ftl, std::uint32_t chip);
+    void finishScanPage(FtlBase &ftl, std::uint32_t chip,
                         std::uint32_t pageInBlockIdx);
-    void maybeDispatchProgram(std::uint32_t chip, bool force);
-    void eraseVictim(std::uint32_t chip);
+    void maybeDispatchProgram(FtlBase &ftl, std::uint32_t chip,
+                              bool force);
+    void eraseVictim(FtlBase &ftl, std::uint32_t chip);
 
-    FtlBase &ftl_;
     std::vector<ChipState> gc_;
-    std::vector<FlushEntry> batchScratch_;  ///< staging for gcProgram
     std::uint64_t scanReads_ = 0;
     std::uint64_t programs_ = 0;  ///< failed relocation programs too
     SimTime programLatencySum_ = 0;

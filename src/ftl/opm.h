@@ -117,12 +117,6 @@ class Opm
     Opm(const OpmConfig &config, const nand::ErrorModel &errors,
         const ecc::EccModel &ecc, MilliVolt deltaVMv);
 
-    /** A copy would keep pointing at the source chip's ErrorModel. */
-    Opm(const Opm &) = delete;
-    Opm &operator=(const Opm &) = delete;
-
-    const OpmConfig &config() const { return config_; }
-
     /**
      * Derive follower program parameters from a completed leader
      * program (the monitored [L_min, L_max] and BER_EP1).
@@ -143,7 +137,7 @@ class Opm
 
   private:
     OpmConfig config_;
-    const nand::ErrorModel &errors_;
+    nand::ErrorModel errors_;
     MilliVolt deltaVMv_;
     double eccLimitNorm_;
 };

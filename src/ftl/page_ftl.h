@@ -1,9 +1,24 @@
 /**
  * @file
- * pageFTL: the paper's baseline — a page-level mapping FTL with no
- * 3D-NAND-specific optimization. Every WL is programmed with default
- * parameters in horizontal-first order, and every read starts the
- * retry search from the chip-default references.
+ * pageFTL and vertFTL, the paper's two PS-unaware comparison points:
+ * page-level mapping, horizontal-first program order, and every read
+ * starting the retry search from the chip-default references.
+ *
+ * pageFTL is the baseline, with no 3D-NAND-specific optimization:
+ * every WL is programmed with default parameters.
+ *
+ * vertFTL is the state-of-the-art comparison point of the paper's
+ * evaluation, modelled on Hung et al. [13]. It exploits *inter-layer
+ * variability only*, with an offline static table: for every h-layer,
+ * the largest V_Final reduction that stays safe for the worst block of
+ * that layer under the worst operating condition (end-of-life P/E
+ * count, end-of-life retention, plus a static guard band for
+ * unobservable factors such as temperature). Because it cannot measure
+ * anything at run time, the table is necessarily conservative — the
+ * paper reports only ~8% average tPROG improvement versus cubeFTL's
+ * ~30%.
+ *
+ * One class serves both: the table is empty for pageFTL.
  */
 
 #ifndef CUBESSD_FTL_PAGE_FTL_H
@@ -19,17 +34,19 @@ namespace cubessd::ftl {
 class PageFtl : public FtlBase
 {
   public:
-    PageFtl(const ssd::SsdConfig &config,
-            std::vector<ssd::ChipUnit> &chips, sim::EventQueue &queue);
+    /**
+     * @param model chip 0's model; vertFTL (config.ftl ==
+     *        FtlKind::Vert) builds its table from it.
+     */
+    PageFtl(const ssd::SsdConfig &config, const nand::NandChip &model);
 
-    std::unique_ptr<FtlBase> clone(std::vector<ssd::ChipUnit> &chips,
-                                   sim::EventQueue &queue) const override;
+    std::unique_ptr<FtlBase> clone() const override;
+
+    /** vertFTL's offline per-h-layer V_Final reduction; empty for
+     *  pageFTL. */
+    const std::vector<MilliVolt> &vFinalTable() const { return vFinal_; }
 
   protected:
-    /** Copy of idle `other` for clone(). */
-    PageFtl(const PageFtl &other, std::vector<ssd::ChipUnit> &chips,
-            sim::EventQueue &queue);
-
     void hashPolicyState(StateHash &h) const override;
 
     ProgramChoice chooseProgramTarget(std::uint32_t chip, bool forGc,
@@ -38,19 +55,6 @@ class PageFtl : public FtlBase
     /** Abandon any write point open on a retired block. */
     void onBlockRetired(std::uint32_t chip,
                         std::uint32_t block) override;
-
-    /**
-     * Program parameters for the next WL; the default implementation
-     * returns the nominal command. VertFtl overrides this with its
-     * static per-layer table.
-     */
-    virtual nand::ProgramCommand
-    commandFor(std::uint32_t chip, const nand::WlAddr &wl)
-    {
-        (void)chip;
-        (void)wl;
-        return nand::ProgramCommand{};
-    }
 
   private:
     /** Sequential write point over a static program sequence. */
@@ -67,6 +71,7 @@ class PageFtl : public FtlBase
     std::vector<nand::WlAddr> pattern_;
     std::vector<WritePoint> hostWp_;  ///< per chip
     std::vector<WritePoint> gcWp_;    ///< per chip
+    std::vector<MilliVolt> vFinal_;   ///< per h-layer; empty: pageFTL
 };
 
 }  // namespace cubessd::ftl

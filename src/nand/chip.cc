@@ -15,7 +15,7 @@ NandChip::NandChip(const NandChipConfig &config)
       ecc_(config.ecc),
       read_(config.read, vth_, errors_, ecc_),
       faults_(config.faults, errors_, config.seed),
-      terms_(config.geometry, process_, errors_, vth_, ispp_),
+      terms_(config.geometry, process_, errors_, vth_),
       rng_(config.seed ^ 0xC0FFEE123456789ull)
 {
     blocks_.resize(config_.geometry.blocksPerChip);
@@ -23,24 +23,6 @@ NandChip::NandChip(const NandChipConfig &config)
         block.wls.resize(config_.geometry.wlsPerBlock());
         block.tokens.assign(config_.geometry.pagesPerBlock(), 0);
     }
-}
-
-NandChip::NandChip(const NandChip &other)
-    : config_(other.config_),
-      codec_(other.codec_),
-      process_(other.process_),
-      errors_(other.errors_),
-      vth_(other.vth_),
-      ispp_(other.ispp_, errors_),
-      ecc_(other.ecc_),
-      read_(config_.read, vth_, errors_, ecc_),
-      faults_(other.faults_, errors_),
-      terms_(other.terms_, process_, errors_, vth_, ispp_),
-      rng_(other.rng_),
-      baseAging_(other.baseAging_),
-      blocks_(other.blocks_),
-      stats_(other.stats_)
-{
 }
 
 void
@@ -129,7 +111,8 @@ NandChip::programWl(const WlAddr &addr, const ProgramCommand &cmd,
               addr.block, addr.layer, addr.wl);
 
     const AgingState aging = blockAging(addr.block);
-    const WlTerms t = terms_.terms(addr, block.eraseCount, aging);
+    const WlTerms t =
+        terms_.terms(addr, block.eraseCount, aging, process_, ispp_);
 
     WlProgramResult result = ispp_.programWithTerms(
         t.q, t.speedMv, t.severity, t.sigma, t.normBase, cmd, rng_);
@@ -189,8 +172,8 @@ NandChip::readPage(const PageAddr &addr, MilliVolt appliedShiftMv,
               addr.block, addr.layer, addr.wl, addr.page);
 
     const AgingState aging = blockAging(addr.block);
-    const WlTerms t =
-        terms_.terms(addr.wlAddr(), block.eraseCount, aging);
+    const WlTerms t = terms_.terms(addr.wlAddr(), block.eraseCount, aging,
+                                   process_, ispp_);
 
     ReadOutcome out =
         read_.readFromTerms(t.shiftBase, t.normBase,
@@ -225,7 +208,7 @@ NandChip::measureBerNorm(const PageAddr &addr)
     // same expression, same bits (tests/test_term_cache.cc) — and
     // monitoring reads hammer this path once per leader program.
     const WlTerms t = terms_.terms(addr.wlAddr(), block.eraseCount,
-                                   blockAging(addr.block));
+                                   blockAging(addr.block), process_, ispp_);
     const double aligned =
         t.normBase * static_cast<double>(wl.berMultiplier);
     // RTN-scale measurement noise (paper: <3% across a sequence).

@@ -82,12 +82,6 @@ class NandChip
   public:
     explicit NandChip(const NandChipConfig &config);
 
-    /** Copy of every per-block and per-WL state, token, RNG stream,
-     *  memo table and counter, with the sub-models re-bound to this
-     *  chip's own instances. */
-    NandChip(const NandChip &other);
-    NandChip &operator=(const NandChip &) = delete;
-
     /** @name Sub-model access (read-only) @{ */
     const NandGeometry &geometry() const { return config_.geometry; }
     const AddressCodec &codec() const { return codec_; }

@@ -7,7 +7,7 @@ namespace cubessd::nand {
 
 FaultInjector::FaultInjector(const FaultParams &params,
                              const ErrorModel &errors, std::uint64_t seed)
-    : params_(params), errors_(&errors),
+    : params_(params), errors_(errors),
       rng_(seed ^ 0xFA171A57ED5EEDull)
 {
 }
@@ -17,7 +17,7 @@ FaultInjector::scaled(double base, double q, const AgingState &aging) const
 {
     if (base <= 0.0)
         return 0.0;
-    const double wear = 1.0 + params_.wearScale * errors_->severity(aging);
+    const double wear = 1.0 + params_.wearScale * errors_.severity(aging);
     const double layer = std::pow(std::max(q, 1e-9), params_.qualityExp);
     return std::min(1.0, base * layer * wear);
 }

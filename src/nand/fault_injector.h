@@ -18,7 +18,7 @@
  *
  * Fail probabilities follow the paper's process structure: they scale
  * with the WL's h-layer quality factor q (worse layers fail more) and
- * with aging severity from the shared ErrorModel (P/E cycles +
+ * with aging severity from the chip's ErrorModel (P/E cycles +
  * retention), so degradation accelerates toward end of life exactly
  * like the BER model does.
  *
@@ -63,22 +63,11 @@ class FaultInjector
   public:
     /**
      * @param params fault knobs (typically NandChipConfig::faults)
-     * @param errors shared aging model (severity scaling)
+     * @param errors aging model (severity scaling), copied
      * @param seed   per-chip seed; the injector forks its own stream
      */
     FaultInjector(const FaultParams &params, const ErrorModel &errors,
                   std::uint64_t seed);
-
-    /** Copy of `other` (RNG position included) bound to `errors`, the
-     *  copying chip's own ErrorModel. */
-    FaultInjector(const FaultInjector &other, const ErrorModel &errors)
-        : params_(other.params_), errors_(&errors), rng_(other.rng_)
-    {
-    }
-
-    /** A plain copy would keep pointing at the source's ErrorModel. */
-    FaultInjector(const FaultInjector &) = delete;
-    FaultInjector &operator=(const FaultInjector &) = delete;
 
     /** Fold the injector's RNG position in. */
     void hashState(StateHash &h) const { rng_.hashState(h); }
@@ -107,7 +96,7 @@ class FaultInjector
     double scaled(double base, double q, const AgingState &aging) const;
 
     FaultParams params_;
-    const ErrorModel *errors_;
+    ErrorModel errors_;
     Rng rng_;
 };
 

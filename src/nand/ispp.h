@@ -151,25 +151,13 @@ struct WlProgramResult
 
 /**
  * ISPP computation engine (per-chip NAND state lives in NandChip; the
- * engine itself only carries lazy memo tables of its own pure
- * functions).
+ * engine itself only carries its own copy of the error model and lazy
+ * memo tables of its own pure functions).
  */
 class IsppEngine
 {
   public:
     IsppEngine(const IsppConfig &config, const ErrorModel &errors);
-
-    /** Copy of `other` (memo tables included) bound to `errors`, the
-     *  copying chip's own ErrorModel. */
-    IsppEngine(const IsppEngine &other, const ErrorModel &errors)
-        : config_(other.config_), errors_(errors),
-          shrinkMult_(other.shrinkMult_), overMult_(other.overMult_)
-    {
-    }
-
-    /** A plain copy would keep pointing at the source's ErrorModel. */
-    IsppEngine(const IsppEngine &) = delete;
-    IsppEngine &operator=(const IsppEngine &) = delete;
 
     const IsppConfig &config() const { return config_; }
 
@@ -255,7 +243,7 @@ class IsppEngine
     double overMultiplier(int extraSkips, int state) const;
 
     IsppConfig config_;
-    const ErrorModel &errors_;
+    ErrorModel errors_;
 
     static constexpr int kShrinkCacheSize = 2048;
     mutable std::array<double, kShrinkCacheSize> shrinkMult_{};

@@ -52,18 +52,15 @@ struct ReadParams
 };
 
 /**
- * Stateless read computation; the caller supplies the WL condition and
- * the applied starting shift.
+ * Stateless read computation over its own copies of the chip's drift,
+ * error and ECC models; the caller supplies the WL condition and the
+ * applied starting shift.
  */
 class ReadModel
 {
   public:
     ReadModel(const ReadParams &params, const VthModel &vth,
               const ErrorModel &errors, const ecc::EccModel &ecc);
-
-    /** A copy would keep pointing at the source chip's models. */
-    ReadModel(const ReadModel &) = delete;
-    ReadModel &operator=(const ReadModel &) = delete;
 
     const ReadParams &params() const { return params_; }
 
@@ -116,9 +113,9 @@ class ReadModel
 
   private:
     ReadParams params_;
-    const VthModel &vth_;
-    const ErrorModel &errors_;
-    const ecc::EccModel &ecc_;
+    VthModel vth_;
+    ErrorModel errors_;
+    ecc::EccModel ecc_;
 };
 
 }  // namespace cubessd::nand

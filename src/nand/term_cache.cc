@@ -7,36 +7,16 @@ namespace cubessd::nand {
 ErrorTermCache::ErrorTermCache(const NandGeometry &geom,
                                const ProcessModel &process,
                                const ErrorModel &errors,
-                               const VthModel &vth, const IsppEngine &ispp)
+                               const VthModel &vth)
     : geom_(geom),
-      process_(process),
       errors_(errors),
       vth_(vth),
-      ispp_(ispp),
       chipFactor_(process.chipFactor())
 {
     aging_.resize(geom_.blocksPerChip);
     wls_.resize(static_cast<std::size_t>(geom_.blocksPerChip) *
                 geom_.wlsPerBlock());
     blockDrift_.assign(geom_.blocksPerChip, -1.0);
-}
-
-ErrorTermCache::ErrorTermCache(const ErrorTermCache &other,
-                               const ProcessModel &process,
-                               const ErrorModel &errors,
-                               const VthModel &vth, const IsppEngine &ispp)
-    : geom_(other.geom_),
-      process_(process),
-      errors_(errors),
-      vth_(vth),
-      ispp_(ispp),
-      chipFactor_(other.chipFactor_),
-      retentionGen_(other.retentionGen_),
-      aging_(other.aging_),
-      wls_(other.wls_),
-      blockDrift_(other.blockDrift_),
-      counters_(other.counters_)
-{
 }
 
 void
@@ -57,7 +37,8 @@ ErrorTermCache::hashState(StateHash &h) const
 
 WlTerms
 ErrorTermCache::terms(const WlAddr &addr, PeCycles eraseCount,
-                      const AgingState &aging)
+                      const AgingState &aging, const ProcessModel &process,
+                      const IsppEngine &ispp)
 {
     const std::uint64_t tag = epochOf(eraseCount) + 1;
 
@@ -67,7 +48,7 @@ ErrorTermCache::terms(const WlAddr &addr, PeCycles eraseCount,
         ++counters_.agingMisses;
         ae.terms = errors_.terms(aging);
         ae.shiftSevTerm = vth_.shiftSevTerm(ae.terms.severity);
-        ae.sigma = ispp_.effectiveSigma(ae.terms.severity);
+        ae.sigma = ispp.effectiveSigma(ae.terms.severity);
         ae.tag = tag;
     } else {
         ++counters_.agingHits;
@@ -80,8 +61,8 @@ ErrorTermCache::terms(const WlAddr &addr, PeCycles eraseCount,
         if (we.q < 0.0) {
             // First touch of this WL: fill the aging-independent terms.
             ++counters_.staticFills;
-            we.q = process_.wlQuality(addr);
-            we.speedMv = process_.programSpeedMv(addr);
+            we.q = process.wlQuality(addr);
+            we.speedMv = process.programSpeedMv(addr);
         }
         double &drift = blockDrift_[addr.block];
         if (drift < 0.0)

@@ -74,22 +74,17 @@ struct TermCacheCounters
     std::uint64_t staticFills = 0;
 };
 
+/**
+ * The cache keeps its own copies of the small error and drift models;
+ * the chip's ProcessModel and IsppEngine, which hold per-block tables,
+ * come in with each lookup.
+ */
 class ErrorTermCache
 {
   public:
+    /** @param process supplies the chip factor (read once). */
     ErrorTermCache(const NandGeometry &geom, const ProcessModel &process,
-                   const ErrorModel &errors, const VthModel &vth,
-                   const IsppEngine &ispp);
-
-    /** Copy of `other` (entries and counters) bound to the copying
-     *  chip's own models. */
-    ErrorTermCache(const ErrorTermCache &other, const ProcessModel &process,
-                   const ErrorModel &errors, const VthModel &vth,
-                   const IsppEngine &ispp);
-
-    /** A plain copy would keep pointing at the source chip's models. */
-    ErrorTermCache(const ErrorTermCache &) = delete;
-    ErrorTermCache &operator=(const ErrorTermCache &) = delete;
+                   const ErrorModel &errors, const VthModel &vth);
 
     /** Epoch of a block currently at runtime erase count `eraseCount`. */
     std::uint64_t
@@ -107,10 +102,12 @@ class ErrorTermCache
     /**
      * Model terms of `addr` for a block at `eraseCount` under `aging`
      * (the block's effective aging, as NandChip::blockAging computes
-     * it). Fills both cache levels on miss.
+     * it). Fills both cache levels on miss from `process` and `ispp`,
+     * which must be the models of the chip the cache was built for.
      */
     WlTerms terms(const WlAddr &addr, PeCycles eraseCount,
-                  const AgingState &aging);
+                  const AgingState &aging, const ProcessModel &process,
+                  const IsppEngine &ispp);
 
     const TermCacheCounters &counters() const { return counters_; }
 
@@ -156,10 +153,8 @@ class ErrorTermCache
     }
 
     NandGeometry geom_;
-    const ProcessModel &process_;
-    const ErrorModel &errors_;
-    const VthModel &vth_;
-    const IsppEngine &ispp_;
+    ErrorModel errors_;
+    VthModel vth_;
     double chipFactor_ = 1.0;
     std::uint32_t retentionGen_ = 0;
     std::vector<AgingEntry> aging_;

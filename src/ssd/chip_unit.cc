@@ -8,19 +8,6 @@
 
 namespace cubessd::ssd {
 
-ChipUnit::ChipUnit(nand::NandChip &chip, Channel &channel,
-                   sim::EventQueue &queue)
-    : chip_(chip), channel_(channel), queue_(queue)
-{
-}
-
-ChipUnit::ChipUnit(const ChipUnit &other, nand::NandChip &chip,
-                   Channel &channel, sim::EventQueue &queue)
-    : chip_(chip), channel_(channel), queue_(queue), active_(other.active_),
-      busyTime_(other.busyTime_)
-{
-}
-
 void
 ChipUnit::enqueue(const NandOp &op)
 {
@@ -46,7 +33,7 @@ ChipUnit::tryStart()
 void
 ChipUnit::execute(Slot &slot)
 {
-    const SimTime now = queue_.now();
+    const SimTime now = queue_->now();
     const auto &geom = chip_.geometry();
     const auto &timing = chip_.timing();
 
@@ -61,7 +48,7 @@ ChipUnit::execute(Slot &slot)
             chip_.readPage(op.page, op.readShiftMv, op.readSoftHint);
         const SimTime senseEnd = now + result.read.tRead;
         const SimTime tx = timing.busTransferTime(geom.pageSizeBytes);
-        const SimTime txStart = channel_.reserve(senseEnd, tx, "xfer_out");
+        const SimTime txStart = channel_->reserve(senseEnd, tx, "xfer_out");
         result.busTime = tx;
         result.dieTime = result.read.tRead;
         result.end = txStart + tx;
@@ -71,7 +58,7 @@ ChipUnit::execute(Slot &slot)
         const SimTime tx = timing.busTransferTime(
             static_cast<std::uint64_t>(geom.pageSizeBytes) *
             op.tokenCount);
-        const SimTime txStart = channel_.reserve(now, tx, "xfer_in");
+        const SimTime txStart = channel_->reserve(now, tx, "xfer_in");
         result.program = chip_.programWl(
             op.wl, op.cmd, std::span(op.tokens, op.tokenCount));
         result.busTime = tx;
@@ -89,7 +76,7 @@ ChipUnit::execute(Slot &slot)
     if (trace_ != nullptr)
         recordOp(op, result);
 
-    queue_.scheduleAt(result.end, sim::EventKind::ChipOpComplete, this);
+    queue_->scheduleAt(result.end, sim::EventKind::ChipOpComplete, this);
 }
 
 void

@@ -2,10 +2,15 @@
  * @file
  * Per-chip operation scheduler.
  *
- * A NAND die executes one command at a time. ChipUnit keeps a FIFO of
- * pending operations per chip, executes the behavioural chip model
- * when an operation starts, accounts for channel (bus) occupancy, and
- * fires a completion through the event queue:
+ * A NAND die executes one command at a time. ChipUnit owns the die's
+ * behavioural chip model and a queue of pending operations: normal
+ * operations (programs, erases, GC scan reads) run first-in, first-out,
+ * and a high-priority operation (a host read) goes to the front, so
+ * host reads overtake everything else and, among themselves, run
+ * newest first (ROADMAP.md, "Host reads are served newest-first"). It
+ * executes the chip model when an operation starts, accounts for
+ * channel (bus) occupancy, and fires a completion through the event
+ * queue:
  *
  *  - Read:    [sense (die)] -> [transfer out (bus)]
  *  - Program: [transfer in (bus)] -> [ISPP (die)]
@@ -13,6 +18,10 @@
  *
  * The die is considered busy for the whole span of the operation
  * (including its bus phase).
+ *
+ * A unit is a plain value: its copy carries the chip and the queue
+ * state, and its two links (the channel and the event queue) are
+ * pointers that the owning device sets with wire().
  *
  * Completions are delivered through the NandOpListener interface (one
  * virtual call) rather than a per-op closure, and NandOp itself is a
@@ -83,22 +92,28 @@ struct NandOp
     /** Submitting chip index (for listeners serving many chips). */
     std::uint32_t chip = 0;
     bool highPriority = false;  ///< queue ahead of normal ops (reads)
-    /** @name Trace annotations (observation only, set by the FTL) @{ */
-    bool tagLeader = false;  ///< program counts as a leader WL
-    bool tagGc = false;      ///< program relocates GC data
-    /** @} */
+    /** The op is a GC scan read, relocation program or victim erase
+     *  (set by the FTL; also a trace annotation on programs). */
+    bool tagGc = false;
+    /** Trace annotation (observation only, set by the FTL): the
+     *  program counts as a leader WL. */
+    bool tagLeader = false;
 };
 
 class ChipUnit final : public sim::EventHandler
 {
   public:
-    ChipUnit(nand::NandChip &chip, Channel &channel,
-             sim::EventQueue &queue);
+    /** A unit owning a chip built from `config`; wire() it before
+     *  enqueueing. */
+    explicit ChipUnit(const nand::NandChipConfig &config) : chip_(config) {}
 
-    /** Copy of an idle unit's counters, driving another device's
-     *  `chip` on `channel` through `queue` (Ssd's copy). */
-    ChipUnit(const ChipUnit &other, nand::NandChip &chip, Channel &channel,
-             sim::EventQueue &queue);
+    /** Link the unit to its channel and the device's event queue. */
+    void
+    wire(Channel &channel, sim::EventQueue &queue)
+    {
+        channel_ = &channel;
+        queue_ = &queue;
+    }
 
     /** Enqueue an operation; starts immediately if the die is idle. */
     void enqueue(const NandOp &op);
@@ -112,10 +127,11 @@ class ChipUnit final : public sim::EventHandler
      *  stats-counter convention). */
     SimTime busyTime() const { return busyTime_; }
 
-    /** Fold the die's queue state and counters in. */
+    /** Fold the chip, the die's queue state and counters in. */
     void
     hashState(StateHash &h) const
     {
+        chip_.hashState(h);
         h.add(busy_).add(active_).add(pending_.size());
         h.add(busyTime_);
     }
@@ -152,9 +168,9 @@ class ChipUnit final : public sim::EventHandler
     void execute(Slot &slot);
     void recordOp(const NandOp &op, const NandOpResult &result);
 
-    nand::NandChip &chip_;
-    Channel &channel_;
-    sim::EventQueue &queue_;
+    nand::NandChip chip_;
+    Channel *channel_ = nullptr;        ///< link, set by wire()
+    sim::EventQueue *queue_ = nullptr;  ///< link, set by wire()
     RingDeque<NandOp> pending_;
     bool busy_ = false;
     Slot slots_[2];

@@ -18,20 +18,6 @@ requestSpanName(IoType type)
 
 }  // namespace
 
-HostQueue::HostQueue(sim::EventQueue &queue, ftl::FtlBase &ftl,
-                     std::uint32_t depth)
-    : queue_(queue), ftl_(ftl), depth_(depth)
-{
-}
-
-HostQueue::HostQueue(const HostQueue &other, sim::EventQueue &queue,
-                     ftl::FtlBase &ftl)
-    : queue_(queue), ftl_(ftl), depth_(other.depth_),
-      inFlight_(other.inFlight_), nextId_(other.nextId_),
-      stats_(other.stats_)
-{
-}
-
 RequestId
 HostQueue::submit(HostRequest req, CompletionSink *sink,
                   std::uint64_t ctx)
@@ -39,7 +25,7 @@ HostQueue::submit(HostRequest req, CompletionSink *sink,
     PROF_SCOPE(prof::Slot::SsdHostQueue);
     if (req.id == 0)
         req.id = nextId_++;
-    req.arrival = std::max(req.arrival, queue_.now());
+    req.arrival = std::max(req.arrival, queue_->now());
     ++stats_.submitted;
     sim::EventPayload payload;
     payload.hostAdmit = {sink, ctx,      req.id, req.lba,
@@ -48,7 +34,7 @@ HostQueue::submit(HostRequest req, CompletionSink *sink,
                          static_cast<std::uint8_t>(req.type),
                          req.tenant,
                          req.namespaceId};
-    queue_.scheduleAt(req.arrival, sim::EventKind::HostAdmit, this,
+    queue_->scheduleAt(req.arrival, sim::EventKind::HostAdmit, this,
                       payload);
     return req.id;
 }
@@ -82,7 +68,7 @@ HostQueue::admit(const HostRequest &req, CompletionSink *sink,
         if (req.tenant != kNoTenant) {
             trace_->asyncBegin(
                 "request", requestSpanName(req.type), req.id,
-                queue_.now(),
+                queue_->now(),
                 {{"lba", static_cast<std::int64_t>(req.lba)},
                  {"pages", req.pages},
                  {"tenant", req.tenant},
@@ -90,12 +76,12 @@ HostQueue::admit(const HostRequest &req, CompletionSink *sink,
         } else {
             trace_->asyncBegin(
                 "request", requestSpanName(req.type), req.id,
-                queue_.now(),
+                queue_->now(),
                 {{"lba", static_cast<std::int64_t>(req.lba)},
                  {"pages", req.pages}});
         }
         trace_->asyncBegin("request", "queue_wait", req.id,
-                           queue_.now());
+                           queue_->now());
     }
     if (depth_ != 0 && inFlight_ >= depth_) {
         ++stats_.blockedSubmissions;
@@ -113,7 +99,7 @@ HostQueue::start(const HostRequest &req, CompletionSink *sink,
 {
     PROF_SCOPE(prof::Slot::SsdHostQueue);
     ++inFlight_;
-    const SimTime started = queue_.now();
+    const SimTime started = queue_->now();
     stats_.queueWaitSum += started - req.arrival;
     if (trace_ != nullptr) {
         PROF_SCOPE(prof::Slot::ObsMetricsTrace);
@@ -128,9 +114,9 @@ HostQueue::start(const HostRequest &req, CompletionSink *sink,
     record->tenant = req.tenant;
 
     if (req.type == IoType::Read)
-        ftl_.hostRead(req, this, reinterpret_cast<std::uint64_t>(record));
+        ftl_->hostRead(req, this, reinterpret_cast<std::uint64_t>(record));
     else
-        ftl_.hostWrite(req, this,
+        ftl_->hostWrite(req, this,
                        reinterpret_cast<std::uint64_t>(record));
 }
 
@@ -152,9 +138,9 @@ HostQueue::onCompletion(const Completion &completion, std::uint64_t ctx)
     stats_.latencySum += out.latency();
     if (trace_ != nullptr) {
         PROF_SCOPE(prof::Slot::ObsMetricsTrace);
-        trace_->asyncEnd("request", "device", out.id, queue_.now());
+        trace_->asyncEnd("request", "device", out.id, queue_->now());
         trace_->asyncEnd("request", requestSpanName(out.type), out.id,
-                         queue_.now());
+                         queue_->now());
     }
     // Hand the freed slot to the oldest waiter before the host sees
     // the completion, so backpressure release is FIFO.

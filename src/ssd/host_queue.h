@@ -70,17 +70,18 @@ struct HostQueueStats
 class HostQueue final : public sim::EventHandler, public CompletionSink
 {
   public:
-    /** @param depth  max in-flight requests; 0 = unbounded. */
-    HostQueue(sim::EventQueue &queue, ftl::FtlBase &ftl,
-              std::uint32_t depth);
+    /** @param depth  max in-flight requests; 0 = unbounded. wire() the
+     *  queue before submitting. */
+    explicit HostQueue(std::uint32_t depth) : depth_(depth) {}
 
-    /** Copy of an idle queue's id counter and statistics, feeding
-     *  another device's `ftl` through `queue` (Ssd's copy). */
-    HostQueue(const HostQueue &other, sim::EventQueue &queue,
-              ftl::FtlBase &ftl);
-
-    HostQueue(const HostQueue &) = delete;
-    HostQueue &operator=(const HostQueue &) = delete;
+    /** Link the queue to the FTL it feeds and the device's event
+     *  queue. */
+    void
+    wire(ftl::FtlBase &ftl, sim::EventQueue &queue)
+    {
+        ftl_ = &ftl;
+        queue_ = &queue;
+    }
 
     /**
      * Submit a request. It arrives at max(now, req.arrival), waits for
@@ -143,8 +144,8 @@ class HostQueue final : public sim::EventHandler, public CompletionSink
                std::uint64_t ctx);
     void drainWaiting();
 
-    sim::EventQueue &queue_;
-    ftl::FtlBase &ftl_;
+    sim::EventQueue *queue_ = nullptr;  ///< link, set by wire()
+    ftl::FtlBase *ftl_ = nullptr;       ///< link, set by wire()
     std::uint32_t depth_;
     std::uint64_t inFlight_ = 0;
     std::uint64_t nextId_ = 1;

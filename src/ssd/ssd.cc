@@ -7,7 +7,6 @@
 #include "src/common/logging.h"
 #include "src/ftl/cube_ftl.h"
 #include "src/ftl/page_ftl.h"
-#include "src/ftl/vert_ftl.h"
 #include "src/trace/counters.h"
 #include "src/trace/trace.h"
 
@@ -92,63 +91,55 @@ ftlKindName(FtlKind kind)
 }
 
 Ssd::Ssd(const SsdConfig &config)
-    : config_(config)
+    : config_(config), hostQueue_(config.hostQueueDepth)
 {
     if (const std::string err = config_.validate(); !err.empty())
         fatal("Ssd: invalid configuration: %s", err.c_str());
 
     channels_.resize(config_.channels);
-    chips_.reserve(config_.totalChips());
+    units_.reserve(config_.totalChips());
     for (std::uint32_t i = 0; i < config_.totalChips(); ++i) {
         nand::NandChipConfig cc = config_.chip;
         cc.seed = config_.seed * 0x1000193u + i + 1;
-        chips_.emplace_back(cc);
-    }
-    units_.reserve(chips_.size());
-    for (std::uint32_t i = 0; i < chips_.size(); ++i) {
-        units_.emplace_back(chips_[i],
-                            channels_[i / config_.chipsPerChannel],
-                            queue_);
+        units_.emplace_back(cc);
     }
 
+    const nand::NandChip &model = units_.front().chip();
     switch (config_.ftl) {
       case FtlKind::Page:
-        ftl_ = std::make_unique<ftl::PageFtl>(config_, units_, queue_);
-        break;
       case FtlKind::Vert:
-        ftl_ = std::make_unique<ftl::VertFtl>(config_, units_, queue_);
+        ftl_ = std::make_unique<ftl::PageFtl>(config_, model);
         break;
       case FtlKind::Cube:
-        ftl_ = std::make_unique<ftl::CubeFtl>(config_, units_, queue_,
-                                              ftl::OpmConfig{},
+        ftl_ = std::make_unique<ftl::CubeFtl>(config_, model,
                                               config_.cubeFeatures);
         break;
     }
-
-    hostQueue_ = std::make_unique<HostQueue>(queue_, *ftl_,
-                                             config_.hostQueueDepth);
+    wire();
 }
 
 Ssd::Ssd(const Ssd &other)
     : config_(requireDrained(other).config_),
       queue_(other.queue_),
       channels_(other.channels_),
-      chips_(other.chips_)
+      units_(other.units_),
+      ftl_(other.ftl_->clone()),
+      hostQueue_(other.hostQueue_)
 {
-    for (auto &ch : channels_)
-        ch.setTrace(nullptr, 0);
-    units_.reserve(chips_.size());
-    for (std::uint32_t i = 0; i < chips_.size(); ++i) {
-        units_.emplace_back(other.units_[i], chips_[i],
-                            channels_[i / config_.chipsPerChannel],
-                            queue_);
-    }
-    ftl_ = other.ftl_->clone(units_, queue_);
-    hostQueue_ = std::make_unique<HostQueue>(*other.hostQueue_, queue_,
-                                             *ftl_);
+    wire();
+    attachTrace(nullptr);
 }
 
 Ssd::~Ssd() = default;
+
+void
+Ssd::wire()
+{
+    for (std::uint32_t i = 0; i < units_.size(); ++i)
+        units_[i].wire(channels_[i / config_.chipsPerChannel], queue_);
+    ftl_->wire(units_, queue_);
+    hostQueue_.wire(*ftl_, queue_);
+}
 
 const Ssd &
 Ssd::requireDrained(const Ssd &ssd)
@@ -157,13 +148,13 @@ Ssd::requireDrained(const Ssd &ssd)
         std::all_of(ssd.units_.begin(), ssd.units_.end(),
                     [](const ChipUnit &unit) { return unit.idle(); });
     if (!ssd.queue_.empty() || !diesIdle || !ssd.ftl_->idle() ||
-        ssd.hostQueue_->inFlight() != 0 || ssd.hostQueue_->waiting() != 0)
+        ssd.hostQueue_.inFlight() != 0 || ssd.hostQueue_.waiting() != 0)
         panic("Ssd: only a drained device can be copied (%zu events "
               "pending, dies %s, FTL %s, %llu host requests in flight)",
               ssd.queue_.pending(), diesIdle ? "idle" : "busy",
               ssd.ftl_->idle() ? "idle" : "busy",
               static_cast<unsigned long long>(
-                  ssd.hostQueue_->inFlight() + ssd.hostQueue_->waiting()));
+                  ssd.hostQueue_.inFlight() + ssd.hostQueue_.waiting()));
     return ssd;
 }
 
@@ -174,26 +165,24 @@ Ssd::stateDigest() const
     queue_.hashState(h);
     for (const auto &ch : channels_)
         ch.hashState(h);
-    for (const auto &chip : chips_)
-        chip.hashState(h);
     for (const auto &unit : units_)
         unit.hashState(h);
     ftl_->hashState(h);
-    hostQueue_->hashState(h);
+    hostQueue_.hashState(h);
     return h.value();
 }
 
 void
 Ssd::setAging(const nand::AgingState &aging)
 {
-    for (auto &chip : chips_)
-        chip.setAging(aging);
+    for (auto &unit : units_)
+        unit.chip().setAging(aging);
 }
 
 RequestId
 Ssd::submit(HostRequest req, CompletionSink *sink, std::uint64_t ctx)
 {
-    return hostQueue_->submit(std::move(req), sink, ctx);
+    return hostQueue_.submit(std::move(req), sink, ctx);
 }
 
 namespace {
@@ -242,7 +231,7 @@ Ssd::peek(Lba lba) const
 void
 Ssd::attachTrace(trace::TraceSession *session)
 {
-    hostQueue_->setTrace(session);
+    hostQueue_.setTrace(session);
     if (session == nullptr) {
         ftl_->setTrace(nullptr, 0, {});
         for (auto &ch : channels_)
@@ -256,8 +245,8 @@ Ssd::attachTrace(trace::TraceSession *session)
     // then GC episodes, bus occupancy, and the individual dies.
     const std::uint32_t ftlTrack = session->addTrack("ftl");
     std::vector<std::uint32_t> gcTracks;
-    gcTracks.reserve(chips_.size());
-    for (std::uint32_t i = 0; i < chips_.size(); ++i)
+    gcTracks.reserve(units_.size());
+    for (std::uint32_t i = 0; i < units_.size(); ++i)
         gcTracks.push_back(
             session->addTrack("gc/chip" + std::to_string(i)));
     ftl_->setTrace(session, ftlTrack, std::move(gcTracks));
@@ -279,7 +268,7 @@ Ssd::registerCounters(trace::CounterRegistry &reg)
             [this, prev = std::pair<SimTime, std::uint64_t>{0, 0}](
                 SimTime now) mutable {
                 const std::uint64_t completed =
-                    hostQueue_->stats().completed;
+                    hostQueue_.stats().completed;
                 const SimTime dt = now - prev.first;
                 const std::uint64_t delta = completed - prev.second;
                 prev = {now, completed};
@@ -289,14 +278,14 @@ Ssd::registerCounters(trace::CounterRegistry &reg)
                           static_cast<double>(dt);
             });
     reg.add("queue_depth", "requests", [this](SimTime) {
-        return static_cast<double>(hostQueue_->inFlight() +
-                                   hostQueue_->waiting());
+        return static_cast<double>(hostQueue_.inFlight() +
+                                   hostQueue_.waiting());
     });
     reg.add("nand.term_cache_hit_rate", "percent", [this](SimTime) {
         std::uint64_t hits = 0;
         std::uint64_t lookups = 0;
-        for (const auto &chip : chips_) {
-            const auto &c = chip.termCache().counters();
+        for (const auto &unit : units_) {
+            const auto &c = unit.chip().termCache().counters();
             hits += c.wlHits;
             lookups += c.wlHits + c.wlMisses;
         }

@@ -21,6 +21,9 @@
  * A drained device can be copied: the copy (a *fork*) continues
  * exactly as the source would, so one prefilled device can seed many
  * runs (workload::runCells does this for cells that share a prefill).
+ * Every part below the device is a plain value whose copy the compiler
+ * writes; the links between parts are pointers that wire() sets, for
+ * a new device and a fork alike.
  */
 
 #ifndef CUBESSD_SSD_SSD_H
@@ -73,14 +76,14 @@ class Ssd
     sim::EventQueue &queue() { return queue_; }
     ftl::FtlBase &ftl() { return *ftl_; }
     const ftl::FtlBase &ftl() const { return *ftl_; }
-    HostQueue &hostQueue() { return *hostQueue_; }
-    const HostQueue &hostQueue() const { return *hostQueue_; }
+    HostQueue &hostQueue() { return hostQueue_; }
+    const HostQueue &hostQueue() const { return hostQueue_; }
 
     std::uint32_t chipCount() const
     {
-        return static_cast<std::uint32_t>(chips_.size());
+        return static_cast<std::uint32_t>(units_.size());
     }
-    nand::NandChip &chip(std::uint32_t i) { return chips_[i]; }
+    nand::NandChip &chip(std::uint32_t i) { return units_[i].chip(); }
     ChipUnit &chipUnit(std::uint32_t i) { return units_[i]; }
     const ChipUnit &chipUnit(std::uint32_t i) const { return units_[i]; }
 
@@ -143,13 +146,19 @@ class Ssd
     /** Panic unless `ssd` is drained; returns it (copy-ctor guard). */
     static const Ssd &requireDrained(const Ssd &ssd);
 
+    /**
+     * Set the device's six internal links: each chip unit's channel
+     * and event queue, the FTL's chip units and event queue, and the
+     * host queue's FTL and event queue. Both constructors call it.
+     */
+    void wire();
+
     SsdConfig config_;
     sim::EventQueue queue_;
     std::vector<Channel> channels_;
-    std::vector<nand::NandChip> chips_;
     std::vector<ChipUnit> units_;
     std::unique_ptr<ftl::FtlBase> ftl_;
-    std::unique_ptr<HostQueue> hostQueue_;
+    HostQueue hostQueue_;
 };
 
 }  // namespace cubessd::ssd

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "src/common/logging.h"
 #include "src/common/units.h"
@@ -105,9 +107,15 @@ applyOption(const std::string &token, TenantSpec *spec)
     const std::string value = token.substr(eq + 1);
 
     if (key == "w" || key == "weight") {
+        // Digits only, in 32 bits: strtoull alone would accept a sign
+        // and wrap "-1" or 2^32 + 1 into a valid-looking weight.
         char *end = nullptr;
-        const unsigned long parsed = std::strtoul(value.c_str(), &end, 10);
-        if (end == value.c_str() || *end != '\0' || parsed == 0)
+        errno = 0;
+        const unsigned long long parsed =
+            std::strtoull(value.c_str(), &end, 10);
+        if (!std::isdigit(static_cast<unsigned char>(value[0])) ||
+            *end != '\0' || errno == ERANGE || parsed == 0 ||
+            parsed > std::numeric_limits<std::uint32_t>::max())
             return "bad weight '" + value +
                    "': expected a positive integer";
         spec->weight = static_cast<std::uint32_t>(parsed);

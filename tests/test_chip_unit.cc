@@ -42,8 +42,9 @@ class ChipUnitTest : public ::testing::Test
     {
         nand::NandChipConfig config;
         config.geometry.blocksPerChip = 4;
-        chip_ = std::make_unique<nand::NandChip>(config);
-        unit_ = std::make_unique<ChipUnit>(*chip_, channel_, queue_);
+        unit_ = std::make_unique<ChipUnit>(config);
+        unit_->wire(channel_, queue_);
+        chip_ = &unit_->chip();
     }
 
     NandOpListener *
@@ -101,8 +102,8 @@ class ChipUnitTest : public ::testing::Test
 
     sim::EventQueue queue_;
     Channel channel_;
-    std::unique_ptr<nand::NandChip> chip_;
     std::unique_ptr<ChipUnit> unit_;
+    nand::NandChip *chip_ = nullptr;  ///< the unit's own chip
     std::deque<std::unique_ptr<CallbackListener>> listeners_;
     std::deque<std::vector<std::uint64_t>> tokenStorage_;
 };
@@ -200,8 +201,9 @@ TEST_F(ChipUnitTest, SharedChannelSerializesTransfers)
     nand::NandChipConfig config;
     config.geometry.blocksPerChip = 4;
     config.seed = 2;
-    nand::NandChip chip2(config);
-    ChipUnit unit2(chip2, channel_, queue_);
+    ChipUnit unit2(config);
+    unit2.wire(channel_, queue_);
+    const nand::NandChip &chip2 = unit2.chip();
 
     unit_->enqueue(eraseOp(0, nullptr));
     unit_->enqueue(programOp({0, 0, 0}, nullptr));

@@ -4,8 +4,8 @@
  *
  * The simulator's contract is bit-identical replay: same config and
  * seed => same event sequence => same integer timestamps and stats.
- * These tests pin the exact end-to-end fingerprint of a small
- * fig17-style workload (captured from the calendar-queue scheduler
+ * These tests pin, for every FTL, the exact end-to-end fingerprint of
+ * a small fig17-style workload (captured from the calendar-queue scheduler
  * the day it landed, verified bit-identical to the std::function-heap
  * scheduler it replaced) so any future change that silently perturbs
  * event ordering — a different tie-break, a reordered schedule call,
@@ -25,7 +25,7 @@ namespace cubessd {
 namespace {
 
 ssd::SsdConfig
-pinConfig()
+pinConfig(ssd::FtlKind kind, bool wam)
 {
     ssd::SsdConfig config;
     config.channels = 2;
@@ -35,7 +35,8 @@ pinConfig()
     config.gcLowWatermark = 2;
     config.gcHighWatermark = 3;
     config.gcUrgentWatermark = 1;
-    config.ftl = ssd::FtlKind::Cube;
+    config.ftl = kind;
+    config.cubeFeatures.wam = wam;  // false: cubeFTL-
     config.seed = 42;
     return config;
 }
@@ -54,9 +55,10 @@ struct Fingerprint
 };
 
 Fingerprint
-runPinned(bool sampled)
+runPinned(bool sampled, ssd::FtlKind kind = ssd::FtlKind::Cube,
+          bool wam = true)
 {
-    ssd::Ssd dev(pinConfig());
+    ssd::Ssd dev(pinConfig(kind, wam));
     if (sampled) {
         // Observation-only sampling must not perturb the simulation.
         dev.queue().setSampler(10'000, [](SimTime) {});
@@ -83,17 +85,37 @@ runPinned(bool sampled)
 
 TEST(DeterminismPin, Fig17StyleWorkloadFingerprint)
 {
-    const Fingerprint fp = runPinned(/*sampled=*/false);
-
-    // Golden values. If an intentional semantic change moves them,
-    // re-pin: build, run this test, copy the reported values, and
-    // re-verify the full-size figures against their references.
-    EXPECT_EQ(fp.completed, 6000u);
-    EXPECT_EQ(fp.elapsed, 375'214'700u);
-    EXPECT_EQ(fp.events, 16'414u);
-    EXPECT_EQ(fp.latencySum, 291'814'308'762u);
-    EXPECT_EQ(fp.queueWaitSum, 0u);
-    EXPECT_EQ(fp.gcCollections, 32u);
+    // Golden values per FTL. If an intentional semantic change moves
+    // them, re-pin: build, run this test, copy the reported values,
+    // and re-verify the full-size figures against their references.
+    struct Pin
+    {
+        const char *name;
+        ssd::FtlKind kind;
+        bool wam;
+        Fingerprint expected;
+    };
+    const Pin pins[] = {
+        {"pageFTL", ssd::FtlKind::Page, true,
+         {767'961'720u, 21'139u, 6000u, 412'969'911'131u, 0u, 24u}},
+        {"vertFTL", ssd::FtlKind::Vert, true,
+         {728'371'920u, 21'138u, 6000u, 382'529'460'090u, 0u, 24u}},
+        {"cubeFTL", ssd::FtlKind::Cube, true,
+         {375'214'700u, 16'414u, 6000u, 291'814'308'762u, 0u, 32u}},
+        {"cubeFTL-", ssd::FtlKind::Cube, false,
+         {641'483'080u, 21'154u, 6000u, 341'504'261'054u, 0u, 24u}},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(pin.name);
+        const Fingerprint fp = runPinned(/*sampled=*/false, pin.kind,
+                                         pin.wam);
+        EXPECT_EQ(fp.completed, pin.expected.completed);
+        EXPECT_EQ(fp.elapsed, pin.expected.elapsed);
+        EXPECT_EQ(fp.events, pin.expected.events);
+        EXPECT_EQ(fp.latencySum, pin.expected.latencySum);
+        EXPECT_EQ(fp.queueWaitSum, pin.expected.queueWaitSum);
+        EXPECT_EQ(fp.gcCollections, pin.expected.gcCollections);
+    }
 }
 
 TEST(DeterminismPin, RepeatedRunsAreBitIdentical)

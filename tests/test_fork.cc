@@ -20,6 +20,7 @@
 #include "src/ftl/ftl_base.h"
 #include "src/metrics/json.h"
 #include "src/ssd/ssd.h"
+#include "src/trace/trace.h"
 #include "src/workload/driver.h"
 #include "src/workload/workload.h"
 
@@ -187,6 +188,24 @@ TEST(SsdFork, OneExtraWriteChangesTheDigest)
         fork.drain();
         EXPECT_NE(fork.stateDigest(), base->stateDigest());
     });
+}
+
+TEST(SsdFork, ForkCarriesNoTraceAttachment)
+{
+    // The copy takes every member, the trace pointers included, and
+    // must then detach them: a fork's events never reach the base's
+    // session.
+    const auto base = makeBase({ssd::FtlKind::Cube}, false);
+    trace::TraceSession session(trace::TraceConfig{1 << 12});
+    base->attachTrace(&session);
+    ssd::Ssd fork(*base);
+    const std::uint64_t before = session.recorded();
+    runWorkload(fork);
+    EXPECT_EQ(session.recorded(), before);
+
+    // The base's own traffic still reaches it.
+    runWorkload(*base);
+    EXPECT_GT(session.recorded(), before);
 }
 
 TEST(SsdFork, ConcurrentForksOfOneBaseMatchTheBase)

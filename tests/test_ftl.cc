@@ -1,6 +1,6 @@
 /**
  * @file
- * FTL engine tests (via the baseline PageFtl and VertFtl): write/read
+ * FTL engine tests (via PageFtl, as pageFTL and vertFTL): write/read
  * data path, coalescing, GC relocation, stalls, drain, and the
  * cross-structure consistency invariant.
  */
@@ -11,7 +11,7 @@
 #include <set>
 
 #include "src/common/rng.h"
-#include "src/ftl/vert_ftl.h"
+#include "src/ftl/page_ftl.h"
 #include "src/ssd/ssd.h"
 
 namespace cubessd {
@@ -202,8 +202,8 @@ TEST(Ftl, VertFtlBuildsMonotoneTable)
     auto config = smallConfig(ssd::FtlKind::Vert);
     config.chip.geometry.layersPerBlock = 48;  // realistic profile
     ssd::Ssd dev(config);
-    const auto &vert = static_cast<const ftl::VertFtl &>(dev.ftl());
-    const auto &table = vert.table();
+    const auto &vert = static_cast<const ftl::PageFtl &>(dev.ftl());
+    const auto &table = vert.vFinalTable();
     ASSERT_EQ(table.size(), 48u);
     // The best layers earn the largest static V_Final reduction;
     // the worst (bottom edge) earns nothing.

@@ -124,6 +124,16 @@ TEST(TenantSpecParse, ErrorsNameTheProblem)
     err = workload::parseTenantSpec("A:readhot:w=0", &spec);
     EXPECT_NE(err.find("bad weight '0'"), std::string::npos);
 
+    // Weights are 32-bit and unsigned: no wrap to 1 or 2^32 - 1, and
+    // no sign.
+    for (const char *w : {"4294967297", "-1", "+3"}) {
+        err = workload::parseTenantSpec(
+            std::string("A:readhot:w=") + w, &spec);
+        EXPECT_NE(err.find(std::string("bad weight '") + w + "'"),
+                  std::string::npos)
+            << w;
+    }
+
     err = workload::parseTenantSpec("A:readhot:slo=5parsec", &spec);
     EXPECT_NE(err.find("unit must be ns, us, ms or s"),
               std::string::npos);

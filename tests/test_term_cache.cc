@@ -29,8 +29,15 @@ class TermCacheTest : public ::testing::Test
           errors_(ErrorParams{}),
           vth_(VthParams{}, kSeed),
           ispp_(IsppConfig{}, errors_),
-          cache_(geom_, process_, errors_, vth_, ispp_)
+          cache_(geom_, process_, errors_, vth_)
     {
+    }
+
+    /** A cache lookup against the fixture's own chip models. */
+    WlTerms
+    lookup(const WlAddr &addr, PeCycles eraseCount, const AgingState &aging)
+    {
+        return cache_.terms(addr, eraseCount, aging, process_, ispp_);
     }
 
     static constexpr std::uint64_t kSeed = 17;
@@ -58,8 +65,7 @@ TEST_F(TermCacheTest, TermsAreBitIdenticalToDirectEvaluation)
                     const AgingState aging{pe, ret};
                     const double q = process_.wlQuality(addr);
                     for (int pass = 0; pass < 2; ++pass) {
-                        const WlTerms t =
-                            cache_.terms(addr, pe, aging);
+                        const WlTerms t = lookup(addr, pe, aging);
                         EXPECT_EQ(t.q, q);
                         EXPECT_EQ(t.speedMv,
                                   process_.programSpeedMv(addr));
@@ -87,10 +93,10 @@ TEST_F(TermCacheTest, EraseAdvancesEpochAndRecomputes)
     const WlAddr addr{2, 4, 0};
     const double q = process_.wlQuality(addr);
     const AgingState aging0{0, 0.0};
-    const WlTerms before = cache_.terms(addr, 0, aging0);
+    const WlTerms before = lookup(addr, 0, aging0);
 
     const AgingState aging1{1, 0.0};  // one more P/E cycle
-    const WlTerms after = cache_.terms(addr, 1, aging1);
+    const WlTerms after = lookup(addr, 1, aging1);
     EXPECT_NE(cache_.epochOf(0), cache_.epochOf(1));
     EXPECT_EQ(after.normBase,
               errors_.normalizedBer(q, aging1, process_.chipFactor()));
@@ -102,13 +108,13 @@ TEST_F(TermCacheTest, RetentionGenerationInvalidatesAllBlocks)
     const WlAddr addr{5, 1, 2};
     const double q = process_.wlQuality(addr);
     const AgingState fresh{100, 0.0};
-    cache_.terms(addr, 100, fresh);
+    lookup(addr, 100, fresh);
 
     // Retention advance at unchanged erase count: same low 32 epoch
     // bits, new generation — the stale entry must not survive.
     cache_.bumpRetentionGen();
     const AgingState baked{100, 6.0};
-    const WlTerms t = cache_.terms(addr, 100, baked);
+    const WlTerms t = lookup(addr, 100, baked);
     EXPECT_EQ(t.severity, errors_.severity(baked));
     EXPECT_EQ(t.shiftBase,
               vth_.optimalShiftMv(addr.block, q, baked, errors_));
@@ -123,9 +129,9 @@ TEST_F(TermCacheTest, CountersTrackHitsAndMisses)
     const WlAddr a{0, 0, 0};
     const WlAddr b{0, 0, 1};  // same block: shares the aging entry
 
-    cache_.terms(a, 0, aging);  // aging miss + wl miss (static fill)
-    cache_.terms(a, 0, aging);  // both hit
-    cache_.terms(b, 0, aging);  // aging hit, wl miss (static fill)
+    lookup(a, 0, aging);  // aging miss + wl miss (static fill)
+    lookup(a, 0, aging);  // both hit
+    lookup(b, 0, aging);  // aging hit, wl miss (static fill)
 
     const TermCacheCounters &c = cache_.counters();
     EXPECT_EQ(c.agingMisses, 1u);
@@ -137,7 +143,7 @@ TEST_F(TermCacheTest, CountersTrackHitsAndMisses)
 
     // A retention bump forces refills but not static re-derivation.
     cache_.bumpRetentionGen();
-    cache_.terms(a, 0, aging);
+    lookup(a, 0, aging);
     EXPECT_EQ(cache_.counters().staticFills, 2u);
     EXPECT_EQ(cache_.counters().wlMisses, 3u);
 }

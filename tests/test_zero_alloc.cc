@@ -259,26 +259,37 @@ TEST(ZeroAlloc, DeviceRequestPathSteadyState)
     workload::Driver driver(dev, gen);
     driver.prefill(0.3);
 
-    LoadSink sink;
-    sink.dev = &dev;
-    sink.workingSet = dev.logicalPages();
+    // A fork of the prefilled device starts with empty pools (a copied
+    // pool is empty) and runs the same load: once warm, it must not
+    // allocate either.
+    dev.drain();
+    ssd::Ssd fork(dev);
 
-    // Warm-up: grow request pools, in-flight maps, GC scratch, rings.
-    sink.drive(8000);
-    const std::uint64_t gcBefore = dev.ftl().gcStats().collections;
+    // Warm up (grow request pools, in-flight maps, rings), then count
+    // the allocations of a second window of the same load.
+    auto measure = [](ssd::Ssd &device) {
+        LoadSink sink;
+        sink.dev = &device;
+        sink.workingSet = device.logicalPages();
+        sink.drive(8000);
+        const std::uint64_t gcBefore = device.ftl().gcStats().collections;
 
-    const std::uint64_t firedBefore = dev.queue().fired();
-    const std::uint64_t before = gAllocCount;
-    sink.drive(8000);
-    const std::uint64_t allocs = gAllocCount - before;
-    const std::uint64_t fired = dev.queue().fired() - firedBefore;
+        const std::uint64_t firedBefore = device.queue().fired();
+        const std::uint64_t before = gAllocCount;
+        sink.drive(8000);
+        const std::uint64_t allocs = gAllocCount - before;
+        const std::uint64_t fired = device.queue().fired() - firedBefore;
 
-    EXPECT_GT(fired, 50000u);  // the window did real work
-    // GC must have been active inside the measured window for the
-    // audit to cover the relocation path.
-    EXPECT_GT(dev.ftl().gcStats().collections, gcBefore);
-    EXPECT_EQ(allocs, 0u)
-        << allocs << " allocations over " << fired << " events";
+        EXPECT_GT(fired, 50000u);  // the window did real work
+        // GC must have been active inside the measured window for the
+        // audit to cover the relocation path.
+        EXPECT_GT(device.ftl().gcStats().collections, gcBefore);
+        EXPECT_EQ(allocs, 0u)
+            << allocs << " allocations over " << fired << " events";
+    };
+    measure(dev);
+    SCOPED_TRACE("fork");
+    measure(fork);
 }
 
 TEST(ZeroAlloc, DriverRunDoesNotAllocatePerRequest)

@@ -326,9 +326,14 @@ parseArgs(int argc, char **argv)
             fatal("unknown option '%s' (try --help)", arg.c_str());
         }
     }
-    if (opt.requests == 0) {
-        std::cerr << "cubessd_sim: --requests must be > 0\n";
-        std::exit(2);
+    for (const auto &[option, v] :
+         {std::pair<const char *, std::uint64_t>{"--requests", opt.requests},
+          {"--seeds", opt.seedCount},
+          {"--arb-burst", opt.arbBurst}}) {
+        if (v == 0) {
+            std::cerr << "cubessd_sim: " << option << " must be > 0\n";
+            std::exit(2);
+        }
     }
     return opt;
 }
