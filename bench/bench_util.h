@@ -105,12 +105,14 @@ runMain(const char *bench, int argc, char **argv, Body &&body)
                 fatal("missing value for %s", option);
             return argv[++i];
         };
-        // Into an unsigned `out`, whose type bounds the value.
-        const auto count = [&](auto &out) {
+        // Into an unsigned `out`, whose type bounds the value, as
+        // does `max`.
+        const auto count = [&](auto &out,
+                               std::uint64_t max = ~std::uint64_t{0}) {
             const char *text = value();
             const char *end = text + std::strlen(text);
             const auto [ptr, ec] = std::from_chars(text, end, out);
-            if (ec == std::errc{} && ptr == end)
+            if (ec == std::errc{} && ptr == end && out <= max)
                 return;
             std::cerr << bench << ": invalid value '" << text << "' for "
                       << option << " (expected a non-negative integer)\n";
@@ -119,7 +121,8 @@ runMain(const char *bench, int argc, char **argv, Body &&body)
         if (std::strcmp(option, "--trace-out") == 0)
             options.out = value();
         else if (std::strcmp(option, "--sample-interval-us") == 0)
-            count(options.sampleIntervalUs);
+            // Sampled every sampleIntervalUs * 1000 ns, in 64 bits.
+            count(options.sampleIntervalUs, ~std::uint64_t{0} / 1000);
         else if (std::strcmp(option, "--jobs") == 0)
             count(cliJobs());
         else

@@ -14,7 +14,7 @@
 #include <string>
 
 #include "src/cubessd.h"
-#include "src/ftl/ftl_base.h"
+#include "src/ftl/ftl.h"
 
 using namespace cubessd;
 

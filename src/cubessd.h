@@ -45,9 +45,7 @@
 #include "src/common/units.h"
 #include "src/common/zipf.h"
 #include "src/ecc/ecc.h"
-#include "src/ftl/cube_ftl.h"
-#include "src/ftl/ftl_base.h"
-#include "src/ftl/page_ftl.h"
+#include "src/ftl/ftl.h"
 #include "src/ftl/program_order.h"
 #include "src/metrics/histogram.h"
 #include "src/metrics/json.h"

@@ -2,7 +2,7 @@
  * @file
  * Cumulative FTL-level counters. The FTL engine and its GC engine
  * count here; GC collections, relocations and erases are counted only
- * here (FtlBase::gcStats() reports them alongside the GC engine's own
+ * here (Ftl::gcStats() reports them alongside the GC engine's own
  * counters).
  */
 

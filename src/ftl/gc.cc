@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "src/ftl/ftl_base.h"
+#include "src/ftl/ftl.h"
 #include "src/prof/prof.h"
 #include "src/trace/trace.h"
 
@@ -17,7 +17,7 @@ GcEngine::GcEngine(std::uint32_t chips, std::uint32_t pagesPerBlock)
 }
 
 GcStats
-GcEngine::stats(const FtlBase &ftl) const
+GcEngine::stats(const Ftl &ftl) const
 {
     const FtlStats &s = ftl.stats_;
     return {s.gcCollections, s.gcRelocatedPages, s.erases,
@@ -44,7 +44,7 @@ GcEngine::setTracks(std::vector<std::uint32_t> tracks)
 }
 
 void
-GcEngine::traceCollectionBegin(FtlBase &ftl, std::uint32_t chip)
+GcEngine::traceCollectionBegin(Ftl &ftl, std::uint32_t chip)
 {
     if (ftl.trace_ == nullptr)
         return;
@@ -58,7 +58,7 @@ GcEngine::traceCollectionBegin(FtlBase &ftl, std::uint32_t chip)
 }
 
 void
-GcEngine::maybeStart(FtlBase &ftl, std::uint32_t chip)
+GcEngine::maybeStart(Ftl &ftl, std::uint32_t chip)
 {
     // The scope opens only past the early-outs: maybeStart is polled
     // on every host program, and profiling the two-compare idle check
@@ -77,7 +77,7 @@ GcEngine::maybeStart(FtlBase &ftl, std::uint32_t chip)
 }
 
 void
-GcEngine::startCollection(FtlBase &ftl, std::uint32_t chip,
+GcEngine::startCollection(Ftl &ftl, std::uint32_t chip,
                           std::uint32_t victim)
 {
     auto &gc = gc_[chip];
@@ -104,13 +104,13 @@ GcEngine::noteProgramComplete(std::uint32_t chip, SimTime tProg)
 }
 
 void
-GcEngine::resume(FtlBase &ftl, std::uint32_t chip)
+GcEngine::resume(Ftl &ftl, std::uint32_t chip)
 {
     continueOn(ftl, chip);
 }
 
 void
-GcEngine::continueOn(FtlBase &ftl, std::uint32_t chip)
+GcEngine::continueOn(Ftl &ftl, std::uint32_t chip)
 {
     auto &gc = gc_[chip];
     if (!gc.active)
@@ -155,7 +155,7 @@ GcEngine::continueOn(FtlBase &ftl, std::uint32_t chip)
 }
 
 void
-GcEngine::finishScanPage(FtlBase &ftl, std::uint32_t chip,
+GcEngine::finishScanPage(Ftl &ftl, std::uint32_t chip,
                          std::uint32_t pageInBlockIdx)
 {
     // Called only from onNandOpComplete, whose FtlGc scope is open.
@@ -168,7 +168,7 @@ GcEngine::finishScanPage(FtlBase &ftl, std::uint32_t chip,
 }
 
 void
-GcEngine::maybeDispatchProgram(FtlBase &ftl, std::uint32_t chip,
+GcEngine::maybeDispatchProgram(Ftl &ftl, std::uint32_t chip,
                                bool force)
 {
     // Called only from continueOn, whose FtlGc scope is open.
@@ -185,7 +185,7 @@ GcEngine::maybeDispatchProgram(FtlBase &ftl, std::uint32_t chip,
 }
 
 void
-GcEngine::eraseVictim(FtlBase &ftl, std::uint32_t chip)
+GcEngine::eraseVictim(Ftl &ftl, std::uint32_t chip)
 {
     // Called only from continueOn, whose FtlGc scope is open.
     auto &gc = gc_[chip];
@@ -200,7 +200,7 @@ GcEngine::eraseVictim(FtlBase &ftl, std::uint32_t chip)
 }
 
 void
-GcEngine::onNandOpComplete(FtlBase &ftl, const ssd::NandOp &op,
+GcEngine::onNandOpComplete(Ftl &ftl, const ssd::NandOp &op,
                            const ssd::NandOpResult &result)
 {
     PROF_SCOPE(prof::Slot::FtlGc);
@@ -217,7 +217,7 @@ GcEngine::onNandOpComplete(FtlBase &ftl, const ssd::NandOp &op,
 }
 
 void
-GcEngine::handleEraseComplete(FtlBase &ftl, std::uint32_t chip,
+GcEngine::handleEraseComplete(Ftl &ftl, std::uint32_t chip,
                               const ssd::NandOpResult &result)
 {
     // Called only from onNandOpComplete, whose FtlGc scope is open.

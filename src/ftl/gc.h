@@ -2,17 +2,17 @@
  * @file
  * Garbage collection of the FTL engine.
  *
- * GcEngine is FtlBase's per-chip GC state machine: victim scan reads,
+ * GcEngine is Ftl's per-chip GC state machine: victim scan reads,
  * WL-sized relocation programs, and the final erase, with hysteresis
  * between the low and high free-block watermarks of SsdConfig. Victims
  * are picked greedily (the closed block with the fewest valid pages,
  * BlockManager::pickVictim).
  *
  * The engine drives NAND directly for scans and erases but routes
- * relocation programs through the FTL's flush path (FtlBase::gcProgram),
+ * relocation programs through the FTL's flush path (Ftl::gcProgram),
  * so program-target policy (leader/follower steering, safety checks)
  * applies to GC traffic exactly as to host traffic. It is a by-value
- * member and a friend of FtlBase, which passes itself to every call:
+ * member and a friend of Ftl, which passes itself to every call:
  * the engine works on the FTL's own geometry, block managers, mapping,
  * counters and event queue, and holds no reference to it.
  */
@@ -41,7 +41,7 @@ struct FlushEntry
 };
 
 /**
- * Cumulative GC counters of one device (FtlBase::gcStats()):
+ * Cumulative GC counters of one device (Ftl::gcStats()):
  * collections, relocatedPages and erases are FtlStats' gcCollections,
  * gcRelocatedPages and erases; GcEngine counts the rest.
  */
@@ -79,10 +79,10 @@ struct GcStats
     }
 };
 
-class FtlBase;
+class Ftl;
 
 /**
- * The garbage collector of one FtlBase, held by value in it: per-chip
+ * The garbage collector of one Ftl, held by value in it: per-chip
  * collection progress plus the GC-only counters (scan reads, programs,
  * their latency). Everything else it reads and updates — block
  * managers, mapping, chips, the flush path and the collection,
@@ -96,7 +96,7 @@ class GcEngine final
     GcEngine(std::uint32_t chips, std::uint32_t pagesPerBlock);
 
     /** Start collecting on `chip` if below the low watermark. */
-    void maybeStart(FtlBase &ftl, std::uint32_t chip);
+    void maybeStart(Ftl &ftl, std::uint32_t chip);
 
     /** Is a collection in progress on `chip`? */
     bool active(std::uint32_t chip) const { return gc_.at(chip).active; }
@@ -112,11 +112,11 @@ class GcEngine final
     void noteProgramComplete(std::uint32_t chip, SimTime tProg);
 
     /** Resume the state machine after a relocation program applied. */
-    void resume(FtlBase &ftl, std::uint32_t chip);
+    void resume(Ftl &ftl, std::uint32_t chip);
 
     /** `ftl`'s collection, relocation and erase counts plus the
      *  engine's own. */
-    GcStats stats(const FtlBase &ftl) const;
+    GcStats stats(const Ftl &ftl) const;
 
     /** Fold every chip's collection progress and the counters in. */
     void hashState(StateHash &h) const;
@@ -129,10 +129,10 @@ class GcEngine final
      */
     void setTracks(std::vector<std::uint32_t> tracks);
 
-    /** A scan read or victim erase completed (FtlBase hands over
+    /** A scan read or victim erase completed (Ftl hands over
      *  every op tagged tagGc except programs; op.ctx carries the page
      *  index for reads). */
-    void onNandOpComplete(FtlBase &ftl, const ssd::NandOp &op,
+    void onNandOpComplete(Ftl &ftl, const ssd::NandOp &op,
                           const ssd::NandOpResult &result);
 
   private:
@@ -177,17 +177,17 @@ class GcEngine final
         }
     };
 
-    void startCollection(FtlBase &ftl, std::uint32_t chip,
+    void startCollection(Ftl &ftl, std::uint32_t chip,
                          std::uint32_t victim);
-    void handleEraseComplete(FtlBase &ftl, std::uint32_t chip,
+    void handleEraseComplete(Ftl &ftl, std::uint32_t chip,
                              const ssd::NandOpResult &result);
-    void continueOn(FtlBase &ftl, std::uint32_t chip);
-    void traceCollectionBegin(FtlBase &ftl, std::uint32_t chip);
-    void finishScanPage(FtlBase &ftl, std::uint32_t chip,
+    void continueOn(Ftl &ftl, std::uint32_t chip);
+    void traceCollectionBegin(Ftl &ftl, std::uint32_t chip);
+    void finishScanPage(Ftl &ftl, std::uint32_t chip,
                         std::uint32_t pageInBlockIdx);
-    void maybeDispatchProgram(FtlBase &ftl, std::uint32_t chip,
+    void maybeDispatchProgram(Ftl &ftl, std::uint32_t chip,
                               bool force);
-    void eraseVictim(FtlBase &ftl, std::uint32_t chip);
+    void eraseVictim(Ftl &ftl, std::uint32_t chip);
 
     std::vector<ChipState> gc_;
     std::uint64_t scanReads_ = 0;

@@ -46,21 +46,20 @@ Wam::takeLeader(MixedWritePoint &wp, const nand::NandGeometry &geom) const
 }
 
 std::optional<WlChoice>
-Wam::choose(MixedWritePoint &wp, const nand::NandGeometry &geom,
-            double mu) const
+Wam::take(std::span<MixedWritePoint> points, const nand::NandGeometry &geom,
+          bool followerFirst) const
 {
-    normalize(wp, geom);
-    if (mu > muThreshold_) {
-        // High write-bandwidth demand: spend fast follower WLs first.
-        if (auto c = takeFollower(wp, geom))
-            return c;
-        return takeLeader(wp, geom);
+    for (MixedWritePoint &wp : points)
+        normalize(wp, geom);
+    for (const bool follower : {followerFirst, !followerFirst}) {
+        for (MixedWritePoint &wp : points) {
+            auto c = follower ? takeFollower(wp, geom)
+                              : takeLeader(wp, geom);
+            if (c)
+                return c;
+        }
     }
-    // Normal demand: program a slow leader, replenishing the follower
-    // pool; fall back to followers once leaders run out.
-    if (auto c = takeLeader(wp, geom))
-        return c;
-    return takeFollower(wp, geom);
+    return std::nullopt;
 }
 
 }  // namespace cubessd::ftl

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "src/nand/geometry.h"
 
@@ -67,12 +68,26 @@ class Wam
     double muThreshold() const { return muThreshold_; }
 
     /**
-     * Pick the next WL of `wp` given buffer utilization `mu`.
+     * Pick the next WL of `wp` given buffer utilization `mu`: followers
+     * first above mu_TH, leaders first otherwise.
      * @return nullopt if the block is full.
      */
     std::optional<WlChoice>
     choose(MixedWritePoint &wp, const nand::NandGeometry &geom,
-           double mu) const;
+           double mu) const
+    {
+        return take({&wp, 1}, geom, mu > muThreshold_);
+    }
+
+    /**
+     * Pick the next WL of the first of `points` that has one of the
+     * preferred kind (followers if `followerFirst`, else leaders), or
+     * failing that of the other kind.
+     * @return nullopt if every block is full.
+     */
+    std::optional<WlChoice>
+    take(std::span<MixedWritePoint> points, const nand::NandGeometry &geom,
+         bool followerFirst) const;
 
     /** Take the next follower WL regardless of mu (if any). */
     std::optional<WlChoice>

@@ -57,7 +57,7 @@ void printCdf(std::ostream &out, const std::string &title,
               const std::vector<std::pair<double, double>> &cdf);
 
 /**
- * Render a device's GC counters (FtlBase::gcStats(): collections,
+ * Render a device's GC counters (Ftl::gcStats(): collections,
  * relocated pages, erases, GC-induced program latency) as a
  * metric/value table.
  */

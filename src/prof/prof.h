@@ -96,7 +96,7 @@ enum class Slot : std::uint8_t
     NandFaultCheck,        ///< FaultInjector program/erase draws
     NandTermFill,          ///< ErrorTermCache miss: recompute terms
     FtlMapping,            ///< L2P lookups + applyMappings
-    FtlOrtLookup,          ///< CubeFtl ORT lookups (read shift/hint)
+    FtlOrtLookup,          ///< Ftl ORT lookups (read shift/hint)
     FtlOpm,                ///< OPM/WAM target choice, derive, safety
     FtlGc,                 ///< GcEngine scan/relocate/erase driving
     SsdBusTransfer,        ///< Channel::reserve

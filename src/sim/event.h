@@ -33,10 +33,10 @@ enum class EventKind : std::uint8_t
      *  the unit holds the in-flight op, so no payload is needed). */
     ChipOpComplete,
     /** A host request completes back to its CompletionSink after a
-     *  DRAM-buffer service or an immediate status (target: FtlBase). */
+     *  DRAM-buffer service or an immediate status (target: Ftl). */
     RequestComplete,
     /** One page of a multi-page host read finished its DRAM service
-     *  (buffer hit / unmapped page; target: FtlBase). */
+     *  (buffer hit / unmapped page; target: Ftl). */
     ReadPieceDone,
     /** A submitted request reaches its arrival time and enters the
      *  host queue (target: HostQueue). */
@@ -83,7 +83,7 @@ union EventPayload
     /** EventKind::ReadPieceDone. */
     struct ReadPiece
     {
-        void *ctx;             ///< FtlBase read-context (pooled)
+        void *ctx;             ///< Ftl read-context (pooled)
     } readPiece;
 
     /** EventKind::HostAdmit. */
@@ -120,7 +120,7 @@ static_assert(sizeof(EventPayload) <= 64,
 
 /**
  * Target of a typed event. Implemented by the scheduling layers
- * (ChipUnit, HostQueue, FtlBase, Driver); `kind` tells a multi-kind
+ * (ChipUnit, HostQueue, Ftl, Driver); `kind` tells a multi-kind
  * handler which payload member is live.
  */
 class EventHandler

@@ -1,5 +1,6 @@
 #include "src/sim/event_queue.h"
 
+#include <limits>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -170,6 +171,20 @@ EventQueue::scheduleAt(SimTime when, EventKind kind, EventHandler *target,
     insert(e);
 }
 
+namespace {
+
+/** A sampling boundary past the end of SimTime: never reached. */
+constexpr SimTime kNeverSample = std::numeric_limits<SimTime>::max();
+
+/** The boundary `interval` after `t`, or kNeverSample if that wraps. */
+SimTime
+boundaryAfter(SimTime t, SimTime interval)
+{
+    return interval >= kNeverSample - t ? kNeverSample : t + interval;
+}
+
+}  // namespace
+
 void
 EventQueue::setSampler(SimTime interval, SamplerFn fn)
 {
@@ -180,7 +195,7 @@ EventQueue::setSampler(SimTime interval, SamplerFn fn)
     }
     sampler_ = std::move(fn);
     samplerInterval_ = interval;
-    nextSample_ = now_ + interval;
+    nextSample_ = boundaryAfter(now_, interval);
 }
 
 void
@@ -189,10 +204,10 @@ EventQueue::advanceClock(SimTime when)
     if (sampler_) {
         // Catch up on all sampling boundaries up to (and including)
         // this event's time, sampling *before* the event fires.
-        while (nextSample_ <= when) {
+        while (nextSample_ <= when && nextSample_ != kNeverSample) {
             now_ = nextSample_;
             sampler_(now_);
-            nextSample_ += samplerInterval_;
+            nextSample_ = boundaryAfter(nextSample_, samplerInterval_);
         }
     }
     now_ = when;

@@ -60,7 +60,7 @@ WrrArbiter::advance()
         const std::uint32_t q = (current_ + i) % n;
         if (!queues_[q].pending.empty()) {
             current_ = q;
-            credits_ = queues_[q].weight * config_.burst;
+            credits_ = std::uint64_t{queues_[q].weight} * config_.burst;
             return;
         }
     }

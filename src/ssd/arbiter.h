@@ -132,9 +132,10 @@ class WrrArbiter final : public CompletionSink
     ObjectPool<Pending> records_;
     std::uint32_t inFlight_ = 0;
     std::size_t backlogTotal_ = 0;
-    /** WRR scan state: current queue and its remaining credits. */
+    /** WRR scan state: current queue and its remaining credits
+     *  (weight * burst needs 64 bits: both factors reach 2^32 - 1). */
     std::uint32_t current_ = 0;
-    std::uint32_t credits_ = 0;
+    std::uint64_t credits_ = 0;
 };
 
 }  // namespace cubessd::ssd

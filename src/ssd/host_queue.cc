@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/ftl/ftl_base.h"
+#include "src/ftl/ftl.h"
 #include "src/prof/prof.h"
 #include "src/trace/trace.h"
 

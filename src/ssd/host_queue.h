@@ -30,7 +30,7 @@
 #include "src/ssd/request.h"
 
 namespace cubessd::ftl {
-class FtlBase;
+class Ftl;
 }
 namespace cubessd::trace {
 class TraceSession;
@@ -77,7 +77,7 @@ class HostQueue final : public sim::EventHandler, public CompletionSink
     /** Link the queue to the FTL it feeds and the device's event
      *  queue. */
     void
-    wire(ftl::FtlBase &ftl, sim::EventQueue &queue)
+    wire(ftl::Ftl &ftl, sim::EventQueue &queue)
     {
         ftl_ = &ftl;
         queue_ = &queue;
@@ -145,7 +145,7 @@ class HostQueue final : public sim::EventHandler, public CompletionSink
     void drainWaiting();
 
     sim::EventQueue *queue_ = nullptr;  ///< link, set by wire()
-    ftl::FtlBase *ftl_ = nullptr;       ///< link, set by wire()
+    ftl::Ftl *ftl_ = nullptr;           ///< link, set by wire()
     std::uint32_t depth_;
     std::uint64_t inFlight_ = 0;
     std::uint64_t nextId_ = 1;

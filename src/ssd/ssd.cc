@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/ftl/cube_ftl.h"
-#include "src/ftl/page_ftl.h"
 #include "src/trace/counters.h"
 #include "src/trace/trace.h"
 
@@ -90,31 +88,40 @@ ftlKindName(FtlKind kind)
     return "?";
 }
 
-Ssd::Ssd(const SsdConfig &config)
-    : config_(config), hostQueue_(config.hostQueueDepth)
+namespace {
+
+/** `config`, after refusing it if it does not validate. */
+const SsdConfig &
+validated(const SsdConfig &config)
 {
-    if (const std::string err = config_.validate(); !err.empty())
+    if (const std::string err = config.validate(); !err.empty())
         fatal("Ssd: invalid configuration: %s", err.c_str());
+    return config;
+}
 
-    channels_.resize(config_.channels);
-    units_.reserve(config_.totalChips());
-    for (std::uint32_t i = 0; i < config_.totalChips(); ++i) {
-        nand::NandChipConfig cc = config_.chip;
-        cc.seed = config_.seed * 0x1000193u + i + 1;
-        units_.emplace_back(cc);
+/** One chip unit per chip, each with its own seed. */
+std::vector<ChipUnit>
+makeUnits(const SsdConfig &config)
+{
+    std::vector<ChipUnit> units;
+    units.reserve(config.totalChips());
+    for (std::uint32_t i = 0; i < config.totalChips(); ++i) {
+        nand::NandChipConfig cc = config.chip;
+        cc.seed = config.seed * 0x1000193u + i + 1;
+        units.emplace_back(cc);
     }
+    return units;
+}
 
-    const nand::NandChip &model = units_.front().chip();
-    switch (config_.ftl) {
-      case FtlKind::Page:
-      case FtlKind::Vert:
-        ftl_ = std::make_unique<ftl::PageFtl>(config_, model);
-        break;
-      case FtlKind::Cube:
-        ftl_ = std::make_unique<ftl::CubeFtl>(config_, model,
-                                              config_.cubeFeatures);
-        break;
-    }
+}  // namespace
+
+Ssd::Ssd(const SsdConfig &config)
+    : config_(validated(config)),
+      channels_(config_.channels),
+      units_(makeUnits(config_)),
+      ftl_(config_, units_.front().chip()),
+      hostQueue_(config_.hostQueueDepth)
+{
     wire();
 }
 
@@ -123,22 +130,20 @@ Ssd::Ssd(const Ssd &other)
       queue_(other.queue_),
       channels_(other.channels_),
       units_(other.units_),
-      ftl_(other.ftl_->clone()),
+      ftl_(other.ftl_),
       hostQueue_(other.hostQueue_)
 {
     wire();
     attachTrace(nullptr);
 }
 
-Ssd::~Ssd() = default;
-
 void
 Ssd::wire()
 {
     for (std::uint32_t i = 0; i < units_.size(); ++i)
         units_[i].wire(channels_[i / config_.chipsPerChannel], queue_);
-    ftl_->wire(units_, queue_);
-    hostQueue_.wire(*ftl_, queue_);
+    ftl_.wire(units_, queue_);
+    hostQueue_.wire(ftl_, queue_);
 }
 
 const Ssd &
@@ -147,12 +152,12 @@ Ssd::requireDrained(const Ssd &ssd)
     const bool diesIdle =
         std::all_of(ssd.units_.begin(), ssd.units_.end(),
                     [](const ChipUnit &unit) { return unit.idle(); });
-    if (!ssd.queue_.empty() || !diesIdle || !ssd.ftl_->idle() ||
+    if (!ssd.queue_.empty() || !diesIdle || !ssd.ftl_.idle() ||
         ssd.hostQueue_.inFlight() != 0 || ssd.hostQueue_.waiting() != 0)
         panic("Ssd: only a drained device can be copied (%zu events "
               "pending, dies %s, FTL %s, %llu host requests in flight)",
               ssd.queue_.pending(), diesIdle ? "idle" : "busy",
-              ssd.ftl_->idle() ? "idle" : "busy",
+              ssd.ftl_.idle() ? "idle" : "busy",
               static_cast<unsigned long long>(
                   ssd.hostQueue_.inFlight() + ssd.hostQueue_.waiting()));
     return ssd;
@@ -167,7 +172,7 @@ Ssd::stateDigest() const
         ch.hashState(h);
     for (const auto &unit : units_)
         unit.hashState(h);
-    ftl_->hashState(h);
+    ftl_.hashState(h);
     hostQueue_.hashState(h);
     return h.value();
 }
@@ -218,14 +223,14 @@ Ssd::submitSync(HostRequest req)
 void
 Ssd::drain()
 {
-    ftl_->flushAll();
+    ftl_.flushAll();
     queue_.run();
 }
 
 std::optional<std::uint64_t>
 Ssd::peek(Lba lba) const
 {
-    return ftl_->peek(lba);
+    return ftl_.peek(lba);
 }
 
 void
@@ -233,7 +238,7 @@ Ssd::attachTrace(trace::TraceSession *session)
 {
     hostQueue_.setTrace(session);
     if (session == nullptr) {
-        ftl_->setTrace(nullptr, 0, {});
+        ftl_.setTrace(nullptr, 0, {});
         for (auto &ch : channels_)
             ch.setTrace(nullptr, 0);
         for (auto &unit : units_)
@@ -249,7 +254,7 @@ Ssd::attachTrace(trace::TraceSession *session)
     for (std::uint32_t i = 0; i < units_.size(); ++i)
         gcTracks.push_back(
             session->addTrack("gc/chip" + std::to_string(i)));
-    ftl_->setTrace(session, ftlTrack, std::move(gcTracks));
+    ftl_.setTrace(session, ftlTrack, std::move(gcTracks));
 
     for (std::uint32_t i = 0; i < channels_.size(); ++i)
         channels_[i].setTrace(
@@ -293,7 +298,7 @@ Ssd::registerCounters(trace::CounterRegistry &reg)
                             : 100.0 * static_cast<double>(hits) /
                                   static_cast<double>(lookups);
     });
-    ftl_->registerCounters(reg);
+    ftl_.registerCounters(reg);
 }
 
 }  // namespace cubessd::ssd

@@ -29,10 +29,10 @@
 #ifndef CUBESSD_SSD_SSD_H
 #define CUBESSD_SSD_SSD_H
 
-#include <memory>
 #include <optional>
 #include <vector>
 
+#include "src/ftl/ftl.h"
 #include "src/nand/chip.h"
 #include "src/sim/event_queue.h"
 #include "src/ssd/channel.h"
@@ -40,10 +40,6 @@
 #include "src/ssd/config.h"
 #include "src/ssd/host_queue.h"
 #include "src/ssd/request.h"
-
-namespace cubessd::ftl {
-class FtlBase;
-}
 
 namespace cubessd::trace {
 class CounterRegistry;
@@ -56,7 +52,6 @@ class Ssd
 {
   public:
     explicit Ssd(const SsdConfig &config);
-    ~Ssd();
 
     /**
      * Fork a drained device: empty event queue, empty write buffer and
@@ -74,8 +69,8 @@ class Ssd
 
     const SsdConfig &config() const { return config_; }
     sim::EventQueue &queue() { return queue_; }
-    ftl::FtlBase &ftl() { return *ftl_; }
-    const ftl::FtlBase &ftl() const { return *ftl_; }
+    ftl::Ftl &ftl() { return ftl_; }
+    const ftl::Ftl &ftl() const { return ftl_; }
     HostQueue &hostQueue() { return hostQueue_; }
     const HostQueue &hostQueue() const { return hostQueue_; }
 
@@ -157,7 +152,7 @@ class Ssd
     sim::EventQueue queue_;
     std::vector<Channel> channels_;
     std::vector<ChipUnit> units_;
-    std::unique_ptr<ftl::FtlBase> ftl_;
+    ftl::Ftl ftl_;  ///< built from units_'s chip 0, so declared after it
     HostQueue hostQueue_;
 };
 

@@ -11,7 +11,7 @@
 #include <stdexcept>
 
 #include "src/common/logging.h"
-#include "src/ftl/ftl_base.h"
+#include "src/ftl/ftl.h"
 #include "src/sim/sweep.h"
 #include "src/ssd/ssd.h"
 

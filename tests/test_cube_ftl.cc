@@ -9,7 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/ftl/cube_ftl.h"
+#include "src/ftl/ftl.h"
 #include "src/ssd/ssd.h"
 
 namespace cubessd {
@@ -60,7 +60,7 @@ TEST(CubeFtl, FollowersUseDerivedParams)
     for (Lba lba = 0; lba < 300; ++lba)
         writeSync(dev, lba, 1);
     dev.drain();
-    const auto &cube = static_cast<ftl::CubeFtl &>(dev.ftl());
+    const auto &cube = dev.ftl();
     const auto &cs = cube.cubeStats();
     EXPECT_GT(cs.followerWithParams, 0u);
     // Nearly every follower must ride on leader-derived parameters.
@@ -105,7 +105,7 @@ TEST(CubeFtl, OrtEliminatesRepeatRetries)
     EXPECT_GT(firstPass, 0u);
     EXPECT_LT(secondPass, firstPass / 3);
 
-    const auto &cube = static_cast<ftl::CubeFtl &>(dev.ftl());
+    const auto &cube = dev.ftl();
     EXPECT_GT(cube.cubeStats().ortGuidedReads, 0u);
 }
 

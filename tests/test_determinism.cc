@@ -18,7 +18,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/ftl/cube_ftl.h"
+#include "src/ftl/ftl.h"
 #include "src/workload/driver.h"
 
 namespace cubessd {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -346,6 +347,23 @@ TEST(EventQueue, SamplerDoesNotPerturbDispatch)
             EXPECT_LT(sampleTimes[i - 1], sampleTimes[i]);
         }
     }
+}
+
+TEST(EventQueue, SamplerBoundaryPastTheEndOfTimeNeverFires)
+{
+    // now + interval passes 2^64 - 1 ns: the boundary must not wrap
+    // into the past and fire on every event.
+    EventQueue eq;
+    test::schedule(eq, 500, [] {});
+    eq.run();
+    int samples = 0;
+    eq.setSampler(std::numeric_limits<SimTime>::max() - 100,
+                  [&samples](SimTime) { ++samples; });
+    for (SimTime t = 1; t <= 10; ++t)
+        test::schedule(eq, t * 1000, [] {});
+    eq.run();
+    EXPECT_EQ(samples, 0);
+    EXPECT_EQ(eq.now(), 10500u);
 }
 
 }  // namespace

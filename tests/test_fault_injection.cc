@@ -10,7 +10,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/ftl/ftl_base.h"
+#include "src/ftl/ftl.h"
 #include "src/nand/fault_injector.h"
 #include "src/ssd/ssd.h"
 #include "tests/closure_adapters.h"

@@ -17,7 +17,7 @@
 #include <thread>
 #include <vector>
 
-#include "src/ftl/ftl_base.h"
+#include "src/ftl/ftl.h"
 #include "src/metrics/json.h"
 #include "src/ssd/ssd.h"
 #include "src/trace/trace.h"

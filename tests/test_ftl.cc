@@ -1,18 +1,23 @@
 /**
  * @file
- * FTL engine tests (via PageFtl, as pageFTL and vertFTL): write/read
+ * FTL engine tests (as pageFTL and vertFTL): write/read
  * data path, coalescing, GC relocation, stalls, drain, and the
  * cross-structure consistency invariant.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/common/rng.h"
-#include "src/ftl/page_ftl.h"
+#include "src/ftl/ftl.h"
+#include "src/ftl/program_order.h"
 #include "src/ssd/ssd.h"
+#include "src/trace/trace.h"
 
 namespace cubessd {
 namespace {
@@ -202,7 +207,7 @@ TEST(Ftl, VertFtlBuildsMonotoneTable)
     auto config = smallConfig(ssd::FtlKind::Vert);
     config.chip.geometry.layersPerBlock = 48;  // realistic profile
     ssd::Ssd dev(config);
-    const auto &vert = static_cast<const ftl::PageFtl &>(dev.ftl());
+    const auto &vert = dev.ftl();
     const auto &table = vert.vFinalTable();
     ASSERT_EQ(table.size(), 48u);
     // The best layers earn the largest static V_Final reduction;
@@ -233,6 +238,121 @@ TEST(Ftl, SequentialThenSequentialOverwriteIsCheapGc)
     EXPECT_LT(relocPerCollection,
               config.chip.geometry.pagesPerBlock() / 2.0);
     dev.ftl().checkConsistency();
+}
+
+/** Every completion's latency and the FTL and GC counters of a run,
+ *  plus the device's state digest after it. */
+struct RunOutput
+{
+    std::vector<SimTime> latencies;
+    ftl::FtlStats ftl;
+    ftl::GcStats gc;
+    std::uint64_t digest = 0;
+
+    bool operator==(const RunOutput &) const = default;
+};
+
+/**
+ * Aged, GC-heavy traffic on `dev`: at 2K P/E, fill 90% of the logical
+ * space and overwrite it once at random (GC must run), then after 12
+ * months of retention read half of it back at random (reads retry).
+ */
+RunOutput
+agedGcRun(ssd::Ssd &dev)
+{
+    RunOutput out;
+    const auto record = [&](const ssd::Completion &c) {
+        out.latencies.push_back(c.latency());
+    };
+    const Lba span = dev.logicalPages() * 9 / 10;
+    Rng rng(8);
+    dev.setAging({2000, 0.0});
+    for (Lba lba = 0; lba < span; ++lba)
+        record(writeSync(dev, lba, 1));
+    for (Lba i = 0; i < span; ++i)
+        record(writeSync(dev, rng.uniformInt(span), 1));
+    dev.setAging({2000, 12.0});
+    for (Lba i = 0; i < span / 2; ++i)
+        record(readSync(dev, rng.uniformInt(span), 1));
+    dev.drain();
+    dev.ftl().checkConsistency();
+    out.ftl = dev.ftl().stats();
+    out.gc = dev.ftl().gcStats();
+    out.digest = dev.stateDigest();
+    return out;
+}
+
+TEST(Ftl, PageAndVertProgramHorizontalFirstAndLearnNothing)
+{
+    for (const auto kind : {ssd::FtlKind::Page, ssd::FtlKind::Vert}) {
+        SCOPED_TRACE(ssd::ftlKindName(kind));
+        const auto config = smallConfig(kind);
+        ssd::Ssd dev(config);
+        trace::TraceSession session({std::size_t{1} << 20});
+        dev.attachTrace(&session);
+        const RunOutput run = agedGcRun(dev);
+        ASSERT_EQ(session.dropped(), 0u);
+        EXPECT_GT(run.ftl.gcCollections, 0u);
+        EXPECT_GT(run.ftl.readRetries, 0u);
+
+        // Each die programs in dispatch order, so its program spans
+        // list every block's WLs in the order they were picked: the
+        // horizontal-first sequence, from its start after each erase
+        // (GC erases only fully programmed blocks).
+        const auto &geom = config.chip.geometry;
+        const auto order = ftl::programSequence(
+            ftl::ProgramOrderKind::HorizontalFirst, geom, 0);
+        std::map<std::pair<std::string, std::int64_t>, std::size_t> next;
+        std::uint64_t programs = 0;
+        for (std::size_t i = 0; i < session.size(); ++i) {
+            const auto &e = session.event(i);
+            const std::string &track = session.trackName(e.track);
+            if (e.kind != trace::EventKind::Complete ||
+                track.rfind("die/", 0) != 0)
+                continue;
+            std::size_t &pos = next[{track, e.args[0].value}];
+            if (std::strcmp(e.name, "erase") == 0) {
+                EXPECT_EQ(pos, order.size()) << track;
+                pos = 0;
+                continue;
+            }
+            if (std::strcmp(e.name, "program") != 0 &&
+                std::strcmp(e.name, "gc_program") != 0)
+                continue;
+            ASSERT_LT(pos, order.size()) << track;
+            EXPECT_EQ(e.args[1].value, order[pos].layer) << track;
+            EXPECT_EQ(e.args[2].value, ftl::isLeaderWl(order[pos]) ? 1 : 0)
+                << track;
+            ++pos;
+            ++programs;
+        }
+        EXPECT_EQ(programs,
+                  run.ftl.hostPrograms + run.ftl.gcPrograms);
+
+        // Nothing is monitored, reused, looked up or re-programmed.
+        const auto &ftl = dev.ftl();
+        EXPECT_EQ(ftl.cubeStats().followerWithParams, 0u);
+        EXPECT_EQ(ftl.ort().hits() + ftl.ort().misses(), 0u);
+        EXPECT_EQ(run.ftl.safetyReprograms, 0u);
+        EXPECT_EQ(ftl.vFinalTable().empty(), kind == ssd::FtlKind::Page);
+    }
+}
+
+TEST(Ftl, PageAndVertIgnoreCubeFeatures)
+{
+    for (const auto kind : {ssd::FtlKind::Page, ssd::FtlKind::Vert}) {
+        SCOPED_TRACE(ssd::ftlKindName(kind));
+        const auto run = [&](bool on) {
+            auto config = smallConfig(kind);
+            config.cubeFeatures = {on, on, on, on, on};
+            ssd::Ssd dev(config);
+            return agedGcRun(dev);
+        };
+        ssd::Ssd dev(smallConfig(kind));
+        const RunOutput reference = agedGcRun(dev);
+        EXPECT_TRUE(run(true) == reference);
+        EXPECT_TRUE(run(false) == reference);
+    }
 }
 
 }  // namespace

@@ -10,7 +10,7 @@
 #include <map>
 
 #include "src/common/rng.h"
-#include "src/ftl/ftl_base.h"
+#include "src/ftl/ftl.h"
 #include "src/ssd/ssd.h"
 
 namespace cubessd {

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "src/common/units.h"
-#include "src/ftl/ftl_base.h"
+#include "src/ftl/ftl.h"
 #include "src/ssd/arbiter.h"
 #include "src/ssd/ssd.h"
 #include "src/workload/driver.h"
@@ -370,6 +370,47 @@ TEST(WrrArbiter, QueueWaitIncludesSubmissionQueueTime)
                   completions[i].queueWait() +
                       completions[i].serviceTime());
     }
+}
+
+TEST(WrrArbiter, CreditsHoldWeightTimesBurstPast32Bits)
+{
+    ssd::Ssd dev(mtConfig());
+    for (Lba lba = 0; lba < 16; ++lba) {
+        ssd::HostRequest req;
+        req.type = ssd::IoType::Write;
+        req.lba = lba;
+        dev.submitSync(req);
+    }
+    dev.drain();
+
+    // (2^31 + 1) * 2 credits do not fit 32 bits (they would wrap to 2
+    // and make the queues alternate): once queue A is visited, its
+    // whole backlog must dispatch before queue B dispatches again.
+    ssd::WrrArbiter arbiter(dev.hostQueue(), {1, 2});
+    const auto queueA = arbiter.addQueue((1u << 31) + 1);
+    const auto queueB = arbiter.addQueue(1);
+    OrderSink sink;
+    constexpr int kPerQueue = 12;
+    for (const auto queue : {queueA, queueB}) {
+        for (int i = 0; i < kPerQueue; ++i) {
+            ssd::HostRequest req;
+            req.type = ssd::IoType::Read;
+            req.lba = static_cast<Lba>(i);
+            arbiter.submit(queue, req, &sink, queue);
+        }
+    }
+    dev.queue().run();
+    ASSERT_EQ(sink.items.size(), static_cast<std::size_t>(2 * kPerQueue));
+
+    // Request ids are assigned at dispatch: id order is dispatch order.
+    std::sort(sink.items.begin(), sink.items.end(),
+              [](const OrderSink::Item &a, const OrderSink::Item &b) {
+                  return a.id < b.id;
+              });
+    for (int i = 0; i < 2 * kPerQueue; ++i)
+        EXPECT_EQ(sink.items[static_cast<std::size_t>(i)].queue,
+                  i < kPerQueue ? queueA : queueB)
+            << "dispatch " << i;
 }
 
 // ---------------------------------------------------------------------

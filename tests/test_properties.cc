@@ -10,7 +10,7 @@
 #include <algorithm>
 
 #include "src/common/rng.h"
-#include "src/ftl/cube_ftl.h"
+#include "src/ftl/ftl.h"
 #include "src/ftl/program_order.h"
 #include "src/nand/chip.h"
 #include "src/ssd/ssd.h"

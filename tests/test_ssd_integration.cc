@@ -9,7 +9,7 @@
 
 #include <utility>
 
-#include "src/ftl/cube_ftl.h"
+#include "src/ftl/ftl.h"
 #include "src/workload/driver.h"
 #include "tests/closure_adapters.h"
 

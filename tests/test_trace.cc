@@ -7,7 +7,7 @@
 
 #include <sstream>
 
-#include "src/ftl/ftl_base.h"
+#include "src/ftl/ftl.h"
 #include "src/workload/trace.h"
 #include "src/workload/workload.h"
 

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/ftl/ftl_base.h"
+#include "src/ftl/ftl.h"
 #include "src/sim/event_queue.h"
 #include "src/ssd/ssd.h"
 #include "src/trace/counters.h"

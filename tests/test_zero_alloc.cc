@@ -21,7 +21,7 @@
 #include <cstdlib>
 #include <new>
 
-#include "src/ftl/cube_ftl.h"
+#include "src/ftl/ftl.h"
 #include "src/prof/prof.h"
 #include "src/sim/event_queue.h"
 #include "src/ssd/ssd.h"

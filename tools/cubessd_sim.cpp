@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "src/cubessd.h"
-#include "src/ftl/cube_ftl.h"
+#include "src/ftl/ftl.h"
 #include "src/prof/prof.h"
 #include "src/sim/sweep.h"
 #include "src/workload/sweep.h"
@@ -301,7 +301,8 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--trace-buffer") {
             opt.traceBuffer = static_cast<std::size_t>(count());
         } else if (arg == "--sample-interval-us") {
-            opt.sampleIntervalUs = count();
+            // Sampled every sampleIntervalUs * 1000 ns, in 64 bits.
+            opt.sampleIntervalUs = count(~std::uint64_t{0} / 1000);
         } else if (arg == "--list-counters") {
             opt.listCounters = true;
         } else if (arg == "--profile") {
@@ -329,7 +330,8 @@ parseArgs(int argc, char **argv)
     for (const auto &[option, v] :
          {std::pair<const char *, std::uint64_t>{"--requests", opt.requests},
           {"--seeds", opt.seedCount},
-          {"--arb-burst", opt.arbBurst}}) {
+          {"--arb-burst", opt.arbBurst},
+          {"--trace-buffer", opt.traceBuffer}}) {
         if (v == 0) {
             std::cerr << "cubessd_sim: " << option << " must be > 0\n";
             std::exit(2);
@@ -947,7 +949,7 @@ runSingle(const Options &opt, const ssd::SsdConfig &config,
     metrics::gcStatsTable(dev.ftl().gcStats()).print(std::cout);
 
     if (config.ftl == ssd::FtlKind::Cube) {
-        const auto &cube = static_cast<ftl::CubeFtl &>(dev.ftl());
+        const auto &cube = dev.ftl();
         std::cout << "\ncubeFTL: " << cube.cubeStats().followerWithParams
                   << " followers with leader params, "
                   << cube.cubeStats().ortGuidedReads
