@@ -101,18 +101,18 @@ ProgramChoice
 Ftl::chooseProgramTarget(std::uint32_t chip, bool forGc, double mu)
 {
     PROF_SCOPE(prof::Slot::FtlOpm);
-    ChipState &cs = state_[chip];
+    Chip &c = chips_[chip];
     const std::span<MixedWritePoint> points =
-        forGc ? std::span<MixedWritePoint>(&cs.gc, 1)
-              : std::span<MixedWritePoint>(cs.host, features_.wam ? 2 : 1);
-    bool &open = forGc ? cs.gcOpen : cs.open;
+        forGc ? std::span<MixedWritePoint>(&c.gcPoint, 1)
+              : std::span<MixedWritePoint>(c.host, features_.wam ? 2 : 1);
+    bool &open = forGc ? c.gcOpen : c.hostOpen;
 
     // Replace exhausted write points with fresh blocks first, so a
     // leader WL is always reachable.
     for (MixedWritePoint &wp : points) {
         if (!open || wp.full(geom_)) {
             wp = MixedWritePoint{};
-            wp.block = blockMgrs_[chip].allocate();
+            wp.block = c.blocks.allocate();
         }
     }
     open = true;
@@ -204,7 +204,7 @@ Ftl::onProgramComplete(std::uint32_t chip, const ProgramChoice &choice,
 LeaderParams *
 Ftl::leaderParams(std::uint32_t chip, const nand::WlAddr &wl)
 {
-    for (ParamSlot &slot : state_[chip].slots) {
+    for (ParamSlot &slot : chips_[chip].slots) {
         if (slot.block == wl.block)
             return &slot.layers[wl.layer];
     }
@@ -214,9 +214,9 @@ Ftl::leaderParams(std::uint32_t chip, const nand::WlAddr &wl)
 std::vector<LeaderParams> &
 Ftl::takeSlot(std::uint32_t chip, std::uint32_t block)
 {
-    for (ParamSlot &slot : state_[chip].slots) {
-        if (slot.block != kInvalid32 &&
-            blockMgrs_[chip].info(slot.block).isActive)
+    Chip &c = chips_[chip];
+    for (ParamSlot &slot : c.slots) {
+        if (slot.block != kInvalid32 && c.blocks.info(slot.block).isActive)
             continue;
         slot.block = block;
         slot.layers.assign(slot.layers.size(), LeaderParams{});
@@ -241,7 +241,7 @@ Ftl::onBlockErased(std::uint32_t chip, std::uint32_t block)
 {
     if (features_.ort)
         ort_.resetBlock(chip, block);
-    for (ParamSlot &slot : state_[chip].slots) {
+    for (ParamSlot &slot : chips_[chip].slots) {
         if (slot.block == block)
             slot.block = kInvalid32;
     }
@@ -252,19 +252,19 @@ Ftl::onBlockRetired(std::uint32_t chip, std::uint32_t block)
 {
     // Force any write point open on the retired block to exhausted so
     // the next pick replaces it with a fresh allocation.
-    auto &cs = state_[chip];
+    Chip &c = chips_[chip];
     const auto exhaust = [this](MixedWritePoint &wp) {
         wp.iLeader = geom_.layersPerBlock;
         wp.iFollower = geom_.layersPerBlock;
     };
-    if (cs.open) {
-        for (auto &wp : cs.host) {
+    if (c.hostOpen) {
+        for (auto &wp : c.host) {
             if (wp.block == block)
                 exhaust(wp);
         }
     }
-    if (cs.gcOpen && cs.gc.block == block)
-        exhaust(cs.gc);
+    if (c.gcOpen && c.gcPoint.block == block)
+        exhaust(c.gcPoint);
     // Cached ORT shifts and OPM parameters die with the block.
     onBlockErased(chip, block);
 }

@@ -5,7 +5,7 @@
 #include <ostream>
 
 #include "src/common/logging.h"
-#include "src/ftl/gc.h"
+#include "src/ftl/ftl_stats.h"
 #include "src/ftl/ort.h"
 
 namespace cubessd::metrics {

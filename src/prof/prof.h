@@ -98,7 +98,7 @@ enum class Slot : std::uint8_t
     FtlMapping,            ///< L2P lookups + applyMappings
     FtlOrtLookup,          ///< Ftl ORT lookups (read shift/hint)
     FtlOpm,                ///< OPM/WAM target choice, derive, safety
-    FtlGc,                 ///< GcEngine scan/relocate/erase driving
+    FtlGc,                 ///< Ftl GC: start, scan, relocate, erase
     SsdBusTransfer,        ///< Channel::reserve
     SsdHostQueue,          ///< HostQueue admit/start/complete
     SsdArbiter,            ///< WrrArbiter submit/pump/complete

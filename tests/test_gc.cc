@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests of the FTL's GC engine (src/ftl/gc.h): steady-state
+ * Tests of the FTL's garbage collection (src/ftl/gc.cc): steady-state
  * behaviour under sustained random overwrite, watermark maintenance,
  * and stats accounting.
  */
@@ -66,7 +66,7 @@ TEST(Gc, SteadyStateOverwriteRespectsWatermarksAndKeepsMapping)
             // takes the last free block).
             for (std::uint32_t c = 0; c < dev.chipCount(); ++c) {
                 ASSERT_TRUE(dev.ftl().blockManager(c).freeCount() >= 1 ||
-                            dev.ftl().gc().active(c))
+                            dev.ftl().collecting(c))
                     << "chip " << c << " exhausted with GC idle";
             }
         }
