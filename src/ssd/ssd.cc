@@ -223,8 +223,13 @@ Ssd::submitSync(HostRequest req)
 void
 Ssd::drain()
 {
-    ftl_.flushAll();
-    queue_.run();
+    // Writes submitted but not yet admitted reach the buffer while the
+    // queue runs, possibly after the flush has found it empty and left
+    // drain mode: flush again until nothing is buffered.
+    do {
+        ftl_.flushAll();
+        queue_.run();
+    } while (!ftl_.buffer().empty());
 }
 
 std::optional<std::uint64_t>

@@ -113,7 +113,8 @@ class Ssd
      *  carries the request's Status. */
     Completion submitSync(HostRequest req);
 
-    /** Flush the write buffer and run all pending events. */
+    /** Flush the write buffer, writes still waiting for admission
+     *  included, and run all pending events. */
     void drain();
 
     /** Data token of a logical page, bypassing timing (tests). */

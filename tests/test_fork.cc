@@ -228,6 +228,28 @@ TEST(SsdFork, ConcurrentForksOfOneBaseMatchTheBase)
         expectSameOutcome(f, own);
 }
 
+TEST(SsdFork, DrainFlushesWritesNotYetAdmitted)
+{
+    // The ssd.h pattern: submit, then drain. The writes reach the
+    // buffer only while drain runs the queue, and all of them must
+    // reach NAND, leaving a device that can be forked.
+    ssd::SsdConfig config;
+    config.channels = 1;
+    config.chipsPerChannel = 2;
+    ssd::Ssd dev(config);
+    for (Lba lba = 0; lba < 4; ++lba) {
+        ssd::HostRequest req;
+        req.type = ssd::IoType::Write;
+        req.lba = lba;
+        dev.submit(req, nullptr);
+    }
+    dev.drain();
+    ASSERT_TRUE(dev.ftl().buffer().empty());
+    ASSERT_TRUE(dev.ftl().idle());
+    const ssd::Ssd fork(dev);
+    EXPECT_EQ(fork.stateDigest(), dev.stateDigest());
+}
+
 TEST(SsdForkDeathTest, CopyWithIoInFlightPanics)
 {
     ssd::Ssd dev(forkConfig({ssd::FtlKind::Page}, false));

@@ -519,6 +519,7 @@ writeFtl(metrics::JsonWriter &w, const ftl::FtlStats &stats,
     w.field("nand_reads", stats.nandReads);
     w.field("host_programs", stats.hostPrograms);
     w.field("gc_programs", stats.gcPrograms);
+    w.field("relocation_programs", stats.relocationPrograms);
     w.field("leader_programs", stats.leaderPrograms);
     w.field("follower_programs", stats.followerPrograms);
     w.field("read_retries", stats.readRetries);
@@ -540,6 +541,7 @@ writeFailures(metrics::JsonWriter &w, const ftl::FtlStats &stats)
     w.field("retired_blocks", stats.retiredBlocks);
     w.field("bad_block_relocations", stats.badBlockRelocations);
     w.field("flush_replays", stats.flushReplays);
+    w.field("flush_deferrals", stats.flushDeferrals);
     w.field("uncorrectable_reads", stats.uncorrectableReads);
     w.field("read_only_rejects", stats.readOnlyRejects);
     w.field("rejected_requests", stats.rejectedRequests);
