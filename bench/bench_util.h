@@ -49,9 +49,10 @@ namespace cubessd::bench {
  * Chrome trace file. Only that one cell is traced: the benches repeat
  * runs across seeds/FTLs and one representative timeline is what a
  * reader wants to open in Perfetto — and under `--jobs N` two cells
- * must never race on the same trace file (workload::runCells enforces
- * the exactly-one rule with an atomic claim). The quoted stdout and
- * the JSON sidecars are unaffected either way.
+ * must never race on the same trace file (workload::runCells traces
+ * only the cell its SweepTrace names, and sim::SweepRunner runs each
+ * cell once). The quoted stdout and the JSON sidecars are unaffected
+ * either way.
  *
  * These options are written once by main() before any worker thread
  * exists and are read-only afterwards; keep it that way.
