@@ -1,5 +1,8 @@
 #include "src/nand/chip.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "src/common/logging.h"
 #include "src/prof/prof.h"
 
@@ -45,7 +48,12 @@ AgingState
 NandChip::blockAging(std::uint32_t block) const
 {
     AgingState aging = baseAging_;
-    aging.peCycles += blocks_.at(block).eraseCount;
+    // Saturate: an injected count near the 32-bit limit plus runtime
+    // erases must not wrap around to a fresh block.
+    const std::uint64_t pe = std::uint64_t{aging.peCycles} +
+                             blocks_.at(block).eraseCount;
+    aging.peCycles = static_cast<PeCycles>(std::min<std::uint64_t>(
+        pe, std::numeric_limits<PeCycles>::max()));
     return aging;
 }
 
@@ -115,7 +123,8 @@ NandChip::programWl(const WlAddr &addr, const ProgramCommand &cmd,
         terms_.terms(addr, block.eraseCount, aging, process_, ispp_);
 
     WlProgramResult result = ispp_.programWithTerms(
-        t.q, t.speedMv, t.severity, t.sigma, t.normBase, cmd, rng_);
+        t.q, process_.programSpeedMv(addr), t.severity, t.sigma, t.normBase,
+        cmd, rng_);
 
     if (cmd.nonDefault()) {
         result.tProg += config_.timing.tFeatureSet;
@@ -204,8 +213,8 @@ NandChip::measureBerNorm(const PageAddr &addr)
     const auto &wl = block.wls[wlIndex(addr.wlAddr())];
     if (!(wl.programmedPages & (1u << addr.page)))
         panic("measureBerNorm: page not programmed");
-    // The cached normBase IS normalizedBer(q, aging, chipFactor) —
-    // same expression, same bits (tests/test_term_cache.cc) — and
+    // The term cache's normBase IS normalizedBer(q, aging, chipFactor)
+    // — same expression, same bits (tests/test_term_cache.cc) — and
     // monitoring reads hammer this path once per leader program.
     const WlTerms t = terms_.terms(addr.wlAddr(), block.eraseCount,
                                    blockAging(addr.block), process_, ispp_);

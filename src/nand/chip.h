@@ -96,7 +96,8 @@ class NandChip
     /**
      * Inject a wear/retention condition for the whole chip, as the
      * characterization rig does with pre-cycling and bake (Sec. 3.1).
-     * Runtime erases add on top of the injected P/E count.
+     * Runtime erases add on top of the injected P/E count (the sum
+     * saturates at the largest PeCycles).
      */
     void
     setAging(const AgingState &aging)

@@ -8,15 +8,14 @@ ErrorTermCache::ErrorTermCache(const NandGeometry &geom,
                                const ProcessModel &process,
                                const ErrorModel &errors,
                                const VthModel &vth)
-    : geom_(geom),
-      errors_(errors),
+    : errors_(errors),
       vth_(vth),
       chipFactor_(process.chipFactor())
 {
-    aging_.resize(geom_.blocksPerChip);
-    wls_.resize(static_cast<std::size_t>(geom_.blocksPerChip) *
-                geom_.wlsPerBlock());
-    blockDrift_.assign(geom_.blocksPerChip, -1.0);
+    aging_.resize(geom.blocksPerChip);
+    blockDrift_.resize(geom.blocksPerChip);
+    for (std::uint32_t b = 0; b < geom.blocksPerChip; ++b)
+        blockDrift_[b] = vth_.blockDrift(b);
 }
 
 void
@@ -27,10 +26,6 @@ ErrorTermCache::hashState(StateHash &h) const
         h.add(e.tag).add(e.terms.severity).add(e.terms.peGrowth);
         h.add(e.terms.retGrowth).add(e.terms.exponent);
         h.add(e.shiftSevTerm).add(e.sigma);
-    }
-    for (const WlEntry &e : wls_) {
-        h.add(e.tag).add(e.q).add(e.speedMv).add(e.shiftBase);
-        h.add(e.normBase);
     }
     h.add(blockDrift_).add(counters_);
 }
@@ -54,34 +49,15 @@ ErrorTermCache::terms(const WlAddr &addr, PeCycles eraseCount,
         ++counters_.agingHits;
     }
 
-    WlEntry &we = wls_[wlIndex(addr)];
-    if (we.tag != tag) {
-        PROF_SCOPE(prof::Slot::NandTermFill);
-        ++counters_.wlMisses;
-        if (we.q < 0.0) {
-            // First touch of this WL: fill the aging-independent terms.
-            ++counters_.staticFills;
-            we.q = process.wlQuality(addr);
-            we.speedMv = process.programSpeedMv(addr);
-        }
-        double &drift = blockDrift_[addr.block];
-        if (drift < 0.0)
-            drift = vth_.blockDrift(addr.block);
-        we.shiftBase = vth_.shiftFromTerms(ae.shiftSevTerm, we.q, drift);
-        we.normBase =
-            errors_.normalizedBerFromTerms(we.q, ae.terms, chipFactor_);
-        we.tag = tag;
-    } else {
-        ++counters_.wlHits;
-    }
-
+    // The WL terms are an address hash and one pow: evaluated per call.
     WlTerms out;
-    out.q = we.q;
-    out.speedMv = we.speedMv;
+    out.q = process.wlQuality(addr);
     out.severity = ae.terms.severity;
     out.sigma = ae.sigma;
-    out.shiftBase = we.shiftBase;
-    out.normBase = we.normBase;
+    out.shiftBase = vth_.shiftFromTerms(ae.shiftSevTerm, out.q,
+                                        blockDrift_[addr.block]);
+    out.normBase =
+        errors_.normalizedBerFromTerms(out.q, ae.terms, chipFactor_);
     return out;
 }
 

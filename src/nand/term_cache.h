@@ -4,13 +4,14 @@
  * *aging epoch*.
  *
  * Every read and program evaluates the same chain of transcendental
- * expressions — ErrorModel::severity / terms (log, pow), the quality
- * exponent pow(q, exponent), VthModel::optimalShiftMv (pow, exp) and
- * the ISPP sigma/mu baselines — whose inputs only change when a block
- * is erased (peCycles grows) or the injected retention state advances
- * (NandChip::setAging). Between those events the values are constants
- * of the (WL, block) pair, so the hot paths reduce to a handful of
- * multiplies plus the per-operation RNG jitter.
+ * expressions — ErrorModel::severity / terms (log, pow),
+ * VthModel::shiftSevTerm (pow) and the ISPP sigma baseline — whose
+ * inputs only change when a block is erased (peCycles grows) or the
+ * injected retention state advances (NandChip::setAging). Between
+ * those events the values are constants of the block, so the cache
+ * keeps them once per block and the hot paths add only the per-WL
+ * terms (an address hash and one pow) plus the per-operation RNG
+ * jitter.
  *
  * The epoch is a 64-bit generation counter per block:
  *
@@ -20,18 +21,20 @@
  * block bumps its erase count and therefore implicitly invalidates its
  * cached terms; no explicit flush is needed anywhere.
  *
- * Bit-identity contract: every cached value is produced by the *exact*
+ * Bit-identity contract: every value is produced by the *exact*
  * factorized expressions the direct paths delegate to
  * (ErrorModel::terms / normalizedBerFromTerms, VthModel::shiftSevTerm /
  * shiftFromTerms, IsppEngine::effectiveSigma), so cached and direct
  * evaluation yield bitwise-equal doubles — the fig17/fig18 outputs do
  * not move by one ULP. Tests: test_term_cache.cc.
  *
- * Memory: one AgingEntry per block (a block occupies exactly one epoch
- * at any simulated time, so one slot gets the same hit rate as any
- * associative scheme) plus one 40-byte WlEntry per WL. All arrays are
- * sized at construction — lookups never allocate (zero-alloc contract,
- * tests/test_zero_alloc.cc).
+ * Memory: one AgingEntry and one drift multiplier per block (a block
+ * occupies exactly one epoch at any simulated time, so one slot gets
+ * the same hit rate as any associative scheme) and nothing per WL:
+ * each lookup recomputes the per-WL terms (some 50 ns, most of it the
+ * pow) where a 40-byte entry per WL was a third of a device's memory.
+ * All arrays are sized at construction — lookups never allocate
+ * (zero-alloc contract, tests/test_zero_alloc.cc).
  */
 
 #ifndef CUBESSD_NAND_TERM_CACHE_H
@@ -50,11 +53,14 @@
 
 namespace cubessd::nand {
 
-/** Everything the read/program hot paths need for one WL at one epoch. */
+/**
+ * The model terms the read/program hot paths need for one WL at one
+ * epoch. (A program also needs ProcessModel::programSpeedMv, which no
+ * read does, so the chip evaluates it itself.)
+ */
 struct WlTerms
 {
     double q = 1.0;         ///< ProcessModel::wlQuality (static)
-    double speedMv = 0.0;   ///< ProcessModel::programSpeedMv (static)
     double severity = 0.0;  ///< ErrorModel::severity(aging)
     double sigma = 0.0;     ///< IsppEngine::effectiveSigma(severity)
     /** VthModel::optimalShiftMv(block, q, aging) — jitter-free. */
@@ -66,12 +72,12 @@ struct WlTerms
 /** Hit/miss counters, surfaced through metrics JSON and Perfetto. */
 struct TermCacheCounters
 {
+    /** Always 0: the cache has no per-WL level. The repo benchmark
+     *  (bench/perf/cubessd_bench.cc) still reads both WL counters. */
     std::uint64_t wlHits = 0;
-    std::uint64_t wlMisses = 0;
+    std::uint64_t wlMisses = 0;  ///< always 0, as wlHits
     std::uint64_t agingHits = 0;
     std::uint64_t agingMisses = 0;
-    /** First-touch fills of the static per-WL terms (q, speed, drift). */
-    std::uint64_t staticFills = 0;
 };
 
 /**
@@ -102,8 +108,9 @@ class ErrorTermCache
     /**
      * Model terms of `addr` for a block at `eraseCount` under `aging`
      * (the block's effective aging, as NandChip::blockAging computes
-     * it). Fills both cache levels on miss from `process` and `ispp`,
-     * which must be the models of the chip the cache was built for.
+     * it). Refills the block's entry on an epoch miss and evaluates
+     * the WL terms from `process` and `ispp`, which must be the models
+     * of the chip the cache was built for.
      */
     WlTerms terms(const WlAddr &addr, PeCycles eraseCount,
                   const AgingState &aging, const ProcessModel &process,
@@ -114,12 +121,13 @@ class ErrorTermCache
     /** Fold every entry, the generation and the counters in. */
     void hashState(StateHash &h) const;
 
-    /** WL-level hit fraction in [0, 1]; 0 when no lookups happened. */
+    /** Aging-entry hit fraction in [0, 1]; 0 before any lookup. */
     double
     hitRate() const
     {
-        const std::uint64_t total = counters_.wlHits + counters_.wlMisses;
-        return total ? static_cast<double>(counters_.wlHits) /
+        const std::uint64_t total =
+            counters_.agingHits + counters_.agingMisses;
+        return total ? static_cast<double>(counters_.agingHits) /
                            static_cast<double>(total)
                      : 0.0;
     }
@@ -134,32 +142,12 @@ class ErrorTermCache
         double sigma = 0.0;         ///< IsppEngine::effectiveSigma
     };
 
-    /** Per-WL entry: static terms (filled once) + epoch-tagged bases. */
-    struct WlEntry
-    {
-        std::uint64_t tag = 0;  ///< epoch + 1; 0 = empty
-        double q = -1.0;        ///< static; -1.0 = not yet computed
-        double speedMv = 0.0;   ///< static
-        double shiftBase = 0.0;
-        double normBase = 0.0;
-    };
-
-    std::size_t
-    wlIndex(const WlAddr &addr) const
-    {
-        return (static_cast<std::size_t>(addr.block) * geom_.wlsPerBlock() +
-                static_cast<std::size_t>(addr.layer) * geom_.wlsPerLayer) +
-               addr.wl;
-    }
-
-    NandGeometry geom_;
     ErrorModel errors_;
     VthModel vth_;
     double chipFactor_ = 1.0;
     std::uint32_t retentionGen_ = 0;
     std::vector<AgingEntry> aging_;
-    std::vector<WlEntry> wls_;
-    std::vector<double> blockDrift_;  ///< VthModel::blockDrift; -1 = unset
+    std::vector<double> blockDrift_;  ///< VthModel::blockDrift per block
     TermCacheCounters counters_;
 };
 

@@ -30,8 +30,9 @@
  * *base* that is built once and copied for every member but the last
  * to start, which takes the base itself. Bases and running jobs each
  * hold one live state (a device, in the sweep's use), and at most
- * max(jobs, 2) live states exist at once. Independent jobs are the
- * special case of one-job groups with nothing to build.
+ * jobs + 1 live states exist at once: one per worker, and one more so
+ * a built base can fork while every other worker runs. Independent
+ * jobs are the special case of one-job groups with nothing to build.
  *
  * With jobs <= 1 the runner degenerates to a plain sequential loop on
  * the calling thread (no threads are spawned), which is both the
@@ -41,7 +42,6 @@
 #ifndef CUBESSD_SIM_SWEEP_H
 #define CUBESSD_SIM_SWEEP_H
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -125,7 +125,7 @@ class SweepRunner
     unsigned jobs() const { return jobs_; }
 
     /** Most live states (bases plus running jobs) at any moment. */
-    std::size_t budget() const { return std::max(jobs_, 2u); }
+    std::size_t budget() const { return std::size_t{jobs_} + 1; }
 
     /**
      * Run `job(0) .. job(count-1)`, each exactly once, across the

@@ -296,8 +296,8 @@ Ssd::registerCounters(trace::CounterRegistry &reg)
         std::uint64_t lookups = 0;
         for (const auto &unit : units_) {
             const auto &c = unit.chip().termCache().counters();
-            hits += c.wlHits;
-            lookups += c.wlHits + c.wlMisses;
+            hits += c.agingHits;
+            lookups += c.agingHits + c.agingMisses;
         }
         return lookups == 0 ? 0.0
                             : 100.0 * static_cast<double>(hits) /

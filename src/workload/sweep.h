@@ -9,7 +9,7 @@
  * count, working-set size, prefillOverwrite) share one prefilled
  * device: it is built once, and every cell of the group runs on a
  * fork of it (Ssd's copy constructor) — the last to start on the
- * device itself. At most max(jobs, 2) devices are alive at once.
+ * device itself. At most jobs + 1 devices are alive at once.
  *
  * Determinism contract (the reason `--jobs N` output is bit-identical
  * to `--jobs 1`):

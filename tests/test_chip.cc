@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "src/nand/chip.h"
@@ -80,6 +81,21 @@ TEST_F(ChipTest, InjectedAgingAddsToRuntimeWear)
     const auto aging = chip_.blockAging(3);
     EXPECT_EQ(aging.peCycles, 1001u);
     EXPECT_DOUBLE_EQ(aging.retentionMonths, 3.0);
+}
+
+TEST_F(ChipTest, InjectedWearSaturatesInsteadOfWrapping)
+{
+    // cubessd_sim --pe takes any 32-bit count; runtime erases on top
+    // of one near the limit must not wrap the block back to fresh.
+    constexpr PeCycles kMax = std::numeric_limits<PeCycles>::max();
+    chip_.setAging({kMax - 1, 0.0});
+    chip_.eraseBlock(4);
+    EXPECT_EQ(chip_.blockAging(4).peCycles, kMax);
+    chip_.eraseBlock(4);
+    chip_.eraseBlock(4);
+    EXPECT_EQ(chip_.eraseCount(4), 3u);
+    EXPECT_EQ(chip_.blockAging(4).peCycles, kMax);
+    EXPECT_EQ(chip_.blockAging(5).peCycles, kMax - 1);
 }
 
 TEST_F(ChipTest, DoubleProgramPanics)

@@ -401,18 +401,17 @@ TEST_F(ProfilerTest, TermFillCountMatchesCacheMissCounters)
     driver.run(1500);
     const prof::ProfileData d = prof::snapshot().since(before);
 
-    // Every cache miss (aging-level or WL-level) opens exactly one
-    // nand.term_fill scope, and nothing else does — the profiler's
-    // count and the cache's own counters are two independent tallies
-    // of the same events. (The prefill runs outside the snapshot
+    // Every aging-entry miss opens exactly one nand.term_fill scope,
+    // and nothing else does — the profiler's count and the cache's own
+    // counters are two independent tallies of the same events. (The prefill runs outside the snapshot
     // delta, so compare against cumulative counters via >=, then pin
     // the exact identity on a fresh device below.)
     std::uint64_t misses = 0;
     std::uint64_t hits = 0;
     for (std::uint32_t i = 0; i < dev.chipCount(); ++i) {
         const auto &c = dev.chip(i).termCache().counters();
-        misses += c.agingMisses + c.wlMisses;
-        hits += c.agingHits + c.wlHits;
+        misses += c.agingMisses;
+        hits += c.agingHits;
     }
     EXPECT_GT(misses, 0u);
     EXPECT_GT(hits, 0u);  // the cache actually served the hot path
@@ -430,7 +429,7 @@ TEST_F(ProfilerTest, TermFillCountMatchesCacheMissCounters)
     std::uint64_t misses2 = 0;
     for (std::uint32_t i = 0; i < dev2.chipCount(); ++i) {
         const auto &c = dev2.chip(i).termCache().counters();
-        misses2 += c.agingMisses + c.wlMisses;
+        misses2 += c.agingMisses;
     }
     EXPECT_EQ(misses2, d2.count(prof::Slot::NandTermFill));
 

@@ -26,7 +26,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -230,6 +232,52 @@ TEST(SweepRunner, SharedSetupBuildsOnceAndStaysWithinBudget)
             << "jobs=" << jobs;
         EXPECT_EQ(live.load(), 0);
     }
+}
+
+TEST(SweepRunner, BuiltBaseForksWhileAnotherWorkerRuns)
+{
+    // Two workers: one builds group 0's base while the other runs the
+    // one-job group {2}. Once the base is built, a member of group 0
+    // must start while job 2 is still running: the base and job 2 hold
+    // two live states, and the budget keeps a third for the copy.
+    std::mutex mutex;
+    std::condition_variable changed;
+    bool soloStarted = false;
+    bool memberStarted = false;
+    bool buildSawSolo = false;
+    bool soloSawMember = false;
+    const auto timeout = std::chrono::seconds(2);
+
+    sim::SharedSetup setup;
+    setup.groups = {{0, 1}, {2}};
+    setup.build = [&](std::size_t g) {
+        if (g != 0)
+            return;
+        std::unique_lock lock(mutex);
+        buildSawSolo =
+            changed.wait_for(lock, timeout, [&] { return soloStarted; });
+    };
+    setup.fork = [](std::size_t, bool) {};
+    sim::SweepRunner runner(2);
+    runner.run(
+        3,
+        [&](std::size_t i) {
+            std::unique_lock lock(mutex);
+            if (i != 2) {
+                memberStarted = true;
+                changed.notify_all();
+                return;
+            }
+            soloStarted = true;
+            changed.notify_all();
+            soloSawMember = changed.wait_for(
+                lock, timeout, [&] { return memberStarted; });
+        },
+        nullptr, &setup);
+
+    EXPECT_TRUE(buildSawSolo);
+    EXPECT_TRUE(soloSawMember)
+        << "the built base waited for job 2 to finish";
 }
 
 TEST(SweepRunner, FailedBuildFailsItsWholeGroup)

@@ -67,8 +67,6 @@ TEST_F(TermCacheTest, TermsAreBitIdenticalToDirectEvaluation)
                     for (int pass = 0; pass < 2; ++pass) {
                         const WlTerms t = lookup(addr, pe, aging);
                         EXPECT_EQ(t.q, q);
-                        EXPECT_EQ(t.speedMv,
-                                  process_.programSpeedMv(addr));
                         EXPECT_EQ(t.severity, errors_.severity(aging));
                         EXPECT_EQ(t.sigma, ispp_.effectiveSigma(
                                                errors_.severity(aging)));
@@ -129,23 +127,22 @@ TEST_F(TermCacheTest, CountersTrackHitsAndMisses)
     const WlAddr a{0, 0, 0};
     const WlAddr b{0, 0, 1};  // same block: shares the aging entry
 
-    lookup(a, 0, aging);  // aging miss + wl miss (static fill)
-    lookup(a, 0, aging);  // both hit
-    lookup(b, 0, aging);  // aging hit, wl miss (static fill)
+    lookup(a, 0, aging);  // aging miss
+    lookup(a, 0, aging);  // hit
+    lookup(b, 0, aging);  // hit: the WL terms are not cached
 
     const TermCacheCounters &c = cache_.counters();
     EXPECT_EQ(c.agingMisses, 1u);
     EXPECT_EQ(c.agingHits, 2u);
-    EXPECT_EQ(c.wlMisses, 2u);
-    EXPECT_EQ(c.wlHits, 1u);
-    EXPECT_EQ(c.staticFills, 2u);
-    EXPECT_DOUBLE_EQ(cache_.hitRate(), 1.0 / 3.0);
+    EXPECT_EQ(c.wlMisses, 0u);  // there is no per-WL level
+    EXPECT_EQ(c.wlHits, 0u);
+    EXPECT_DOUBLE_EQ(cache_.hitRate(), 2.0 / 3.0);
 
-    // A retention bump forces refills but not static re-derivation.
+    // A retention bump forces a refill of the block's entry.
     cache_.bumpRetentionGen();
-    lookup(a, 0, aging);
-    EXPECT_EQ(cache_.counters().staticFills, 2u);
-    EXPECT_EQ(cache_.counters().wlMisses, 3u);
+    lookup(b, 0, aging);
+    EXPECT_EQ(cache_.counters().agingMisses, 2u);
+    EXPECT_EQ(cache_.counters().wlMisses, 0u);
 }
 
 TEST(TermCacheChipTest, ChipReadsAndProgramsMatchDirectModels)

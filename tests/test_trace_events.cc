@@ -306,6 +306,38 @@ TEST(TraceIntegration, TracedRunSerializesToValidChromeTrace)
     EXPECT_EQ(asyncBegins, asyncEnds);
 }
 
+TEST(TraceIntegration, TermCacheGaugeIsTheAgingEntryHitRate)
+{
+    ssd::Ssd dev(smallConfig());
+    workload::WorkloadGenerator gen(workload::oltp(), dev.logicalPages(),
+                                    19);
+    workload::Driver driver(dev, gen);
+    driver.prefill(0.1);
+    driver.run(400);
+
+    CounterRegistry registry;
+    dev.registerCounters(registry);
+    registry.sample(dev.queue().now());
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    for (std::uint32_t i = 0; i < dev.chipCount(); ++i) {
+        const auto &c = dev.chip(i).termCache().counters();
+        hits += c.agingHits;
+        misses += c.agingMisses;
+    }
+    ASSERT_GT(misses, 0u);
+    ASSERT_GT(hits, 0u);
+    for (std::size_t i = 0; i < registry.size(); ++i) {
+        if (registry.name(i) != "nand.term_cache_hit_rate")
+            continue;
+        EXPECT_DOUBLE_EQ(registry.series(i).back().value,
+                         100.0 * static_cast<double>(hits) /
+                             static_cast<double>(hits + misses));
+        return;
+    }
+    FAIL() << "no nand.term_cache_hit_rate gauge";
+}
+
 TEST(TraceIntegration, GcCollectionsAreSpansOnTheirChipTrack)
 {
     // Random overwrites on a tiny device whose erases sometimes fail:
