@@ -403,9 +403,10 @@ TEST_F(ProfilerTest, TermFillCountMatchesCacheMissCounters)
 
     // Every aging-entry miss opens exactly one nand.term_fill scope,
     // and nothing else does — the profiler's count and the cache's own
-    // counters are two independent tallies of the same events. (The prefill runs outside the snapshot
-    // delta, so compare against cumulative counters via >=, then pin
-    // the exact identity on a fresh device below.)
+    // counters are two independent tallies of the same events. (The
+    // prefill runs outside the snapshot delta, so compare against
+    // cumulative counters via >=, then pin the exact identity on a
+    // fresh device below.)
     std::uint64_t misses = 0;
     std::uint64_t hits = 0;
     for (std::uint32_t i = 0; i < dev.chipCount(); ++i) {
