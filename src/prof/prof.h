@@ -159,10 +159,14 @@ extern bool g_enabled;
  *  write-before-threads contract as g_enabled. */
 extern std::uint32_t g_sampleMask;
 
+/** The fence orders the clock read after every earlier load, so a
+ *  cache miss is charged to the scope that issued the load, not to
+ *  the next scope that happens to consume the value. */
 inline std::uint64_t
 nowTicks()
 {
 #ifdef CUBESSD_PROF_TSC
+    _mm_lfence();
     return __rdtsc();
 #else
     return static_cast<std::uint64_t>(
