@@ -7,12 +7,16 @@
  * doubles on demand and is then retained, so steady-state use is
  * allocation-free. Element type must be copyable; intended for small
  * POD records (pending NAND ops, host-queue waiters, parked writes).
+ * A pop resets the vacated slot only when the type may own state: a
+ * trivially copyable record is left as it was, never read again until
+ * a push overwrites it.
  */
 
 #ifndef CUBESSD_COMMON_RING_DEQUE_H
 #define CUBESSD_COMMON_RING_DEQUE_H
 
 #include <cstddef>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -63,7 +67,8 @@ class RingDeque
     void
     pop_front()
     {
-        buf_[head_] = T{};   // drop any owned state
+        if constexpr (!kTrivial)
+            buf_[head_] = T{};   // drop any owned state
         head_ = wrap(head_ + 1);
         --size_;
     }
@@ -71,7 +76,8 @@ class RingDeque
     void
     pop_back()
     {
-        buf_[wrap(head_ + size_ - 1)] = T{};
+        if constexpr (!kTrivial)
+            buf_[wrap(head_ + size_ - 1)] = T{};
         --size_;
     }
 
@@ -85,6 +91,7 @@ class RingDeque
 
   private:
     static constexpr std::size_t kMinCapacity = 8;
+    static constexpr bool kTrivial = std::is_trivially_copyable_v<T>;
 
     std::size_t wrap(std::size_t i) const { return i & (buf_.size() - 1); }
 

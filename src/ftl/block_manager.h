@@ -8,7 +8,6 @@
 #define CUBESSD_FTL_BLOCK_MANAGER_H
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -125,7 +124,10 @@ class BlockManager
   private:
     nand::NandGeometry geom_;
     std::vector<BlockInfo> blocks_;
-    std::deque<std::uint32_t> freeList_;
+    /** Free blocks in release order. A vector: the list is short, an
+     *  erase keeps the order (so allocate picks the same block a
+     *  deque did), and freeCount() is two loads. */
+    std::vector<std::uint32_t> freeList_;
     std::size_t retired_ = 0;
 };
 

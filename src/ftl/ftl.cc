@@ -570,8 +570,12 @@ Ftl::dispatchFlush(FlushBatch *batch)
         ++stats_.followerPrograms;
 
     batch->tokens.clear();
-    for (const auto &e : batch->entries)
+    for (const auto &e : batch->entries) {
         batch->tokens.push_back(e.token);
+        // applyMappings reads the entry when the program completes
+        // (a padding entry's kInvalidLba is out of range, ignored).
+        mapping_.prefetch(e.lba, 1);
+    }
 
     if (batch->forGc)
         ++c.programsInFlight;

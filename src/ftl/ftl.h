@@ -145,6 +145,14 @@ class Ftl final : public sim::EventHandler, public ssd::NandOpListener
     void hostRead(const ssd::HostRequest &req, ssd::CompletionSink *sink,
                   std::uint64_t ctx);
 
+    /** Cache hint for the mapping entries a read of `pages` from
+     *  `lba` will look up (at most a few lines; changes nothing). */
+    void
+    prefetchRead(Lba lba, std::uint32_t pages) const
+    {
+        mapping_.prefetch(lba, pages);
+    }
+
     /** Submit a host write; `sink` fires when all pages are buffered. */
     void hostWrite(const ssd::HostRequest &req,
                    ssd::CompletionSink *sink, std::uint64_t ctx);

@@ -11,6 +11,7 @@
 #ifndef CUBESSD_FTL_MAPPING_H
 #define CUBESSD_FTL_MAPPING_H
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -45,6 +46,28 @@ class MappingTable
      */
     std::optional<Ppa> map(Lba lba, Ppa ppa, std::uint64_t version);
 
+    /**
+     * Cache hint for the entries of the `pages` LBAs from `lba`: at
+     * most kPrefetchLines lines, none past the table's end. Changes
+     * nothing; an `lba` out of range is ignored.
+     */
+    void
+    prefetch(Lba lba, std::uint64_t pages) const
+    {
+        if (lba >= entries_.size() || pages == 0)
+            return;
+        const std::uint64_t n = std::min(pages, entries_.size() - lba);
+        const auto first = reinterpret_cast<std::uintptr_t>(&entries_[lba]);
+        const auto last =
+            reinterpret_cast<std::uintptr_t>(&entries_[lba + n - 1]) +
+            sizeof(Entry) - 1;
+        std::uintptr_t p = first;
+        for (int i = 0; i < kPrefetchLines && p <= last; ++i) {
+            __builtin_prefetch(reinterpret_cast<const void *>(p));
+            p = (p | (kLineBytes - 1)) + 1;  // start of the next line
+        }
+    }
+
     /** Number of currently mapped logical pages. */
     std::uint64_t mappedCount() const { return mapped_; }
 
@@ -56,6 +79,9 @@ class MappingTable
     }
 
   private:
+    static constexpr int kPrefetchLines = 4;
+    static constexpr std::uintptr_t kLineBytes = 64;
+
     /** One LBA's PPA and the version of the data there. The 64-bit
      *  version is split in halves so the entry packs into 12 bytes
      *  without a packing attribute. */

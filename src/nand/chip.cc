@@ -57,20 +57,6 @@ NandChip::blockAging(std::uint32_t block) const
     return aging;
 }
 
-std::size_t
-NandChip::wlIndex(const WlAddr &addr) const
-{
-    return static_cast<std::size_t>(addr.layer) *
-               config_.geometry.wlsPerLayer + addr.wl;
-}
-
-std::size_t
-NandChip::pageIndexInBlock(const PageAddr &addr) const
-{
-    return wlIndex(addr.wlAddr()) * config_.geometry.pagesPerWl +
-           addr.page;
-}
-
 SimTime
 NandChip::eraseBlock(std::uint32_t block, bool *failed)
 {

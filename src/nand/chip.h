@@ -162,6 +162,34 @@ class NandChip
     std::uint64_t pageToken(const PageAddr &addr) const;
 
     /**
+     * Cache hints, issued where an op's address is first known so the
+     * loads overlap the wait before the op runs. They change no state
+     * and ignore an address out of range.
+     * @{
+     */
+    /** What readPage(addr) loads: the WL's state and the block's
+     *  cached model terms. */
+    void
+    prefetchRead(const PageAddr &addr) const
+    {
+        if (!codec_.contains(addr))
+            return;
+        const BlockState &block = blocks_[addr.block];
+        __builtin_prefetch(&block.wls[wlIndex(addr.wlAddr())]);
+        terms_.prefetch(addr.block);
+    }
+
+    /** The token pageToken(addr) returns. */
+    void
+    prefetchToken(const PageAddr &addr) const
+    {
+        if (codec_.contains(addr))
+            __builtin_prefetch(
+                &blocks_[addr.block].tokens[pageIndexInBlock(addr)]);
+    }
+    /** @} */
+
+    /**
      * Characterization measurement: the page's normalized BER at
      * *calibrated* (optimal) read references, with only RTN-scale
      * measurement noise — the equivalent of the paper's N_ret
@@ -211,8 +239,19 @@ class NandChip
         std::vector<std::uint64_t> tokens;
     };
 
-    std::size_t wlIndex(const WlAddr &addr) const;
-    std::size_t pageIndexInBlock(const PageAddr &addr) const;
+    std::size_t
+    wlIndex(const WlAddr &addr) const
+    {
+        return static_cast<std::size_t>(addr.layer) *
+                   config_.geometry.wlsPerLayer + addr.wl;
+    }
+
+    std::size_t
+    pageIndexInBlock(const PageAddr &addr) const
+    {
+        return wlIndex(addr.wlAddr()) * config_.geometry.pagesPerWl +
+               addr.page;
+    }
 
     NandChipConfig config_;
     AddressCodec codec_;

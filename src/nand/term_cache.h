@@ -116,6 +116,14 @@ class ErrorTermCache
                   const AgingState &aging, const ProcessModel &process,
                   const IsppEngine &ispp);
 
+    /** Cache hint for the entry terms() reads for `block` (in range,
+     *  as NandChip::prefetchRead checks). */
+    void
+    prefetch(std::uint32_t block) const
+    {
+        __builtin_prefetch(&aging_[block]);
+    }
+
     const TermCacheCounters &counters() const { return counters_; }
 
     /** Fold every entry, the generation and the counters in. */

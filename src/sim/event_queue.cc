@@ -32,13 +32,16 @@ static_assert(prof::schedSlotFor(
               prof::Slot::SchedTenantArrival);
 
 EventQueue::EventQueue()
-    : buckets_(kInitialBuckets, nullptr), bucketMask_(kInitialBuckets - 1),
+    : buckets_(kInitialBuckets, nullptr),
+      occupied_(kInitialBuckets / 64, 0),
+      bucketMask_(kInitialBuckets - 1),
       curTop_(kBucketWidth)
 {
 }
 
 EventQueue::EventQueue(const EventQueue &other)
     : buckets_(other.buckets_.size(), nullptr),
+      occupied_(other.occupied_.size(), 0),
       bucketMask_(other.bucketMask_),
       curBucket_(other.curBucket_),
       curTop_(other.curTop_),
@@ -87,7 +90,9 @@ EventQueue::insert(Event *e)
 {
     if (pending_ >= buckets_.size() * 2)
         growBuckets();
-    Event **p = &buckets_[(e->when >> kWidthLog2) & bucketMask_];
+    const std::size_t b = (e->when >> kWidthLog2) & bucketMask_;
+    occupied_[b / 64] |= std::uint64_t{1} << (b % 64);
+    Event **p = &buckets_[b];
     while (*p != nullptr &&
            ((*p)->when < e->when ||
             ((*p)->when == e->when && (*p)->seq < e->seq)))
@@ -102,6 +107,7 @@ EventQueue::growBuckets()
 {
     std::vector<Event *> old = std::move(buckets_);
     buckets_.assign(old.size() * 2, nullptr);
+    occupied_.assign(buckets_.size() / 64, 0);
     bucketMask_ = buckets_.size() - 1;
     // Relink every pending event into the wider calendar. insert()
     // re-checks the growth threshold, but pending_ restarts from zero
@@ -122,6 +128,26 @@ EventQueue::growBuckets()
     curTop_ = (day + 1) << kWidthLog2;
 }
 
+std::size_t
+EventQueue::daysToOccupied() const
+{
+    const std::size_t words = occupied_.size();
+    const std::size_t w0 = curBucket_ / 64;
+    // The cursor's own word from its bit up, the other words in order,
+    // then the cursor's word again below its bit (the year wraps).
+    std::uint64_t bits =
+        occupied_[w0] & (~std::uint64_t{0} << (curBucket_ % 64));
+    for (std::size_t i = 0;; ++i) {
+        if (bits != 0) {
+            const std::size_t b = ((w0 + i) % words) * 64 +
+                                  static_cast<std::size_t>(
+                                      __builtin_ctzll(bits));
+            return (b - curBucket_) & bucketMask_;
+        }
+        bits = occupied_[(w0 + i + 1) % words];
+    }
+}
+
 EventQueue::Event *
 EventQueue::peekMin()
 {
@@ -133,18 +159,24 @@ EventQueue::peekMin()
     // never skip past a pending event. While rotating, remember the
     // smallest head seen: if a whole year passes with nothing due, that
     // head is the global minimum (each bucket was examined once).
+    // Empty days are jumped over in one step, the cursor moving as
+    // far as a day-by-day walk would.
     Event *minEv = nullptr;
     std::size_t minBucket = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
+    for (std::size_t left = buckets_.size(); left != 0; --left) {
+        const std::size_t skip = daysToOccupied();
+        if (skip >= left)
+            break;  // every occupied bucket of the year was examined
+        curBucket_ = (curBucket_ + skip) & bucketMask_;
+        curTop_ += skip * kBucketWidth;
+        left -= skip;
         Event *head = buckets_[curBucket_];
-        if (head != nullptr) {
-            if (head->when < curTop_)
-                return head;
-            if (minEv == nullptr || head->when < minEv->when ||
-                (head->when == minEv->when && head->seq < minEv->seq)) {
-                minEv = head;
-                minBucket = curBucket_;
-            }
+        if (head->when < curTop_)
+            return head;
+        if (minEv == nullptr || head->when < minEv->when ||
+            (head->when == minEv->when && head->seq < minEv->seq)) {
+            minEv = head;
+            minBucket = curBucket_;
         }
         curBucket_ = (curBucket_ + 1) & bucketMask_;
         curTop_ += kBucketWidth;
@@ -240,6 +272,9 @@ EventQueue::step()
     if (e == nullptr)
         return false;
     buckets_[curBucket_] = e->next;
+    if (e->next == nullptr)
+        occupied_[curBucket_ / 64] &=
+            ~(std::uint64_t{1} << (curBucket_ % 64));
     --pending_;
     advanceClock(e->when);
     dispatch(e);

@@ -21,6 +21,10 @@
  *    If a full rotation finds nothing due (all events more than a year
  *    out), the minimum head seen during the rotation — which is the
  *    global minimum — is used directly and the cursor jumps to its day.
+ *  - One occupancy bit per bucket lets the walk jump over a run of
+ *    empty days with one count-trailing-zeros per 64 buckets. The jump
+ *    advances the cursor exactly as the day-by-day walk would, so the
+ *    cursor (and hashState) never differ from it.
  *  - Two events with equal `when` always hash to the same bucket, and
  *    bucket lists are FIFO within equal times, so the seed's stable
  *    tie-break (and thus bit-identical runs) is preserved.
@@ -151,7 +155,7 @@ class EventQueue
     /** Bucket ("day") width in log2 nanoseconds. */
     static constexpr unsigned kWidthLog2 = 10;
     static constexpr SimTime kBucketWidth = SimTime{1} << kWidthLog2;
-    static constexpr std::size_t kInitialBuckets = 1024;
+    static constexpr std::size_t kInitialBuckets = 1024;  // multiple of 64
     static constexpr std::size_t kPoolChunk = 256;
 
     Event *allocEvent();
@@ -160,6 +164,11 @@ class EventQueue
 
     void insert(Event *e);
     void growBuckets();
+
+    /** Days from the cursor's bucket to the next non-empty bucket
+     *  (0 if the cursor's own is), wrapping at the year's end. At
+     *  least one event must be pending. */
+    std::size_t daysToOccupied() const;
 
     /**
      * Locate (without unlinking) the earliest pending event; leaves the
@@ -175,6 +184,8 @@ class EventQueue
     void dispatch(Event *e);
 
     std::vector<Event *> buckets_;
+    /** Bit b of word b / 64 is set iff buckets_[b] is non-empty. */
+    std::vector<std::uint64_t> occupied_;
     std::size_t bucketMask_ = 0;
     std::size_t curBucket_ = 0;   // next bucket the dequeue scan examines
     SimTime curTop_ = 0;          // exclusive end of curBucket_'s day

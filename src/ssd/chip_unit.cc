@@ -11,6 +11,20 @@ namespace cubessd::ssd {
 void
 ChipUnit::enqueue(const NandOp &op)
 {
+    if (!busy_ && pending_.empty()) {
+        // Idle die, nothing older waiting: start in place instead of
+        // a round trip through the ring. (Idle with ops waiting only
+        // happens inside a completion callback; those ops go first.)
+        busy_ = true;
+        Slot &slot = slots_[active_];
+        slot.op = op;
+        execute(slot);
+        return;
+    }
+    // The op waits behind a busy die: fetch the chip state its read
+    // will touch meanwhile.
+    if (op.kind == NandOp::Kind::Read)
+        chip_.prefetchRead(op.page);
     if (op.highPriority)
         pending_.push_front(op);
     else
@@ -37,9 +51,10 @@ ChipUnit::execute(Slot &slot)
     const auto &geom = chip_.geometry();
     const auto &timing = chip_.timing();
 
+    // Each case writes every field its kind defines (NandOpResult);
+    // the rest keep whatever the slot's previous op left there.
     const NandOp &op = slot.op;
     NandOpResult &result = slot.result;
-    result = NandOpResult{};
     result.start = now;
 
     switch (op.kind) {
@@ -67,6 +82,7 @@ ChipUnit::execute(Slot &slot)
         break;
       }
       case NandOp::Kind::Erase: {
+        result.busTime = 0;
         result.dieTime = chip_.eraseBlock(op.block, &result.eraseFailed);
         result.end = now + result.dieTime;
         break;

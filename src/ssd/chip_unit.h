@@ -43,7 +43,9 @@
 
 namespace cubessd::ssd {
 
-/** Result of one scheduled NAND operation. */
+/** Result of one scheduled NAND operation. The four times are set
+ *  for every kind; of the last three fields only the one valid for
+ *  the op's kind is, the others hold stale values. */
 struct NandOpResult
 {
     SimTime start = 0;   ///< when the die began the operation
@@ -115,7 +117,8 @@ class ChipUnit final : public sim::EventHandler
         queue_ = &queue;
     }
 
-    /** Enqueue an operation; starts immediately if the die is idle. */
+    /** Enqueue an operation; starts immediately if the die is idle
+     *  and no older op waits. */
     void enqueue(const NandOp &op);
 
     bool idle() const { return !busy_ && pending_.empty(); }

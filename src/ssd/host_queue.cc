@@ -36,6 +36,9 @@ HostQueue::submit(HostRequest req, CompletionSink *sink,
                          req.namespaceId};
     queue_->scheduleAt(req.arrival, sim::EventKind::HostAdmit, this,
                       payload);
+    // The read's mapping entries load while the admit event waits.
+    if (req.type == IoType::Read)
+        ftl_->prefetchRead(req.lba, req.pages);
     return req.id;
 }
 

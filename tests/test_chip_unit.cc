@@ -247,5 +247,51 @@ TEST_F(ChipUnitTest, IdleReflectsQueueState)
     EXPECT_TRUE(unit_->idle());
 }
 
+TEST_F(ChipUnitTest, OpEnqueuedFromCompletionRunsAfterWaitingOps)
+{
+    // Inside a completion callback the die is idle while older ops
+    // still wait: an op enqueued there must queue behind them, not
+    // start in place.
+    std::vector<int> order;
+    unit_->enqueue(eraseOp(0, [&](const NandOpResult &) {
+        order.push_back(0);
+        EXPECT_EQ(unit_->queueDepth(), 2u);
+        unit_->enqueue(eraseOp(3, [&](const NandOpResult &) {
+            order.push_back(3);
+        }));
+    }));
+    unit_->enqueue(eraseOp(1, [&](const NandOpResult &) {
+        order.push_back(1);
+    }));
+    unit_->enqueue(eraseOp(2, [&](const NandOpResult &) {
+        order.push_back(2);
+    }));
+    queue_.run();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST_F(ChipUnitTest, EraseInAReadsResultSlotReportsItsOwnTimes)
+{
+    // Ops n and n + 2 share one result record: op 4, an erase, reuses
+    // the record op 2, a read, filled with a bus time.
+    std::vector<NandOpResult> results(5);
+    auto keep = [&](int i) {
+        return [&results, i](const NandOpResult &r) { results[i] = r; };
+    };
+    unit_->enqueue(eraseOp(0, keep(0)));
+    unit_->enqueue(programOp({0, 0, 0}, keep(1)));
+    unit_->enqueue(readOp({0, 0, 0, 0}, keep(2)));
+    unit_->enqueue(eraseOp(1, keep(3)));
+    unit_->enqueue(eraseOp(2, keep(4)));
+    queue_.run();
+
+    ASSERT_GT(results[2].busTime, 0u);
+    const SimTime tErase = chip_->timing().tErase;
+    EXPECT_EQ(results[4].busTime, 0u);
+    EXPECT_EQ(results[4].dieTime, tErase);
+    EXPECT_EQ(results[4].end - results[4].start, tErase);
+    EXPECT_FALSE(results[4].eraseFailed);
+}
+
 }  // namespace
 }  // namespace cubessd::ssd

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/state_hash.h"
 #include "src/sim/event_queue.h"
 #include "tests/closure_adapters.h"
 
@@ -364,6 +365,118 @@ TEST(EventQueue, SamplerBoundaryPastTheEndOfTimeNeverFires)
     eq.run();
     EXPECT_EQ(samples, 0);
     EXPECT_EQ(eq.now(), 10500u);
+}
+
+// The dequeue jumps over empty days with the occupancy bitmap; these
+// pin the cases where a bucket's bit and its list could disagree.
+
+/** One calendar year: the bucket count times the 1024 ns day. */
+SimTime
+yearOf(const EventQueue &eq)
+{
+    return static_cast<SimTime>(eq.bucketCount()) * 1024;
+}
+
+TEST(EventQueue, SameBucketOneYearApartDequeuesInOrder)
+{
+    EventQueue eq;
+    std::vector<std::uint64_t> log;
+    std::vector<SimTime> times;
+    RecordingHandler h;
+    h.eq = &eq;
+    h.log = &log;
+    h.times = &times;
+    const SimTime year = yearOf(eq);
+
+    // Three events in one bucket, a year apart, scheduled latest
+    // first, and one in a bucket of its own in between.
+    eq.scheduleAt(5000 + 2 * year, EventKind::DriverTick, &h, tagged(3));
+    eq.scheduleAt(5000 + year, EventKind::DriverTick, &h, tagged(2));
+    eq.scheduleAt(5000, EventKind::DriverTick, &h, tagged(0));
+    eq.scheduleAt(9000, EventKind::DriverTick, &h, tagged(1));
+
+    EXPECT_EQ(eq.run(), 4u);
+    EXPECT_EQ(log, (std::vector<std::uint64_t>{0, 1, 2, 3}));
+    EXPECT_EQ(times, (std::vector<SimTime>{5000, 9000, 5000 + year,
+                                           5000 + 2 * year}));
+}
+
+TEST(EventQueue, BucketEmptiedByPopAndRefilledByHandler)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    const SimTime year = yearOf(eq);
+    // A is alone in its bucket, so popping it empties the bucket; its
+    // handler refills that bucket at the same time, later the same
+    // day and a year on.
+    test::scheduleAt(eq, 2048, [&] {
+        order.push_back(0);
+        test::schedule(eq, 0, [&] { order.push_back(1); });
+        test::schedule(eq, year, [&] { order.push_back(4); });
+        test::schedule(eq, 452, [&] { order.push_back(2); });
+    });
+    test::scheduleAt(eq, 10'000, [&] { order.push_back(3); });
+
+    EXPECT_EQ(eq.run(), 5u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(eq.now(), 2048 + year);
+}
+
+TEST(EventQueue, TiesAcrossSkippedDaysStayFifo)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    // Ties far from the cursor, scheduled around an earlier event;
+    // the first tie to fire adds one more at the same time, which
+    // goes last.
+    test::scheduleAt(eq, 700'000, [&] {
+        order.push_back(1);
+        test::schedule(eq, 0, [&] { order.push_back(4); });
+    });
+    test::scheduleAt(eq, 700'000, [&] { order.push_back(2); });
+    test::scheduleAt(eq, 300, [&] { order.push_back(0); });
+    test::scheduleAt(eq, 700'000, [&] { order.push_back(3); });
+
+    EXPECT_EQ(eq.run(), 5u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(EventQueue, DrainedCopyHashesAsItsSource)
+{
+    EventQueue eq;
+    RecordingHandler h;
+    h.eq = &eq;
+    cubessd::Rng rng(7);
+    for (std::uint64_t i = 0; i < 300; ++i)
+        eq.schedule(rng.uniformInt(3'000'000), EventKind::DriverTick, &h,
+                    tagged(i));
+    eq.run();
+
+    EventQueue copy(eq);
+    StateHash a, b;
+    eq.hashState(a);
+    copy.hashState(b);
+    EXPECT_EQ(a.value(), b.value());
+
+    // And the copy dequeues the same further load as its source.
+    std::vector<std::uint64_t> logA, logB;
+    RecordingHandler ha, hb;
+    ha.eq = &eq;
+    ha.log = &logA;
+    hb.eq = &copy;
+    hb.log = &logB;
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        const SimTime delay = rng.uniformInt(3'000'000);
+        eq.schedule(delay, EventKind::DriverTick, &ha, tagged(i));
+        copy.schedule(delay, EventKind::DriverTick, &hb, tagged(i));
+    }
+    eq.run();
+    copy.run();
+    EXPECT_EQ(logA, logB);
+    StateHash a2, b2;
+    eq.hashState(a2);
+    copy.hashState(b2);
+    EXPECT_EQ(a2.value(), b2.value());
 }
 
 }  // namespace
