@@ -1,13 +1,55 @@
 #include "src/common/zipf.h"
 
+#include <bit>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 #include "src/common/logging.h"
 
 namespace cubessd {
 
+namespace {
+
+/** zeta(n, theta) of every generator built in this process, keyed by
+ *  n and theta's bits. A sweep builds a generator per cell over a few
+ *  distinct (n, theta), and each sum costs up to 2^20 pow calls. */
+struct ZetaMemo
+{
+    std::mutex mutex;
+    std::map<std::pair<std::uint64_t, std::uint64_t>, double> sums;
+};
+
+ZetaMemo &
+zetaMemo()
+{
+    static ZetaMemo memo;
+    return memo;
+}
+
+}  // namespace
+
 double
 ZipfGenerator::zeta(std::uint64_t n, double theta)
+{
+    const std::pair key{n, std::bit_cast<std::uint64_t>(theta)};
+    ZetaMemo &memo = zetaMemo();
+    {
+        const std::lock_guard lock(memo.mutex);
+        if (const auto it = memo.sums.find(key); it != memo.sums.end())
+            return it->second;
+    }
+    // Summed outside the lock: threads that miss together each sum,
+    // to the same bits, and the first to finish fills the entry.
+    const double sum = zetaSum(n, theta);
+    const std::lock_guard lock(memo.mutex);
+    memo.sums.emplace(key, sum);
+    return sum;
+}
+
+double
+ZipfGenerator::zetaSum(std::uint64_t n, double theta)
 {
     // Exact harmonic sum for small n; bounded sample + integral tail
     // approximation for large n so construction stays O(1)-ish.

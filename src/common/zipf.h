@@ -40,7 +40,9 @@ class ZipfGenerator
     double theta() const { return theta_; }
 
   private:
+    /** zetaSum, memoised process-wide (thread-safe). */
     static double zeta(std::uint64_t n, double theta);
+    static double zetaSum(std::uint64_t n, double theta);
 
     std::uint64_t n_;
     double theta_;

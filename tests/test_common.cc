@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -141,6 +143,36 @@ TEST(Zipf, LowThetaIsFlatter)
         flatHead += flat.sample(rng) < 10;
     }
     EXPECT_GT(skewedHead, 2 * flatHead);
+}
+
+TEST(ZipfConcurrency, EqualParametersGiveIdenticalStreams)
+{
+    // Generators built at once on several threads share one memoised
+    // normaliser; parameters no other test uses, so the first builds
+    // race on an empty entry. n > 2^20 takes the integral tail too.
+    constexpr std::uint64_t kN = 1'500'007;
+    constexpr double kTheta = 0.913;
+    constexpr int kThreads = 4;
+    constexpr int kSamples = 4000;
+    std::vector<std::vector<std::uint64_t>> streams(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&streams, t] {
+            const ZipfGenerator zipf(kN, kTheta);
+            Rng rng(41);
+            for (int i = 0; i < kSamples; ++i)
+                streams[t].push_back(zipf.sample(rng));
+        });
+    }
+    for (auto &t : threads)
+        t.join();
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(streams[t], streams[0]) << "thread " << t;
+
+    const ZipfGenerator again(kN, kTheta);
+    Rng rng(41);
+    for (int i = 0; i < kSamples; ++i)
+        ASSERT_EQ(again.sample(rng), streams[0][i]) << "sample " << i;
 }
 
 TEST(RunningStat, Basics)
