@@ -55,6 +55,27 @@ TEST_F(ChipTest, ProgramThenReadReturnsTokens)
     }
 }
 
+TEST_F(ChipTest, PrefetchHintsIgnoreAddressesOutOfRangeAndChangeNothing)
+{
+    chip_.eraseBlock(0);
+    chip_.programWl({0, 10, 2}, ProgramCommand{}, tokens(100));
+    StateHash before;
+    chip_.hashState(before);
+    const auto &g = chip_.geometry();
+    for (const PageAddr &addr :
+         {PageAddr{0, 10, 2, 1}, PageAddr{g.blocksPerChip, 0, 0, 0},
+          PageAddr{0, g.layersPerBlock, 0, 0},
+          PageAddr{0, 0, g.wlsPerLayer, 0},
+          PageAddr{0, 0, 0, g.pagesPerWl}}) {
+        chip_.prefetchRead(addr);
+        chip_.prefetchToken(addr);
+    }
+    StateHash after;
+    chip_.hashState(after);
+    EXPECT_EQ(before.value(), after.value());
+    EXPECT_EQ(chip_.pageToken({0, 10, 2, 1}), 101u);
+}
+
 TEST_F(ChipTest, EraseClearsState)
 {
     chip_.eraseBlock(1);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 
 #include "src/ftl/mapping.h"
@@ -54,6 +55,26 @@ TEST(Mapping, WideVersionAndLargestPpaRoundTrip)
     EXPECT_EQ(map.mappedVersion(4), version);
     EXPECT_EQ(map.map(4, 5, version + 1), ppa);
     EXPECT_EQ(map.mappedVersion(4), version + 1);
+}
+
+TEST(Mapping, PrefetchStaysInsideTheTableAndChangesNothing)
+{
+    // Under _GLIBCXX_ASSERTIONS (CI's sanitizer job) forming an entry
+    // address past the end aborts, so this also pins the clipping.
+    MappingTable map(10);
+    map.map(3, 30, 1);
+    StateHash before;
+    map.hashState(before);
+    map.prefetch(0, 10);
+    map.prefetch(9, 1000);   // clipped to the last entry
+    map.prefetch(10, 1);     // past the end: ignored
+    map.prefetch(4, 0);
+    map.prefetch(kInvalidLba, 1);
+    map.prefetch(5, std::numeric_limits<std::uint64_t>::max());
+    StateHash after;
+    map.hashState(after);
+    EXPECT_EQ(before.value(), after.value());
+    EXPECT_EQ(map.lookup(3), Ppa{30});
 }
 
 TEST(MappingDeathTest, OutOfRangePanics)
