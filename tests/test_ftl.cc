@@ -9,6 +9,7 @@
 
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "src/ftl/program_order.h"
 #include "src/ssd/ssd.h"
 #include "src/trace/trace.h"
+#include "tests/closure_adapters.h"
 
 namespace cubessd {
 namespace {
@@ -169,6 +171,189 @@ TEST(Ftl, GcReclaimsSpaceAndPreservesData)
     std::set<std::uint64_t> uniq;
     for (auto &[lba, token] : seen)
         EXPECT_TRUE(uniq.insert(token).second);
+}
+
+ssd::HostRequest
+onePage(ssd::IoType type, Lba lba)
+{
+    ssd::HostRequest req;
+    req.type = type;
+    req.lba = lba;
+    return req;
+}
+
+/** The PPA's page within its block, for BlockInfo::isValid. */
+std::uint32_t
+pageInBlock(const nand::NandGeometry &geom, Ppa ppa)
+{
+    return static_cast<std::uint32_t>(ppa % geom.pagesPerChip() %
+                                      geom.pagesPerBlock());
+}
+
+TEST(Ftl, OlderFlushLandingAfterANewerOneIsDropped)
+{
+    // Two versions of one LBA flush to different chips and the newer
+    // lands first. The older landing must leave the mapping on the
+    // newer page, a read between the landings must come from NAND,
+    // and peek must see the newer data throughout.
+    const auto config = smallConfig(ssd::FtlKind::Page);
+    const auto &geom = config.chip.geometry;
+    const std::uint64_t perChip = geom.pagesPerChip();
+    ssd::Ssd dev(config);
+    ftl::Ftl &ftl = dev.ftl();
+
+    // LBAs 0-2 land on chip 0 and 3-5 on chip 1, and the flush
+    // cursor is back on chip 0.
+    for (Lba lba = 0; lba < 6; ++lba)
+        writeSync(dev, lba, 1);
+    dev.drain();
+    ASSERT_EQ(*ftl.mapping().lookup(0) / perChip, 0u);
+    ASSERT_EQ(*ftl.mapping().lookup(3) / perChip, 1u);
+
+    // Host reads go first in chip 0's die queue, so its next program
+    // lands late.
+    for (int i = 0; i < 16; ++i)
+        ftl.hostRead(onePage(ssd::IoType::Read, 0), nullptr, 0);
+    const Lba x = 10;
+    ftl.hostWrite(onePage(ssd::IoType::Write, x), nullptr, 0);
+    const std::uint64_t older = dev.peek(x).value();
+    for (const Lba lba : {Lba{11}, Lba{12}})  // flush {x, 11, 12}: chip 0
+        ftl.hostWrite(onePage(ssd::IoType::Write, lba), nullptr, 0);
+    ftl.hostWrite(onePage(ssd::IoType::Write, x), nullptr, 0);
+    const std::uint64_t newer = dev.peek(x).value();
+    for (const Lba lba : {Lba{13}, Lba{14}})  // flush {x, 13, 14}: chip 1
+        ftl.hostWrite(onePage(ssd::IoType::Write, lba), nullptr, 0);
+    ASSERT_NE(older, newer);
+    ASSERT_TRUE(ftl.buffer().empty());
+
+    const std::uint64_t programs = ftl.stats().hostPrograms;
+    std::optional<Ppa> newerPpa;
+    std::optional<ssd::Completion> between;
+    while (dev.queue().step()) {
+        ASSERT_EQ(dev.peek(x), newer);
+        if (newerPpa || !ftl.mapping().lookup(x))
+            continue;
+        newerPpa = ftl.mapping().lookup(x);
+        ASSERT_EQ(*newerPpa / perChip, 1u) << "the newer version lands first";
+        ASSERT_EQ(ftl.stats().hostPrograms, programs + 1);
+        ftl.hostRead(onePage(ssd::IoType::Read, x),
+                     new test::OneShotSink(
+                         [&](const ssd::Completion &c) { between = c; }),
+                     0);
+    }
+    ASSERT_TRUE(newerPpa && between);
+    EXPECT_EQ(ftl.stats().hostPrograms, programs + 2);
+    EXPECT_EQ(between->phases.buffer, 0u);
+    EXPECT_GT(between->phases.die, 0u);
+    EXPECT_GT(between->latency(), config.bufferReadTime);
+    EXPECT_EQ(ftl.mapping().lookup(x), newerPpa);
+    EXPECT_EQ(dev.peek(x), newer);
+
+    // The older copy sits on chip 0 just before LBA 11's page: it
+    // holds the older data and is invalid.
+    const Ppa olderPpa = *ftl.mapping().lookup(11) - 1;
+    ASSERT_EQ(olderPpa / perChip, 0u);
+    const nand::PageAddr addr =
+        nand::AddressCodec(geom).decode(olderPpa % perChip);
+    EXPECT_EQ(dev.chip(0).pageToken(addr), older);
+    EXPECT_FALSE(ftl.blockManager(0).info(addr.block).isValid(
+        pageInBlock(geom, olderPpa)));
+    ftl.checkConsistency();
+}
+
+TEST(Ftl, RelocationOfAPageRewrittenMeanwhileIsDropped)
+{
+    // GC reads a page to move it; the host rewrites the LBA and that
+    // flush lands before the GC program. The relocated copy must be
+    // dropped: the source page ends invalid, the host page mapped.
+    auto config = smallConfig(ssd::FtlKind::Page);
+    config.chipsPerChannel = 1;
+    config.logicalFraction = 0.5;
+    // Collections start above the urgent mark, so host flushes still
+    // go to the collecting chip.
+    config.gcLowWatermark = 3;
+    config.gcHighWatermark = 4;
+    const auto &geom = config.chip.geometry;
+    ssd::Ssd dev(config);
+    ftl::Ftl &ftl = dev.ftl();
+    const Lba logical = dev.logicalPages();
+    for (Lba lba = 0; lba < logical; ++lba)
+        writeSync(dev, lba, 1);
+    dev.drain();
+
+    // Overwrite a WL's worth at a time until a host flush completion
+    // starts a collection whose victim still holds data, with nothing
+    // else buffered or in flight: its first scan read is on the die.
+    Rng rng(5);
+    std::optional<std::uint32_t> victim;
+    for (int round = 0; round < 10'000 && !victim; ++round) {
+        for (std::uint32_t i = 0; i < geom.pagesPerWl; ++i)
+            ftl.hostWrite(
+                onePage(ssd::IoType::Write, rng.uniformInt(logical)),
+                nullptr, 0);
+        bool collecting = ftl.collecting(0);
+        while (!victim && dev.queue().step()) {
+            if (!collecting && ftl.collecting(0) && ftl.idle()) {
+                // Nothing has changed since the collection picked it.
+                const auto v = ftl.blockManager(0).pickVictim();
+                if (v && ftl.blockManager(0).info(*v).validCount > 0)
+                    victim = v;
+            }
+            collecting = ftl.collecting(0);
+        }
+    }
+    ASSERT_TRUE(victim);
+    const ftl::BlockInfo &info = ftl.blockManager(0).info(*victim);
+    std::uint32_t scanned = 0;
+    while (!info.isValid(scanned))
+        ++scanned;
+    const Lba y = info.lbaAt(scanned);
+    const Ppa source = *ftl.mapping().lookup(y);
+    ASSERT_EQ(pageInBlock(geom, source), scanned);
+    const std::uint64_t old = dev.peek(y).value();
+
+    // The rewrite goes to the die behind the scan read, ahead of any
+    // relocation program.
+    ftl.hostWrite(onePage(ssd::IoType::Write, y), nullptr, 0);
+    const std::uint64_t rewritten = dev.peek(y).value();
+    ftl.flushAll();
+    ASSERT_FALSE(ftl.buffer().lookup(y));
+
+    const std::uint64_t gcPrograms = ftl.gcStats().programs;
+    const std::uint64_t relocated = ftl.stats().gcRelocatedPages;
+    std::optional<Ppa> hostPpa;
+    while (ftl.gcStats().programs == gcPrograms && dev.queue().step()) {
+        ASSERT_EQ(dev.peek(y), rewritten);
+        if (!hostPpa && ftl.mapping().lookup(y) != source) {
+            hostPpa = ftl.mapping().lookup(y);
+            ASSERT_EQ(ftl.gcStats().programs, gcPrograms)
+                << "the rewrite lands first";
+        }
+    }
+    // The first relocation program, which carries y, has landed.
+    ASSERT_TRUE(hostPpa);
+    ASSERT_GT(ftl.stats().gcRelocatedPages, relocated);
+    EXPECT_EQ(ftl.mapping().lookup(y), hostPpa);
+    EXPECT_EQ(dev.peek(y), rewritten);
+    EXPECT_FALSE(info.isValid(scanned));
+    // Both the source page and the relocated copy hold the old data,
+    // and neither is valid.
+    const nand::AddressCodec codec(geom);
+    std::uint32_t copies = 0;
+    for (std::uint64_t p = 0; p < geom.pagesPerChip(); ++p) {
+        const nand::PageAddr addr = codec.decode(p);
+        if (dev.chip(0).pageToken(addr) != old)
+            continue;
+        ++copies;
+        EXPECT_FALSE(ftl.blockManager(0).info(addr.block).isValid(
+            pageInBlock(geom, p)))
+            << "page " << p;
+    }
+    EXPECT_EQ(copies, 2u);
+
+    dev.drain();
+    EXPECT_EQ(dev.peek(y), rewritten);
+    ftl.checkConsistency();
 }
 
 TEST(Ftl, WriteAmplificationReported)
