@@ -111,6 +111,17 @@ class FlatMap64
         --size_;
     }
 
+    /** Call `fn(key, value)` on every entry, in slot order. */
+    template <typename F>
+    void
+    forEach(F &&fn) const
+    {
+        for (const Slot &slot : slots_) {
+            if (slot.key != EmptyKey)
+                fn(slot.key, slot.value);
+        }
+    }
+
     void
     clear()
     {

@@ -273,7 +273,7 @@ Ftl::hostRead(const ssd::HostRequest &req, ssd::CompletionSink *sink,
         std::optional<Ppa> ppa;
         {
             PROF_SCOPE(prof::Slot::FtlMapping);
-            buffered = buffer_.lookup(lba) || inFlight_.contains(lba);
+            buffered = buffer_.lookup(lba) || flushPending(lba);
             if (!buffered)
                 ppa = mapping_.lookup(lba);
         }
@@ -524,8 +524,9 @@ Ftl::maybeFlush()
                 FlushEntry{e.lba, e.token, e.version, kInvalidPpa});
             bool inserted = false;
             InFlightWrite &w = inFlight_.insertOrGet(e.lba, &inserted);
-            if (inserted || w.version < e.version)
-                w = InFlightWrite{e.token, e.version};
+            w.token = e.token;
+            w.newest = e.version;
+            ++w.flushes;
         }
         while (batch->entries.size() < geom_.pagesPerWl)
             batch->entries.push_back(FlushEntry{});  // padding (drain)
@@ -689,35 +690,34 @@ Ftl::applyMappings(std::uint32_t chip, const nand::WlAddr &wl,
         const nand::PageAddr addr{wl.block, wl.layer, wl.wl, i};
         const Ppa ppa = encodePpa(chip, addr);
 
-        bool current;
+        // A stale copy (a relocation whose LBA moved on since the
+        // scan, or a host flush overtaken by a newer version's) is not
+        // mapped: its page stays invalid and GC reclaims it.
+        std::optional<Ppa> old;
         if (entry.sourcePpa != kInvalidPpa) {
-            // GC relocation: still current iff the mapping has not
-            // moved away from the source since the scan.
-            current = mapping_.lookup(entry.lba) == entry.sourcePpa;
+            if (!mapping_.relocate(entry.lba, entry.sourcePpa, ppa))
+                continue;
+            old = entry.sourcePpa;
         } else {
-            // Host flush: current iff no newer version reached flash.
-            current = entry.version > mapping_.mappedVersion(entry.lba);
-        }
-
-        if (current) {
-            const std::optional<Ppa> old =
-                mapping_.map(entry.lba, ppa, entry.version);
-            if (old) {
-                const auto [oldChip, oldAddr] = decodePpa(*old);
-                chips_[oldChip].blocks.markInvalid(oldAddr.block,
-                                                   pageInBlock(oldAddr));
-            }
-            mgr.markValid(wl.block, pageInBlock(addr), entry.lba);
-        }
-        // else: the relocated/flushed copy is already stale; the page
-        // simply stays invalid and will be reclaimed by GC.
-
-        if (entry.sourcePpa == kInvalidPpa) {
-            if (const InFlightWrite *w = inFlight_.find(entry.lba);
-                w != nullptr && w->version == entry.version) {
+            InFlightWrite *w = inFlight_.find(entry.lba);
+            if (w == nullptr)
+                panic("Ftl: LBA %llu landed with no flush in flight",
+                      static_cast<unsigned long long>(entry.lba));
+            const bool current = entry.version > w->landed;
+            if (current)
+                w->landed = entry.version;
+            if (--w->flushes == 0)
                 inFlight_.erase(entry.lba);
-            }
+            if (!current)
+                continue;
+            old = mapping_.map(entry.lba, ppa);
         }
+        if (old) {
+            const auto [oldChip, oldAddr] = decodePpa(*old);
+            chips_[oldChip].blocks.markInvalid(oldAddr.block,
+                                               pageInBlock(oldAddr));
+        }
+        mgr.markValid(wl.block, pageInBlock(addr), entry.lba);
     }
 }
 
@@ -828,8 +828,8 @@ Ftl::relocationEntry(std::uint32_t chip, std::uint32_t block,
 {
     const Lba lba = chips_[chip].blocks.info(block).lbaAt(pageIdx);
     const nand::PageAddr addr = pageAddr(block, pageIdx);
-    return {lba, units_[chip].chip().pageToken(addr),
-            mapping_.mappedVersion(lba), encodePpa(chip, addr)};
+    return {lba, units_[chip].chip().pageToken(addr), 0,
+            encodePpa(chip, addr)};
 }
 
 // ---------------------------------------------------------------------
@@ -843,7 +843,8 @@ Ftl::peek(Lba lba) const
         return std::nullopt;
     if (auto hit = buffer_.lookup(lba))
         return hit;
-    if (const InFlightWrite *w = inFlight_.find(lba))
+    if (const InFlightWrite *w = inFlight_.find(lba);
+        w != nullptr && w->pending())
         return w->token;
     const std::optional<Ppa> ppa = mapping_.lookup(lba);
     if (!ppa)
@@ -885,6 +886,27 @@ Ftl::checkConsistency() const
               static_cast<unsigned long long>(mapped));
     for (const Chip &c : chips_)
         c.blocks.checkConsistency(mapping_.logicalPages());
+
+    // Every in-flight record has a flush in flight and no landing
+    // newer than its newest dispatch. A leaked count would keep one
+    // forever; with nothing buffered, in flight or parked there is
+    // none.
+    inFlight_.forEach([](Lba lba, const InFlightWrite &w) {
+        if (w.flushes == 0 || w.landed > w.newest)
+            panic("consistency: LBA %llu in-flight record: %u flushes, "
+                  "landed %llu, newest %llu",
+                  static_cast<unsigned long long>(lba), w.flushes,
+                  static_cast<unsigned long long>(w.landed),
+                  static_cast<unsigned long long>(w.newest));
+    });
+    const bool parked = std::any_of(
+        chips_.begin(), chips_.end(),
+        [](const Chip &c) { return !c.parked.empty(); });
+    if (buffer_.empty() && batchPool_.inUse() == 0 && !parked &&
+        !inFlight_.empty())
+        panic("consistency: %zu in-flight records with no flush in "
+              "flight",
+              inFlight_.size());
 
     // The FTL's wear bookkeeping must track the chips' runtime erase
     // counts — the low half of the aging epoch that gates cached

@@ -89,7 +89,7 @@ struct FlushEntry
 {
     Lba lba = kInvalidLba;          ///< kInvalidLba = padding
     std::uint64_t token = 0;
-    std::uint64_t version = 0;
+    std::uint64_t version = 0;      ///< write version; host flushes only
     Ppa sourcePpa = kInvalidPpa;    ///< set for relocations
 };
 
@@ -266,13 +266,33 @@ class Ftl final : public sim::EventHandler, public ssd::NandOpListener
         bool forGc = false;
     };
 
-    /** A host write's buffered token + version while its flush is in
-     *  flight (the read path checks this before NAND). */
+    /**
+     * The flushes of one host-written LBA from their pop off the write
+     * buffer to their landing. The buffer coalesces each LBA and pops
+     * FIFO, so an LBA's flushes are dispatched in version order; only
+     * their landings reorder (across chips, or after a replay or a
+     * parked batch). A landing maps iff its version is newer than
+     * every earlier landing, and the record goes with the last one.
+     */
     struct InFlightWrite
     {
-        std::uint64_t token = 0;
-        std::uint64_t version = 0;
+        std::uint64_t token = 0;    ///< data of the newest version
+        std::uint64_t newest = 0;   ///< newest version dispatched
+        std::uint64_t landed = 0;   ///< newest version landed; 0: none
+        std::uint32_t flushes = 0;  ///< of this LBA still in flight
+
+        /** Is the newest data not yet on NAND? The read path and
+         *  peek() then serve its token instead of the mapping. */
+        bool pending() const { return newest > landed; }
     };
+
+    /** Is `lba`'s newest data in a flush that has not landed? */
+    bool
+    flushPending(Lba lba) const
+    {
+        const InFlightWrite *w = inFlight_.find(lba);
+        return w != nullptr && w->pending();
+    }
 
     void processWrite(StalledWrite *write);
     /** Schedule the write's completion and recycle its record. */
@@ -326,9 +346,9 @@ class Ftl final : public sim::EventHandler, public ssd::NandOpListener
 
     /**
      * The relocation of valid page `pageIdx` of `block` on `chip`: its
-     * LBA, the data token on NAND, the mapped version and the source
-     * PPA, which makes applyMappings drop the copy if the LBA has
-     * moved on by the time it lands.
+     * LBA, the data token on NAND and the source PPA, which makes
+     * applyMappings drop the copy if the LBA has moved on by the time
+     * it lands.
      */
     FlushEntry relocationEntry(std::uint32_t chip, std::uint32_t block,
                                std::uint32_t pageIdx) const;
@@ -536,7 +556,7 @@ class Ftl final : public sim::EventHandler, public ssd::NandOpListener
     MappingTable mapping_;
     std::vector<Chip> chips_;
     ssd::WriteBuffer buffer_;
-    FlatMap64<InFlightWrite> inFlight_;  ///< lba -> buffered flush data
+    FlatMap64<InFlightWrite> inFlight_;  ///< lba -> its flushes in flight
     ObjectPool<ReadContext> readCtxPool_;
     ObjectPool<StalledWrite> stalledPool_;
     ObjectPool<FlushBatch> batchPool_;

@@ -85,8 +85,7 @@ Ftl::continueCollection(std::uint32_t chip)
         if (c.scanIndex < pagesPerBlock) {
             const std::uint32_t pageIdx = c.scanIndex++;
             const nand::PageAddr addr = pageAddr(c.victim, pageIdx);
-            // relocationEntry reads both when this read completes.
-            mapping_.prefetch(info.lbaAt(pageIdx), 1);
+            // relocationEntry reads its token when this read completes.
             units_[chip].chip().prefetchToken(addr);
             ssd::NandOp op;
             op.kind = ssd::NandOp::Kind::Read;

@@ -1,11 +1,12 @@
 /**
  * @file
- * Page-level logical-to-physical mapping table.
+ * Page-level logical-to-physical mapping table: one 32-bit PPA per
+ * LBA, kInvalid32 when the LBA was never written.
  *
- * Alongside each mapping the table stores the *write version* of the
- * data it points to, so that late-completing programs (flush or GC
- * relocation racing with fresh host writes to the same page) can
- * detect that they are stale and must not clobber a newer mapping.
+ * The table keeps no write version. A host flush that lands late is
+ * judged by the FTL's in-flight record of its LBA (Ftl::InFlightWrite);
+ * a relocation lands only while the LBA still maps to the page it
+ * copied (relocate()).
  */
 
 #ifndef CUBESSD_FTL_MAPPING_H
@@ -26,7 +27,7 @@ class MappingTable
   public:
     explicit MappingTable(std::uint64_t logicalPages);
 
-    std::uint64_t logicalPages() const { return entries_.size(); }
+    std::uint64_t logicalPages() const { return ppas_.size(); }
 
     /**
      * @return the mapped PPA, or std::nullopt if the LBA was never
@@ -35,16 +36,36 @@ class MappingTable
      */
     std::optional<Ppa> lookup(Lba lba) const;
 
-    /** Version of the data currently mapped (0 if never written). */
-    std::uint64_t mappedVersion(Lba lba) const;
-
     /**
-     * Point `lba` at `ppa` with `version`. Panics if `ppa` is
-     * kInvalid32 or more, which no validated device reaches.
+     * Point `lba` at `ppa`. Panics if `ppa` is kInvalid32 or more,
+     * which no validated device reaches.
      * @return the previously mapped PPA (std::nullopt if none), which
      *         the caller must invalidate.
      */
-    std::optional<Ppa> map(Lba lba, Ppa ppa, std::uint64_t version);
+    std::optional<Ppa> map(Lba lba, Ppa ppa);
+
+    /**
+     * map(lba, ppa); `version` is ignored. The table stored a write
+     * version per LBA until the FTL's in-flight records took over the
+     * flush-race check; bench/perf/cubessd_bench.cc still fills and
+     * times the table through this signature, and only a change to
+     * the benchmark can move it to map(lba, ppa).
+     */
+    std::optional<Ppa>
+    map(Lba lba, Ppa ppa, std::uint64_t /*version*/)
+    {
+        return map(lba, ppa);
+    }
+
+    /**
+     * Compare-and-remap for a relocated page: point `lba` at `to` only
+     * while it still maps to `from`, the page the data was copied
+     * from. Panics on a `to` that does not fit 32 bits, as map() does.
+     * @return whether the mapping moved (the caller then invalidates
+     *         `from`); false means the LBA moved on and the copy is
+     *         stale.
+     */
+    bool relocate(Lba lba, Ppa from, Ppa to);
 
     /**
      * Cache hint for the entries of the `pages` LBAs from `lba`: at
@@ -54,13 +75,13 @@ class MappingTable
     void
     prefetch(Lba lba, std::uint64_t pages) const
     {
-        if (lba >= entries_.size() || pages == 0)
+        if (lba >= ppas_.size() || pages == 0)
             return;
-        const std::uint64_t n = std::min(pages, entries_.size() - lba);
-        const auto first = reinterpret_cast<std::uintptr_t>(&entries_[lba]);
+        const std::uint64_t n = std::min(pages, ppas_.size() - lba);
+        const auto first = reinterpret_cast<std::uintptr_t>(&ppas_[lba]);
         const auto last =
-            reinterpret_cast<std::uintptr_t>(&entries_[lba + n - 1]) +
-            sizeof(Entry) - 1;
+            reinterpret_cast<std::uintptr_t>(&ppas_[lba + n - 1]) +
+            sizeof(ppas_[0]) - 1;
         std::uintptr_t p = first;
         for (int i = 0; i < kPrefetchLines && p <= last; ++i) {
             __builtin_prefetch(reinterpret_cast<const void *>(p));
@@ -75,28 +96,19 @@ class MappingTable
     void
     hashState(StateHash &h) const
     {
-        h.add(entries_).add(mapped_);
+        h.add(ppas_).add(mapped_);
     }
 
   private:
     static constexpr int kPrefetchLines = 4;
     static constexpr std::uintptr_t kLineBytes = 64;
 
-    /** One LBA's PPA and the version of the data there. The 64-bit
-     *  version is split in halves so the entry packs into 12 bytes
-     *  without a packing attribute. */
-    struct Entry
-    {
-        std::uint32_t ppa = kInvalid32;
-        std::uint32_t versionLo = 0;
-        std::uint32_t versionHi = 0;
-    };
-    static_assert(sizeof(Entry) == 12);
-
     /** Panic, naming `op`, unless `lba` is a logical page. */
     void checkRange(Lba lba, const char *op) const;
+    /** Panic, naming `op`, unless `ppa` fits an entry. */
+    static void checkPpa(Ppa ppa, const char *op);
 
-    std::vector<Entry> entries_;
+    std::vector<std::uint32_t> ppas_;  ///< per LBA; kInvalid32: unmapped
     std::uint64_t mapped_ = 0;
 };
 

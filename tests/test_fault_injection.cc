@@ -11,8 +11,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/ftl/ftl.h"
 #include "src/nand/fault_injector.h"
+#include "src/nand/geometry.h"
 #include "src/ssd/ssd.h"
 #include "tests/closure_adapters.h"
 
@@ -176,6 +178,51 @@ TEST(FaultDevice, BadBlockRemapPreservesData)
     const std::uint32_t perWl = dev.config().chip.geometry.pagesPerWl;
     EXPECT_EQ(stats.hostPrograms, (pages + perWl - 1) / perWl);
     EXPECT_GE(stats.relocationPrograms * perWl, stats.badBlockRelocations);
+}
+
+TEST(FaultDevice, InFlightWritesDrainThroughReplaysAndDeferrals)
+{
+    // Program failures frequent enough that failed flushes replay and
+    // host batches park for want of a free block, then land once GC
+    // frees blocks (seed 7: 15 deferrals, 29 collections). Every flush
+    // must land exactly once: after the drain the FTL holds no
+    // in-flight record (checkConsistency), and each LBA's last
+    // acknowledged data is on NAND where the mapping points.
+    auto config = faultConfig(1e-3, 7);
+    config.chip.geometry.layersPerBlock = 8;
+    config.chip.geometry.wlsPerLayer = 4;
+    ssd::Ssd dev(config);
+    dev.setAging({2000, 1.0});
+
+    const Lba span = dev.logicalPages() / 4;
+    std::vector<std::optional<std::uint64_t>> acked(span);
+    Rng rng(3);
+    for (Lba i = 0; i < 8 * span; ++i) {
+        ssd::HostRequest req;
+        req.type = ssd::IoType::Write;
+        req.lba = i < span ? i : rng.uniformInt(span);
+        if (dev.submitSync(req).ok())
+            acked[req.lba] = dev.peek(req.lba);
+    }
+    dev.drain();
+
+    const auto &stats = dev.ftl().stats();
+    ASSERT_GT(stats.flushReplays, 0u) << "tune the rate: no replays";
+    ASSERT_GT(stats.flushDeferrals, 0u) << "tune the rate: no deferrals";
+    ASSERT_GT(stats.gcCollections, 0u);
+    dev.ftl().checkConsistency();
+    const auto &geom = config.chip.geometry;
+    const nand::AddressCodec codec(geom);
+    for (Lba lba = 0; lba < span; ++lba) {
+        ASSERT_TRUE(acked[lba]) << "lba " << lba << " never acknowledged";
+        EXPECT_EQ(dev.peek(lba), acked[lba]) << "lba " << lba;
+        const Ppa ppa = dev.ftl().mapping().lookup(lba).value();
+        EXPECT_EQ(dev.chip(static_cast<std::uint32_t>(
+                               ppa / geom.pagesPerChip()))
+                      .pageToken(codec.decode(ppa % geom.pagesPerChip())),
+                  *acked[lba])
+            << "lba " << lba;
+    }
 }
 
 TEST(FaultDevice, SpareExhaustionEntersReadOnlyMode)
