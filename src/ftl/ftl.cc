@@ -302,8 +302,9 @@ Ftl::hostRead(const ssd::HostRequest &req, ssd::CompletionSink *sink,
         ssd::NandOp op;
         op.kind = ssd::NandOp::Kind::Read;
         op.page = addr;
-        op.readShiftMv = readShiftFor(chip, addr);
-        op.readSoftHint = readSoftHint(chip, addr);
+        const ReadHint hint = readHintFor(chip, addr);
+        op.readShiftMv = hint.shiftMv;
+        op.readSoftHint = hint.soft;
         op.highPriority = true;
         op.listener = this;
         op.ctx = reinterpret_cast<std::uint64_t>(ctx);

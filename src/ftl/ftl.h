@@ -411,12 +411,19 @@ class Ftl final : public sim::EventHandler, public ssd::NandOpListener
      *  vertFTL's table). */
     ProgramChoice finalizeChoice(std::uint32_t chip, const WlChoice &pick);
 
-    /** Read-reference shift for a page read (0 = chip default). */
-    MilliVolt readShiftFor(std::uint32_t chip, const nand::PageAddr &addr);
+    /** How a page read starts. */
+    struct ReadHint
+    {
+        MilliVolt shiftMv = 0;  ///< read-reference shift; 0: chip default
+        bool soft = false;      ///< start with the soft LDPC decode
+    };
 
-    /** Should this read start with the soft LDPC decode? (Paper
-     *  Sec. 8: leader-informed ECC-mode selection.) */
-    bool readSoftHint(std::uint32_t chip, const nand::PageAddr &addr);
+    /**
+     * One ORT probe for a page read: its h-layer's cached shift, and
+     * whether to start with the soft decode (paper Sec. 8:
+     * leader-informed ECC-mode selection).
+     */
+    ReadHint readHintFor(std::uint32_t chip, const nand::PageAddr &addr);
 
     /** Learn from a completed WL program. */
     void onProgramComplete(std::uint32_t chip, const ProgramChoice &choice,

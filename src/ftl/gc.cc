@@ -90,8 +90,9 @@ Ftl::continueCollection(std::uint32_t chip)
             ssd::NandOp op;
             op.kind = ssd::NandOp::Kind::Read;
             op.page = addr;
-            op.readShiftMv = readShiftFor(chip, addr);
-            op.readSoftHint = readSoftHint(chip, addr);
+            const ReadHint hint = readHintFor(chip, addr);
+            op.readShiftMv = hint.shiftMv;
+            op.readSoftHint = hint.soft;
             op.listener = this;
             op.ctx = pageIdx;
             op.chip = chip;

@@ -2,8 +2,6 @@
 
 #include <limits>
 
-#include "src/common/logging.h"
-
 namespace cubessd::ftl {
 
 Ort::Ort(std::uint32_t chips, std::uint32_t blocksPerChip,
@@ -13,36 +11,19 @@ Ort::Ort(std::uint32_t chips, std::uint32_t blocksPerChip,
     const std::size_t entries = static_cast<std::size_t>(chips) *
                                 blocksPerChip * layersPerBlock;
     table_.assign(entries, 0);
-    valid_.assign(entries, false);
+    validBits_.assign((entries + 63) / 64, 0);
     layerHits_.assign(layersPerBlock, 0);
     layerMisses_.assign(layersPerBlock, 0);
 }
 
-std::size_t
-Ort::index(std::uint32_t chip, std::uint32_t block,
-           std::uint32_t layer) const
+void
+Ort::setValid(std::size_t idx, bool valid)
 {
-    const std::size_t idx =
-        (static_cast<std::size_t>(chip) * blocksPerChip_ + block) *
-            layersPerBlock_ + layer;
-    if (idx >= table_.size())
-        panic("Ort: index out of range (chip %u block %u layer %u)",
-              chip, block, layer);
-    return idx;
-}
-
-std::optional<MilliVolt>
-Ort::lookup(std::uint32_t chip, std::uint32_t block, std::uint32_t layer)
-{
-    const std::size_t idx = index(chip, block, layer);
-    if (!valid_[idx]) {
-        ++misses_;
-        ++layerMisses_[layer];
-        return std::nullopt;
-    }
-    ++hits_;
-    ++layerHits_[layer];
-    return table_[idx];
+    const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
+    if (valid)
+        validBits_[idx / 64] |= bit;
+    else
+        validBits_[idx / 64] &= ~bit;
 }
 
 void
@@ -55,7 +36,7 @@ Ort::update(std::uint32_t chip, std::uint32_t block, std::uint32_t layer,
                             shiftMv));
     const std::size_t idx = index(chip, block, layer);
     table_[idx] = static_cast<std::int16_t>(clamped);
-    valid_[idx] = true;
+    setValid(idx, true);
     ++updates_;
 }
 
@@ -65,7 +46,7 @@ Ort::resetBlock(std::uint32_t chip, std::uint32_t block)
     for (std::uint32_t l = 0; l < layersPerBlock_; ++l) {
         const std::size_t idx = index(chip, block, l);
         table_[idx] = 0;
-        valid_[idx] = false;
+        setValid(idx, false);
     }
 }
 

@@ -11,10 +11,10 @@
  * Storage is 2 bytes per h-layer — the paper's space-overhead claim
  * (~0.001% of capacity; 10 MB for a 1 TB SSD) — exposed via bytes().
  * A shift of 0 mV is a legitimate cached value (the retry walk can
- * calibrate back to the chip default), so entry presence is tracked
- * by an explicit validity bit rather than by a zero sentinel; in a
- * real controller the bit lives in-band, so bytes() stays at 2 per
- * h-layer.
+ * calibrate back to the chip default), and every 16-bit value is one
+ * update() can store, so entry presence is tracked by a validity bit
+ * (one word holds 64) rather than by a sentinel; in a real controller
+ * the bit lives in-band, so bytes() stays at 2 per h-layer.
  *
  * Stats-counter convention (shared with Channel, ChipUnit, and
  * NandChip): hit/update counters are plain members mutated only from
@@ -30,6 +30,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/common/logging.h"
 #include "src/common/state_hash.h"
 #include "src/common/types.h"
 
@@ -46,18 +47,26 @@ class Ort
      * the h-layer has no cached entry (chip default applies). A
      * cached 0 mV shift is a valid entry and counts as a hit.
      */
-    std::optional<MilliVolt> lookup(std::uint32_t chip,
-                                    std::uint32_t block,
-                                    std::uint32_t layer);
+    std::optional<MilliVolt>
+    lookup(std::uint32_t chip, std::uint32_t block, std::uint32_t layer)
+    {
+        const std::size_t idx = index(chip, block, layer);
+        if (!valid(idx)) {
+            ++misses_;
+            ++layerMisses_[layer];
+            return std::nullopt;
+        }
+        ++hits_;
+        ++layerHits_[layer];
+        return table_[idx];
+    }
 
-    /** Entry presence without touching hit/miss accounting (for
-     *  secondary consumers such as the ECC-mode hint, so one host
-     *  read counts exactly one hit or miss). */
+    /** Entry presence without touching hit/miss accounting. */
     bool
     contains(std::uint32_t chip, std::uint32_t block,
              std::uint32_t layer) const
     {
-        return valid_[index(chip, block, layer)];
+        return valid(index(chip, block, layer));
     }
 
     /** Record the shift that finally decoded on this h-layer. */
@@ -76,7 +85,7 @@ class Ort
     void
     hashState(StateHash &h) const
     {
-        h.add(table_).add(valid_).add(hits_).add(misses_).add(updates_);
+        h.add(table_).add(validBits_).add(hits_).add(misses_).add(updates_);
         h.add(layerHits_).add(layerMisses_);
     }
     std::uint64_t misses() const { return misses_; }
@@ -95,13 +104,31 @@ class Ort
     /** @} */
 
   private:
-    std::size_t index(std::uint32_t chip, std::uint32_t block,
-                      std::uint32_t layer) const;
+    std::size_t
+    index(std::uint32_t chip, std::uint32_t block,
+          std::uint32_t layer) const
+    {
+        const std::size_t idx =
+            (static_cast<std::size_t>(chip) * blocksPerChip_ + block) *
+                layersPerBlock_ + layer;
+        if (idx >= table_.size())
+            panic("Ort: index out of range (chip %u block %u layer %u)",
+                  chip, block, layer);
+        return idx;
+    }
+
+    bool
+    valid(std::size_t idx) const
+    {
+        return (validBits_[idx / 64] >> (idx % 64)) & 1u;
+    }
+
+    void setValid(std::size_t idx, bool valid);
 
     std::uint32_t blocksPerChip_;
     std::uint32_t layersPerBlock_;
     std::vector<std::int16_t> table_;
-    std::vector<bool> valid_;
+    std::vector<std::uint64_t> validBits_;  ///< bit idx % 64 of word idx / 64
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;
     std::uint64_t updates_ = 0;

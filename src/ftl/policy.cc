@@ -159,30 +159,22 @@ Ftl::finalizeChoice(std::uint32_t chip, const WlChoice &pick)
     return choice;
 }
 
-MilliVolt
-Ftl::readShiftFor(std::uint32_t chip, const nand::PageAddr &addr)
+Ftl::ReadHint
+Ftl::readHintFor(std::uint32_t chip, const nand::PageAddr &addr)
 {
     if (!features_.ort)
-        return 0;
+        return {};
     PROF_SCOPE(prof::Slot::FtlOrtLookup);
     const auto shift = ort_.lookup(chip, addr.block, addr.layer);
-    if (shift)
-        ++cubeStats_.ortGuidedReads;
-    return shift.value_or(0);
-}
-
-bool
-Ftl::readSoftHint(std::uint32_t chip, const nand::PageAddr &addr)
-{
-    // A cached ORT entry means this h-layer has already needed
-    // retries: its pages are noisy, so start with the soft decode
-    // (the paper's Sec. 8 leader-informed ECC idea). Entry presence —
-    // not a non-zero shift — is the signal: a calibrated 0 mV entry
-    // still marks a noisy layer.
-    if (!features_.eccHint || !features_.ort)
-        return false;
-    PROF_SCOPE(prof::Slot::FtlOrtLookup);
-    return ort_.contains(chip, addr.block, addr.layer);
+    if (!shift)
+        return {};
+    ++cubeStats_.ortGuidedReads;
+    // A cached entry means this h-layer has already needed retries:
+    // its pages are noisy, so start with the soft decode (the paper's
+    // Sec. 8 leader-informed ECC idea). Entry presence — not a
+    // non-zero shift — is the signal: a calibrated 0 mV entry still
+    // marks a noisy layer.
+    return {*shift, features_.eccHint};
 }
 
 void
