@@ -38,7 +38,7 @@ NandChip::hashState(StateHash &h) const
     for (const BlockState &block : blocks_) {
         h.add(block.eraseCount);
         for (const WlState &wl : block.wls)
-            h.add(wl.programmedPages).add(wl.berMultiplier);
+            h.add(wl.programmedPages).add(wl.berMultiplier());
         h.add(block.tokens);
     }
     h.add(stats_);
@@ -139,7 +139,7 @@ NandChip::programWl(const WlAddr &addr, const ProgramCommand &cmd,
 
     wl.programmedPages =
         static_cast<std::uint8_t>((1u << config_.geometry.pagesPerWl) - 1);
-    wl.berMultiplier = static_cast<float>(result.berMultiplier);
+    wl.setBerMultiplier(static_cast<float>(result.berMultiplier));
     const std::size_t base =
         wlIndex(addr) * config_.geometry.pagesPerWl;
     for (std::uint32_t p = 0; p < config_.geometry.pagesPerWl; ++p)
@@ -172,7 +172,7 @@ NandChip::readPage(const PageAddr &addr, MilliVolt appliedShiftMv,
 
     ReadOutcome out =
         read_.readFromTerms(t.shiftBase, t.normBase,
-                            static_cast<double>(wl.berMultiplier),
+                            static_cast<double>(wl.berMultiplier()),
                             appliedShiftMv, rng_, softHint,
                             faults_.enabled()
                                 ? config_.faults.uncorrectableNormLimit
@@ -205,7 +205,7 @@ NandChip::measureBerNorm(const PageAddr &addr)
     const WlTerms t = terms_.terms(addr.wlAddr(), block.eraseCount,
                                    blockAging(addr.block), process_, ispp_);
     const double aligned =
-        t.normBase * static_cast<double>(wl.berMultiplier);
+        t.normBase * static_cast<double>(wl.berMultiplier());
     // RTN-scale measurement noise (paper: <3% across a sequence).
     return aligned * (1.0 + 0.005 * rng_.normal());
 }

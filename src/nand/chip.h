@@ -22,6 +22,8 @@
 #ifndef CUBESSD_NAND_CHIP_H
 #define CUBESSD_NAND_CHIP_H
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -226,11 +228,29 @@ class NandChip
     }
 
   private:
+    /** One WL's program state in 5 bytes: the float is kept as its
+     *  bytes, so the struct needs no alignment padding. */
     struct WlState
     {
+        using FloatBytes = std::array<std::uint8_t, sizeof(float)>;
+
         std::uint8_t programmedPages = 0;  ///< bitmask
-        float berMultiplier = 1.0f;        ///< program-time BER penalty
+        FloatBytes berBytes = std::bit_cast<FloatBytes>(1.0f);
+
+        /** Program-time BER penalty. */
+        float
+        berMultiplier() const
+        {
+            return std::bit_cast<float>(berBytes);
+        }
+
+        void
+        setBerMultiplier(float m)
+        {
+            berBytes = std::bit_cast<FloatBytes>(m);
+        }
     };
+    static_assert(sizeof(WlState) == 5);
 
     struct BlockState
     {

@@ -124,14 +124,14 @@ namespace {
 
 TEST(ZeroAlloc, ConstructionBytesPerPhysicalPage)
 {
-    // Device-sized state is per LBA (the 12-byte mapping entry, 0.9
+    // Device-sized state is per LBA (the 4-byte mapping entry, 0.9
     // LBAs per page), per page (4-byte reverse map, 8-byte NAND data
-    // token), per WL (the 8-byte program state, 3 pages per WL) and per
-    // h-layer (ORT): 26.0-27.0 bytes per physical page at these sizes.
-    // Another 4-byte per-page or per-LBA array, per-WL term-cache
-    // entries, or leader parameters kept for every h-layer cross the
-    // bound.
-    constexpr double kMaxBytesPerPage = 28.0;
+    // token), per WL (the 5-byte program state, 3 pages per WL) and per
+    // h-layer (ORT): 17.8-18.9 bytes per physical page at these sizes.
+    // Another 4-byte per-page or per-LBA array (a write version in the
+    // mapping entry, say), per-WL term-cache entries, or leader
+    // parameters kept for every h-layer cross the bound.
+    constexpr double kMaxBytesPerPage = 20.0;
     for (const ssd::FtlKind kind :
          {ssd::FtlKind::Page, ssd::FtlKind::Vert, ssd::FtlKind::Cube}) {
         for (const std::uint32_t blocks : {96u, 428u}) {
