@@ -20,7 +20,8 @@
  *    ssd::WriteBuffer::lookup and ftl::Ort::lookup all follow this
  *    idiom — `if (auto v = x.lookup(k)) use(*v);`. Raw kInvalidPpa /
  *    kInvalidLba sentinels appear only inside packed storage (L2P
- *    arrays, FlushEntry padding), not across call boundaries.
+ *    arrays, FlushEntry padding, the LBA ftl::tokenLba reads from an
+ *    erased page's data token), not across other call boundaries.
  *  - Completions never fail silently: every ssd::Completion carries a
  *    ssd::Status (Ok, Uncorrectable, ProgramFailed, ReadOnly,
  *    Rejected); hosts check `c.ok()` instead of assuming success.

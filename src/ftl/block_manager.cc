@@ -1,19 +1,21 @@
 #include "src/ftl/block_manager.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/common/logging.h"
 
 namespace cubessd::ftl {
 
 BlockManager::BlockManager(const nand::NandGeometry &geom)
-    : geom_(geom)
+    : geom_(geom),
+      blocks_(geom.blocksPerChip),
+      wordsPerBlock_((geom.pagesPerBlock() + 63) / 64)
 {
-    blocks_.resize(geom_.blocksPerChip);
-    for (std::uint32_t b = 0; b < geom_.blocksPerChip; ++b) {
-        blocks_[b].p2l.assign(geom_.pagesPerBlock(), kInvalid32);
+    valid_.assign(std::size_t{wordsPerBlock_} * geom_.blocksPerChip, 0);
+    freeList_.reserve(geom_.blocksPerChip);
+    for (std::uint32_t b = 0; b < geom_.blocksPerChip; ++b)
         freeList_.push_back(b);
-    }
 }
 
 std::uint32_t
@@ -48,7 +50,7 @@ BlockManager::release(std::uint32_t block)
     if (info.validCount != 0)
         panic("BlockManager: releasing block %u with %u valid pages",
               block, info.validCount);
-    info.p2l.assign(geom_.pagesPerBlock(), kInvalid32);
+    std::fill_n(valid_.begin() + wordOf(block, 0), wordsPerBlock_, 0);
     info.programmedWls = 0;
     ++info.eraseCount;
     info.isFree = true;
@@ -78,31 +80,59 @@ BlockManager::retire(std::uint32_t block)
     ++retired_;
 }
 
-void
-BlockManager::markValid(std::uint32_t block, std::uint32_t pageInBlock,
-                        Lba lba)
+std::size_t
+BlockManager::wordOf(std::uint32_t block, std::uint32_t pageInBlock) const
 {
-    auto &info = blocks_.at(block);
-    std::uint32_t &entry = info.p2l.at(pageInBlock);
-    if (entry != kInvalid32)
+    if (block >= geom_.blocksPerChip || pageInBlock >= geom_.pagesPerBlock())
+        panic("BlockManager: page %u of block %u is outside the chip",
+              pageInBlock, block);
+    return std::size_t{block} * wordsPerBlock_ + pageInBlock / 64;
+}
+
+bool
+BlockManager::isValid(std::uint32_t block, std::uint32_t pageInBlock) const
+{
+    return (valid_[wordOf(block, pageInBlock)] >> (pageInBlock % 64)) & 1;
+}
+
+std::uint32_t
+BlockManager::nextValid(std::uint32_t block, std::uint32_t from) const
+{
+    const std::uint32_t pages = geom_.pagesPerBlock();
+    if (from >= pages)
+        return pages;
+    const std::size_t base = wordOf(block, 0);
+    std::uint32_t w = from / 64;
+    std::uint64_t bits = valid_[base + w] & (~std::uint64_t{0} << (from % 64));
+    while (bits == 0) {
+        if (++w == wordsPerBlock_)
+            return pages;
+        bits = valid_[base + w];
+    }
+    return w * 64 + static_cast<std::uint32_t>(std::countr_zero(bits));
+}
+
+void
+BlockManager::markValid(std::uint32_t block, std::uint32_t pageInBlock)
+{
+    std::uint64_t &word = valid_[wordOf(block, pageInBlock)];
+    const std::uint64_t bit = std::uint64_t{1} << (pageInBlock % 64);
+    if (word & bit)
         panic("BlockManager: page %u of block %u already valid",
               pageInBlock, block);
-    if (lba >= kInvalid32)
-        panic("BlockManager: LBA %llu does not fit the reverse map",
-              static_cast<unsigned long long>(lba));
-    entry = static_cast<std::uint32_t>(lba);
-    ++info.validCount;
+    word |= bit;
+    ++blocks_[block].validCount;
 }
 
 void
 BlockManager::markInvalid(std::uint32_t block, std::uint32_t pageInBlock)
 {
-    auto &info = blocks_.at(block);
-    std::uint32_t &entry = info.p2l.at(pageInBlock);
-    if (entry == kInvalid32)
+    std::uint64_t &word = valid_[wordOf(block, pageInBlock)];
+    const std::uint64_t bit = std::uint64_t{1} << (pageInBlock % 64);
+    if (!(word & bit))
         return;  // idempotent: racing invalidations are benign
-    entry = kInvalid32;
-    --info.validCount;
+    word &= ~bit;
+    --blocks_[block].validCount;
 }
 
 void
@@ -163,7 +193,7 @@ BlockManager::wearSpread() const
 }
 
 void
-BlockManager::checkConsistency(std::uint64_t logicalPages) const
+BlockManager::checkConsistency() const
 {
     std::vector<std::uint32_t> listed(blocks_.size(), 0);
     for (const std::uint32_t block : freeList_)
@@ -171,15 +201,9 @@ BlockManager::checkConsistency(std::uint64_t logicalPages) const
     for (std::uint32_t b = 0; b < blocks_.size(); ++b) {
         const BlockInfo &info = blocks_[b];
         std::uint32_t valid = 0;
-        for (const std::uint32_t lba : info.p2l) {
-            if (lba == kInvalid32)
-                continue;
-            if (lba >= logicalPages)
-                panic("consistency: block %u holds LBA %u beyond the "
-                      "%llu logical pages",
-                      b, lba, static_cast<unsigned long long>(logicalPages));
-            ++valid;
-        }
+        for (std::uint32_t w = 0; w < wordsPerBlock_; ++w)
+            valid += static_cast<std::uint32_t>(
+                std::popcount(valid_[std::size_t{b} * wordsPerBlock_ + w]));
         if (valid != info.validCount)
             panic("consistency: block %u counts %u valid pages but "
                   "holds %u",
@@ -198,8 +222,9 @@ BlockManager::checkConsistency(std::uint64_t logicalPages) const
 void
 BlockManager::hashState(StateHash &h) const
 {
+    h.add(valid_);
     for (const BlockInfo &b : blocks_) {
-        h.add(b.p2l).add(b.validCount).add(b.programmedWls);
+        h.add(b.validCount).add(b.programmedWls);
         h.add(b.eraseCount).add(b.isFree).add(b.isActive).add(b.isBad);
     }
     h.add(freeList_.size());

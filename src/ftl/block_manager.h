@@ -1,7 +1,11 @@
 /**
  * @file
  * Per-chip physical block bookkeeping: free list, valid-page counts,
- * reverse (P2L) mapping, and greedy victim selection for GC.
+ * one validity bit per page, and greedy victim selection for GC.
+ *
+ * Which LBA a valid page holds is not kept here: the page's data token
+ * carries it (ftl::tokenLba), as a real SSD keeps the LBA in the page's
+ * spare area.
  */
 
 #ifndef CUBESSD_FTL_BLOCK_MANAGER_H
@@ -12,7 +16,6 @@
 #include <vector>
 
 #include "src/common/state_hash.h"
-#include "src/common/types.h"
 #include "src/nand/geometry.h"
 
 namespace cubessd::ftl {
@@ -20,23 +23,12 @@ namespace cubessd::ftl {
 /** State of one physical block within a chip. */
 struct BlockInfo
 {
-    /** Reverse map: the LBA whose current data each page holds, or
-     *  kInvalid32. A page is valid exactly when it has an entry. */
-    std::vector<std::uint32_t> p2l;
     std::uint32_t validCount = 0;
     std::uint32_t programmedWls = 0;
     std::uint32_t eraseCount = 0;  ///< wear (for wear leveling)
     bool isFree = true;
     bool isActive = false;       ///< open as a write point (not a victim)
     bool isBad = false;          ///< retired after a program/erase fail
-
-    bool isValid(std::uint32_t page) const { return p2l[page] != kInvalid32; }
-
-    /** LBA whose data `page` holds, or kInvalidLba if it is invalid. */
-    Lba lbaAt(std::uint32_t page) const
-    {
-        return isValid(page) ? p2l[page] : kInvalidLba;
-    }
 };
 
 class BlockManager
@@ -82,10 +74,16 @@ class BlockManager
         return blocks_.at(block);
     }
 
-    /** Record that `pageInBlock` of `block` now holds `lba`'s data
-     *  (`lba` must be below kInvalid32). */
-    void markValid(std::uint32_t block, std::uint32_t pageInBlock,
-                   Lba lba);
+    /** Does `pageInBlock` of `block` hold the current data of an LBA? */
+    bool isValid(std::uint32_t block, std::uint32_t pageInBlock) const;
+
+    /** The first valid page of `block` at or after `from`, or
+     *  pagesPerBlock() if there is none. */
+    std::uint32_t nextValid(std::uint32_t block, std::uint32_t from) const;
+
+    /** Record that `pageInBlock` of `block` now holds an LBA's
+     *  current data. */
+    void markValid(std::uint32_t block, std::uint32_t pageInBlock);
 
     /** Invalidate one physical page (old version or discarded data). */
     void markInvalid(std::uint32_t block, std::uint32_t pageInBlock);
@@ -110,20 +108,27 @@ class BlockManager
 
     /**
      * Verify each block's bookkeeping against its own pages; panics on
-     * violation. Each validCount equals the block's reverse entries,
-     * every entry is below `logicalPages`, a free block holds no valid
-     * page and is on the free list exactly once, and no other block
-     * (retired ones included) is on it.
+     * violation. Each validCount equals the block's validity bits, a
+     * free block holds no valid page and is on the free list exactly
+     * once, and no other block (retired ones included) is on it.
      */
-    void checkConsistency(std::uint64_t logicalPages) const;
+    void checkConsistency() const;
 
-    /** Fold every block's reverse map, wear and status plus the
+    /** Fold the validity bits, every block's wear and status, and the
      *  free-list order in. */
     void hashState(StateHash &h) const;
 
   private:
+    /** Index into valid_ of the word holding `pageInBlock`'s bit;
+     *  panics on a page outside the chip. */
+    std::size_t wordOf(std::uint32_t block, std::uint32_t pageInBlock) const;
+
     nand::NandGeometry geom_;
     std::vector<BlockInfo> blocks_;
+    /** Validity bits, wordsPerBlock_ words per block: bit p % 64 of
+     *  word p / 64 is page p. The bits past pagesPerBlock() stay 0. */
+    std::vector<std::uint64_t> valid_;
+    std::uint32_t wordsPerBlock_ = 0;
     /** Free blocks in release order. A vector: the list is short, an
      *  erase keeps the order (so allocate picks the same block a
      *  deque did), and freeCount() is two loads. */

@@ -152,13 +152,12 @@ Ftl::registerCounters(trace::CounterRegistry &reg)
 }
 
 std::uint64_t
-Ftl::tokenFor(Lba lba, std::uint64_t version)
+dataToken(Lba lba, std::uint64_t version)
 {
-    std::uint64_t x = lba * 0x9E3779B97F4A7C15ull + version;
-    x ^= x >> 33;
-    x *= 0xFF51AFD7ED558CCDull;
-    x ^= x >> 33;
-    return x | 1;  // never zero
+    if (lba >= kInvalid32)
+        panic("dataToken: LBA %llu does not fit the token's 32 bits",
+              static_cast<unsigned long long>(lba));
+    return ((lba + 1) << 32) | static_cast<std::uint32_t>(version);
 }
 
 Ppa
@@ -400,7 +399,7 @@ Ftl::processWrite(StalledWrite *write)
     while (write->nextPage < write->req.pages) {
         const Lba lba = write->req.lba + write->nextPage;
         const std::uint64_t version = nextVersion();
-        const std::uint64_t token = tokenFor(lba, version);
+        const std::uint64_t token = dataToken(lba, version);
         if (!buffer_.insert(lba, token, version)) {
             // Buffer full: park the request; a flush completion will
             // resume it. The unissued version number is harmless.
@@ -718,7 +717,7 @@ Ftl::applyMappings(std::uint32_t chip, const nand::WlAddr &wl,
             chips_[oldChip].blocks.markInvalid(oldAddr.block,
                                                pageInBlock(oldAddr));
         }
-        mgr.markValid(wl.block, pageInBlock(addr), entry.lba);
+        mgr.markValid(wl.block, pageInBlock(addr));
     }
 }
 
@@ -745,10 +744,8 @@ Ftl::retireBlock(std::uint32_t chip, std::uint32_t block)
     // vectors are fine here: this path only runs under fault
     // injection, never in steady state.
     std::vector<FlushEntry> pending;
-    const auto &info = mgr.info(block);
-    for (std::uint32_t i = 0; i < geom_.pagesPerBlock(); ++i) {
-        if (!info.isValid(i))
-            continue;
+    for (std::uint32_t i = mgr.nextValid(block, 0);
+         i < geom_.pagesPerBlock(); i = mgr.nextValid(block, i + 1)) {
         pending.push_back(relocationEntry(chip, block, i));
         ++stats_.badBlockRelocations;
     }
@@ -827,10 +824,9 @@ FlushEntry
 Ftl::relocationEntry(std::uint32_t chip, std::uint32_t block,
                      std::uint32_t pageIdx) const
 {
-    const Lba lba = chips_[chip].blocks.info(block).lbaAt(pageIdx);
     const nand::PageAddr addr = pageAddr(block, pageIdx);
-    return {lba, units_[chip].chip().pageToken(addr), 0,
-            encodePpa(chip, addr)};
+    const std::uint64_t token = units_[chip].chip().pageToken(addr);
+    return {tokenLba(token), token, 0, encodePpa(chip, addr)};
 }
 
 // ---------------------------------------------------------------------
@@ -857,7 +853,10 @@ Ftl::peek(Lba lba) const
 void
 Ftl::checkConsistency() const
 {
-    // Every mapped LBA must point at a valid page that maps back.
+    // Every mapped LBA must point at a valid page whose token carries
+    // it back. With as many valid pages as mapped LBAs, every valid
+    // page is then some LBA's, and no token names an LBA past the
+    // logical space.
     std::uint64_t mapped = 0;
     for (Lba lba = 0; lba < mapping_.logicalPages(); ++lba) {
         const std::optional<Ppa> ppa = mapping_.lookup(lba);
@@ -865,14 +864,18 @@ Ftl::checkConsistency() const
             continue;
         ++mapped;
         const auto [chip, addr] = decodePpa(*ppa);
-        const auto &info = chips_[chip].blocks.info(addr.block);
-        const std::uint32_t idx = pageInBlock(addr);
-        if (!info.isValid(idx))
+        if (!chips_[chip].blocks.isValid(addr.block, pageInBlock(addr)))
             panic("consistency: LBA %llu maps to invalid page",
                   static_cast<unsigned long long>(lba));
-        if (info.lbaAt(idx) != lba)
-            panic("consistency: P2L mismatch for LBA %llu",
+        const Lba held = tokenLba(units_[chip].chip().pageToken(addr));
+        if (held == kInvalidLba)
+            panic("consistency: LBA %llu maps to an erased page",
                   static_cast<unsigned long long>(lba));
+        if (held != lba)
+            panic("consistency: LBA %llu maps to a page whose token "
+                  "carries LBA %llu",
+                  static_cast<unsigned long long>(lba),
+                  static_cast<unsigned long long>(held));
     }
     std::uint64_t valid = 0;
     for (const Chip &c : chips_)
@@ -886,7 +889,7 @@ Ftl::checkConsistency() const
               static_cast<unsigned long long>(mapping_.mappedCount()),
               static_cast<unsigned long long>(mapped));
     for (const Chip &c : chips_)
-        c.blocks.checkConsistency(mapping_.logicalPages());
+        c.blocks.checkConsistency();
 
     // Every in-flight record has a flush in flight and no landing
     // newer than its newest dispatch. A leaked count would keep one

@@ -84,6 +84,23 @@ class CounterRegistry;
 
 namespace cubessd::ftl {
 
+/**
+ * The data token of write `version` of `lba`: what the page's spare
+ * area records, ((lba + 1) << 32) | (version mod 2^32). It is never 0,
+ * the token of an erased page. Two versions of one LBA share a token
+ * only if 2^32 host page writes lie between them. Panics if lba + 1
+ * does not fit 32 bits (validate() keeps every LBA below that).
+ */
+std::uint64_t dataToken(Lba lba, std::uint64_t version);
+
+/** The LBA a data token carries; kInvalidLba for token 0 (an erased
+ *  or padding page), by the wrap of 0 - 1. */
+constexpr Lba
+tokenLba(std::uint64_t token)
+{
+    return (token >> 32) - 1;
+}
+
 /** One page travelling from the write buffer or a GC scan to NAND. */
 struct FlushEntry
 {
@@ -199,8 +216,9 @@ class Ftl final : public sim::EventHandler, public ssd::NandOpListener
     const std::vector<MilliVolt> &vFinalTable() const { return vFinal_; }
 
     /**
-     * Verify cross-structure invariants (mapping vs valid counts vs
-     * chip state); panics on violation. Test/debug aid.
+     * Verify cross-structure invariants (mapping vs valid pages vs the
+     * LBA each mapped page's token carries vs chip state); panics on
+     * violation. Test/debug aid.
      */
     void checkConsistency() const;
 
@@ -345,16 +363,15 @@ class Ftl final : public sim::EventHandler, public ssd::NandOpListener
                          std::span<const FlushEntry> entries, bool forGc);
 
     /**
-     * The relocation of valid page `pageIdx` of `block` on `chip`: its
-     * LBA, the data token on NAND and the source PPA, which makes
-     * applyMappings drop the copy if the LBA has moved on by the time
-     * it lands.
+     * The relocation of valid page `pageIdx` of `block` on `chip`: the
+     * data token on NAND, the LBA it carries and the source PPA, which
+     * makes applyMappings drop the copy if the LBA has moved on by the
+     * time it lands.
      */
     FlushEntry relocationEntry(std::uint32_t chip, std::uint32_t block,
                                std::uint32_t pageIdx) const;
 
     std::uint64_t nextVersion() { return ++versionCounter_; }
-    static std::uint64_t tokenFor(Lba lba, std::uint64_t version);
 
     Ppa encodePpa(std::uint32_t chip, const nand::PageAddr &addr) const;
     std::pair<std::uint32_t, nand::PageAddr> decodePpa(Ppa ppa) const;

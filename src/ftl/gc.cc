@@ -78,11 +78,8 @@ Ftl::continueCollection(std::uint32_t chip)
     // Issue the next scan read (one outstanding at a time, so host
     // reads can interleave).
     if (c.gc == GcPhase::Scan && c.readsInFlight == 0) {
-        const BlockInfo &info = c.blocks.info(c.victim);
-        const std::uint32_t pagesPerBlock = geom_.pagesPerBlock();
-        while (c.scanIndex < pagesPerBlock && !info.isValid(c.scanIndex))
-            ++c.scanIndex;
-        if (c.scanIndex < pagesPerBlock) {
+        c.scanIndex = c.blocks.nextValid(c.victim, c.scanIndex);
+        if (c.scanIndex < geom_.pagesPerBlock()) {
             const std::uint32_t pageIdx = c.scanIndex++;
             const nand::PageAddr addr = pageAddr(c.victim, pageIdx);
             // relocationEntry reads its token when this read completes.
@@ -144,7 +141,7 @@ Ftl::onGcOpComplete(const ssd::NandOp &op, const ssd::NandOpResult &result)
     stats_.readRetries += static_cast<std::uint64_t>(result.read.numRetries);
     --c.readsInFlight;
     // A racing host write may have invalidated the page: nothing to move.
-    if (c.blocks.info(c.victim).isValid(pageIdx)) {
+    if (c.blocks.isValid(c.victim, pageIdx)) {
         c.pending[c.tail++] = relocationEntry(op.chip, c.victim, pageIdx);
         ++stats_.gcRelocatedPages;
     }

@@ -16,7 +16,9 @@
  *
  * The chip stores a 64-bit *data token* per page instead of real data:
  * enough to verify end-to-end data integrity in tests while keeping a
- * 32 GB simulated SSD in a few MB of host memory.
+ * 32 GB simulated SSD in a few MB of host memory. The chip treats
+ * tokens as opaque; the FTL's carry the page's LBA, as a real page's
+ * spare area does (ftl::dataToken).
  */
 
 #ifndef CUBESSD_NAND_CHIP_H

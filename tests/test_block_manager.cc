@@ -1,10 +1,13 @@
 /**
  * @file
  * Unit tests for the per-chip block manager: free-list lifecycle,
- * valid-page accounting, and greedy victim selection.
+ * valid-page accounting and validity bits, and greedy victim
+ * selection.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "src/ftl/block_manager.h"
 
@@ -35,7 +38,7 @@ class BlockManagerTest : public ::testing::Test
         for (std::uint32_t w = 0; w < geom.wlsPerBlock(); ++w)
             mgr_.noteWlProgrammed(block);
         for (std::uint32_t p = 0; p < valid; ++p)
-            mgr_.markValid(block, p, p);
+            mgr_.markValid(block, p);
         mgr_.close(block);
     }
 
@@ -63,50 +66,91 @@ TEST_F(BlockManagerTest, ReleaseReturnsToFreeList)
 TEST_F(BlockManagerTest, ValidAccounting)
 {
     const auto b = mgr_.allocate();
-    mgr_.markValid(b, 0, 100);
-    mgr_.markValid(b, 5, 105);
+    mgr_.markValid(b, 0);
+    mgr_.markValid(b, 5);
     EXPECT_EQ(mgr_.info(b).validCount, 2u);
-    EXPECT_EQ(mgr_.info(b).lbaAt(5), 105u);
+    EXPECT_TRUE(mgr_.isValid(b, 5));
     mgr_.markInvalid(b, 0);
     EXPECT_EQ(mgr_.info(b).validCount, 1u);
-    EXPECT_EQ(mgr_.info(b).lbaAt(0), kInvalidLba);
+    EXPECT_FALSE(mgr_.isValid(b, 0));
     // Idempotent double-invalidation.
     mgr_.markInvalid(b, 0);
     EXPECT_EQ(mgr_.info(b).validCount, 1u);
     EXPECT_EQ(mgr_.totalValid(), 1u);
-    EXPECT_FALSE(mgr_.info(b).isValid(0));
-    EXPECT_TRUE(mgr_.info(b).isValid(5));
+    EXPECT_FALSE(mgr_.isValid(b, 0));
+    EXPECT_TRUE(mgr_.isValid(b, 5));
     mgr_.markInvalid(b, 5);
     mgr_.close(b);
     mgr_.release(b);
-    for (std::uint32_t p = 0; p < tinyGeom().pagesPerBlock(); ++p) {
-        EXPECT_FALSE(mgr_.info(b).isValid(p));
-        EXPECT_EQ(mgr_.info(b).lbaAt(p), kInvalidLba);
-    }
-    mgr_.checkConsistency(1000);
+    for (std::uint32_t p = 0; p < tinyGeom().pagesPerBlock(); ++p)
+        EXPECT_FALSE(mgr_.isValid(b, p));
+    mgr_.checkConsistency();
+}
+
+TEST(BlockManager, NextValidWalksTheBitsOfOneBlockOnly)
+{
+    // 96 pages per block: two words each, the second half used, so
+    // block 0's last word is followed directly by block 1's bits.
+    nand::NandGeometry g = tinyGeom();
+    g.layersPerBlock = 8;
+    g.wlsPerLayer = 4;
+    const std::uint32_t pages = g.pagesPerBlock();
+    ASSERT_EQ(pages, 96u);
+    BlockManager mgr(g);
+    const auto b0 = mgr.allocate();
+    const auto b1 = mgr.allocate();
+    ASSERT_EQ(b1, b0 + 1);
+    EXPECT_EQ(mgr.nextValid(b0, 0), pages);
+    for (const std::uint32_t p : {3u, 63u, 64u, 95u})
+        mgr.markValid(b0, p);
+    mgr.markValid(b1, 0);
+
+    // Bounded, so a nextValid that fails to advance fails the test
+    // instead of growing `walked` without end.
+    std::vector<std::uint32_t> walked;
+    for (std::uint32_t p = mgr.nextValid(b0, 0);
+         p < pages && walked.size() < pages; p = mgr.nextValid(b0, p + 1))
+        walked.push_back(p);
+    EXPECT_EQ(walked, (std::vector<std::uint32_t>{3, 63, 64, 95}));
+    EXPECT_EQ(mgr.nextValid(b0, 4), 63u);
+    EXPECT_EQ(mgr.nextValid(b0, pages), pages);
+    EXPECT_EQ(mgr.nextValid(b1, 0), 0u);
+    EXPECT_EQ(mgr.nextValid(b1, 1), pages);
+
+    for (const std::uint32_t p : {3u, 63u, 64u, 95u})
+        mgr.markInvalid(b0, p);
+    EXPECT_EQ(mgr.nextValid(b0, 0), pages);
+    EXPECT_TRUE(mgr.isValid(b1, 0));
+    mgr.close(b0);
+    mgr.release(b0);
+    EXPECT_TRUE(mgr.isValid(b1, 0));
+    mgr.checkConsistency();
+}
+
+TEST(BlockManagerDeathTest, PagesOutsideTheChipPanic)
+{
+    BlockManager mgr(tinyGeom());
+    const auto b = mgr.allocate();
+    const std::uint32_t pages = tinyGeom().pagesPerBlock();
+    EXPECT_DEATH(mgr.markValid(b, pages), "outside the chip");
+    EXPECT_DEATH(mgr.markInvalid(b, pages), "outside the chip");
+    EXPECT_DEATH(mgr.isValid(tinyGeom().blocksPerChip, 0),
+                 "outside the chip");
 }
 
 TEST(BlockManagerDeathTest, ConsistencyCheckCatchesCorruptBookkeeping)
 {
     BlockManager mgr(tinyGeom());
     const auto b = mgr.allocate();
-    mgr.markValid(b, 2, 9);
+    mgr.markValid(b, 2);
     mgr.retire(mgr.allocate());
-    mgr.checkConsistency(10);
-    EXPECT_DEATH(mgr.checkConsistency(9), "LBA 9 beyond the 9 logical");
+    mgr.checkConsistency();
     ++mgr.info(b).validCount;
-    EXPECT_DEATH(mgr.checkConsistency(10), "counts 2 valid pages");
+    EXPECT_DEATH(mgr.checkConsistency(), "counts 2 valid pages");
     --mgr.info(b).validCount;
     mgr.info(mgr.allocate()).isFree = true;
-    EXPECT_DEATH(mgr.checkConsistency(10),
+    EXPECT_DEATH(mgr.checkConsistency(),
                  "free block 2 is on the free list 0 times");
-}
-
-TEST(BlockManagerDeathTest, MarkValidRejectsAnLbaTooWideForTheMap)
-{
-    BlockManager mgr(tinyGeom());
-    EXPECT_DEATH(mgr.markValid(mgr.allocate(), 0, kInvalid32),
-                 "does not fit");
 }
 
 TEST_F(BlockManagerTest, VictimIsLeastValid)
@@ -123,7 +167,7 @@ TEST_F(BlockManagerTest, VictimIsLeastValid)
 TEST_F(BlockManagerTest, ActiveAndPartialBlocksAreNotVictims)
 {
     const auto b0 = mgr_.allocate();  // active, stays open
-    mgr_.markValid(b0, 0, 1);
+    mgr_.markValid(b0, 0);
     EXPECT_FALSE(mgr_.pickVictim().has_value());
 }
 
@@ -149,7 +193,7 @@ TEST_F(BlockManagerTest, ProfitableVictimFound)
 TEST_F(BlockManagerTest, ReleaseWithValidPagesPanics)
 {
     const auto b = mgr_.allocate();
-    mgr_.markValid(b, 0, 1);
+    mgr_.markValid(b, 0);
     mgr_.close(b);
     EXPECT_DEATH(mgr_.release(b), "valid pages");
 }
@@ -157,8 +201,8 @@ TEST_F(BlockManagerTest, ReleaseWithValidPagesPanics)
 TEST_F(BlockManagerTest, DoubleMarkValidPanics)
 {
     const auto b = mgr_.allocate();
-    mgr_.markValid(b, 0, 1);
-    EXPECT_DEATH(mgr_.markValid(b, 0, 2), "already valid");
+    mgr_.markValid(b, 0);
+    EXPECT_DEATH(mgr_.markValid(b, 0), "already valid");
 }
 
 TEST_F(BlockManagerTest, ReleaseCountsWear)
