@@ -127,33 +127,4 @@ LatencyRecorder::percentile(double p) const
     return samples_[std::min(idx, samples_.size() - 1)];
 }
 
-PiecewiseLinearTable::PiecewiseLinearTable(
-    std::vector<std::pair<double, double>> points)
-    : points_(std::move(points))
-{
-    if (points_.empty())
-        fatal("PiecewiseLinearTable requires at least one breakpoint");
-    for (std::size_t i = 1; i < points_.size(); ++i) {
-        if (points_[i].first <= points_[i - 1].first)
-            fatal("PiecewiseLinearTable breakpoints must be increasing");
-    }
-}
-
-double
-PiecewiseLinearTable::lookup(double x) const
-{
-    if (x <= points_.front().first)
-        return points_.front().second;
-    if (x >= points_.back().first)
-        return points_.back().second;
-    // Find the segment containing x.
-    std::size_t hi = 1;
-    while (points_[hi].first < x)
-        ++hi;
-    const auto &[x0, y0] = points_[hi - 1];
-    const auto &[x1, y1] = points_[hi];
-    const double w = (x - x0) / (x1 - x0);
-    return y0 + w * (y1 - y0);
-}
-
 }  // namespace cubessd

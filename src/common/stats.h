@@ -1,8 +1,8 @@
 /**
  * @file
  * Statistics primitives used by the characterization study and the
- * benchmark harness: running moments, histograms, exact latency
- * percentiles and lookup tables.
+ * benchmark harness: running moments, histograms and exact latency
+ * percentiles.
  */
 
 #ifndef CUBESSD_COMMON_STATS_H
@@ -97,29 +97,6 @@ class LatencyRecorder
   private:
     mutable std::vector<double> samples_;
     mutable bool sorted_ = true;
-};
-
-/**
- * Piecewise-linear lookup table y = f(x) over sorted breakpoints.
- *
- * Used for the paper's offline conversion tables: spare-margin S_M to
- * total V_Start/V_Final adjustment (Fig. 11(b)) and the leader/follower
- * split of that adjustment.
- */
-class PiecewiseLinearTable
-{
-  public:
-    /** @param points (x, y) pairs; x must be strictly increasing. */
-    explicit PiecewiseLinearTable(
-        std::vector<std::pair<double, double>> points);
-
-    /** Interpolate; clamps outside the breakpoint range. */
-    double lookup(double x) const;
-
-    std::size_t size() const { return points_.size(); }
-
-  private:
-    std::vector<std::pair<double, double>> points_;
 };
 
 }  // namespace cubessd

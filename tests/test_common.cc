@@ -232,14 +232,5 @@ TEST(LatencyRecorder, ExactPercentiles)
     EXPECT_DOUBLE_EQ(rec.percentile(0), 1.0);
 }
 
-TEST(PiecewiseLinearTable, InterpolatesAndClamps)
-{
-    PiecewiseLinearTable table({{0.0, 0.0}, {1.0, 100.0}, {2.0, 400.0}});
-    EXPECT_DOUBLE_EQ(table.lookup(0.5), 50.0);
-    EXPECT_DOUBLE_EQ(table.lookup(1.5), 250.0);
-    EXPECT_DOUBLE_EQ(table.lookup(-1.0), 0.0);   // clamp low
-    EXPECT_DOUBLE_EQ(table.lookup(5.0), 400.0);  // clamp high
-}
-
 }  // namespace
 }  // namespace cubessd
