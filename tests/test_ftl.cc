@@ -190,6 +190,42 @@ pageInBlock(const nand::NandGeometry &geom, Ppa ppa)
                                       geom.pagesPerBlock());
 }
 
+TEST(Ftl, StalledWritesCompleteInArrivalOrder)
+{
+    // A write larger than the buffer stalls, then a one-page write
+    // stalls behind it. Each flush frees room the short write would
+    // fit in, but the larger write keeps the front and completes first.
+    const auto config = smallConfig(ssd::FtlKind::Page);
+    ssd::Ssd dev(config);
+    ftl::Ftl &ftl = dev.ftl();
+    std::vector<std::uint64_t> completed;
+    const auto submit = [&](std::uint64_t id, Lba lba,
+                            std::uint32_t pages) {
+        ssd::HostRequest req = onePage(ssd::IoType::Write, lba);
+        req.id = id;
+        req.pages = pages;
+        ftl.hostWrite(req,
+                      new test::OneShotSink([&](const ssd::Completion &c) {
+                          completed.push_back(c.id);
+                      }),
+                      0);
+    };
+
+    submit(1, 0, config.writeBufferPages * 3);
+    ASSERT_EQ(ftl.stats().writeStalls, 1u);
+    // Every chip has a flush in flight: refill the room they freed.
+    for (Lba lba = 1000; !ftl.buffer().full(); ++lba)
+        ftl.hostWrite(onePage(ssd::IoType::Write, lba), nullptr, 0);
+    submit(2, 1100, 1);
+    ASSERT_EQ(ftl.stats().writeStalls, 2u);
+
+    while (dev.queue().step()) {
+    }
+    EXPECT_EQ(completed, (std::vector<std::uint64_t>{1, 2}));
+    dev.drain();
+    ftl.checkConsistency();
+}
+
 TEST(Ftl, OlderFlushLandingAfterANewerOneIsDropped)
 {
     // Two versions of one LBA flush to different chips and the newer
