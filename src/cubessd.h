@@ -17,7 +17,7 @@
  * API conventions:
  *  - Maybe-absent lookups return std::optional, never sentinel
  *    values: ssd::Ssd::peek, ftl::MappingTable::lookup/map,
- *    ssd::WriteBuffer::lookup and ftl::Ort::lookup all follow this
+ *    ftl::WriteBuffer::lookup and ftl::Ort::lookup all follow this
  *    idiom — `if (auto v = x.lookup(k)) use(*v);`. Raw kInvalidPpa /
  *    kInvalidLba sentinels appear only inside packed storage (L2P
  *    arrays, FlushEntry padding, the LBA ftl::tokenLba reads from an

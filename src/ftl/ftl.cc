@@ -39,8 +39,6 @@ Ftl::Ftl(const ssd::SsdConfig &config, const nand::NandChip &model)
     for (std::uint32_t i = 0; i < chipCount(); ++i)
         chips_.emplace_back(geom_);
 
-    popScratch_.reserve(geom_.pagesPerWl);
-
     if (config_.ftl == ssd::FtlKind::Vert)
         vFinal_ = buildVFinalTable(config_, model);
     if (monitorsLeaders()) {
@@ -64,7 +62,6 @@ Ftl::hashState(StateHash &h) const
 {
     mapping_.hashState(h);
     buffer_.hashState(h);
-    h.add(inFlight_.size());
     for (const Chip &c : chips_) {
         c.blocks.hashState(h);
         h.add(c.hostFlushes).add(c.parked);
@@ -267,27 +264,18 @@ Ftl::hostRead(const ssd::HostRequest &req, ssd::CompletionSink *sink,
         const Lba lba = req.lba + i;
         ++stats_.hostReadPages;
 
-        // 1) write buffer, 2) in-flight flushes, 3) NAND.
+        // 1) write buffer (until the flush lands), 2) NAND. DRAM
+        // serves a buffer hit, and an unmapped page as zeros.
         bool buffered;
         std::optional<Ppa> ppa;
         {
             PROF_SCOPE(prof::Slot::FtlMapping);
-            buffered = buffer_.lookup(lba) || flushPending(lba);
+            buffered = buffer_.lookup(lba).has_value();
             if (!buffered)
                 ppa = mapping_.lookup(lba);
         }
-        if (buffered) {
-            ++stats_.bufferHits;
-            ctx->phases.buffer += config_.bufferReadTime;
-            sim::EventPayload payload;
-            payload.readPiece.ctx = ctx;
-            queue_->schedule(config_.bufferReadTime,
-                             sim::EventKind::ReadPieceDone, this,
-                             payload);
-            continue;
-        }
-        if (!ppa) {
-            ++stats_.unmappedReads;
+        if (buffered || !ppa) {
+            ++(buffered ? stats_.bufferHits : stats_.unmappedReads);
             ctx->phases.buffer += config_.bufferReadTime;
             sim::EventPayload payload;
             payload.readPiece.ctx = ctx;
@@ -389,34 +377,41 @@ Ftl::hostWrite(const ssd::HostRequest &req,
     write->sink = sink;
     write->sinkCtx = sinkCtx;
     write->nextPage = 0;
-    processWrite(write);
+    if (!bufferPages(write))
+        stalled_.push_back(write);
     maybeFlush();
 }
 
-void
-Ftl::processWrite(StalledWrite *write)
+bool
+Ftl::bufferPages(StalledWrite *write)
 {
     while (write->nextPage < write->req.pages) {
         const Lba lba = write->req.lba + write->nextPage;
         const std::uint64_t version = nextVersion();
         const std::uint64_t token = dataToken(lba, version);
         if (!buffer_.insert(lba, token, version)) {
-            // Buffer full: park the request; a flush completion will
-            // resume it. The unissued version number is harmless.
+            // Buffer full: a flush completion will resume the write.
+            // The unissued version number is harmless.
             ++stats_.writeStalls;
-            if (trace_ != nullptr)
+            if (trace_ != nullptr) {
+                // Stalled writes, this one included: a retried write
+                // is already the queue's front, a new one not queued.
+                const bool queued =
+                    !stalled_.empty() && stalled_.front() == write;
                 trace_->instant(
                     traceTrack_, "write_stall", queue_->now(),
                     {{"lba", static_cast<std::int64_t>(lba)},
                      {"stalled_requests",
-                      static_cast<std::int64_t>(stalled_.size() + 1)}});
-            stalled_.push_back(write);
-            return;
+                      static_cast<std::int64_t>(stalled_.size() +
+                                                (queued ? 0 : 1))}});
+            }
+            return false;
         }
         ++stats_.hostWritePages;
         ++write->nextPage;
     }
     completeWrite(write);
+    return true;
 }
 
 void
@@ -450,21 +445,14 @@ Ftl::completeWithStatus(const ssd::HostRequest &req,
 void
 Ftl::retryStalledWrites()
 {
+    // In arrival order: a write that stalls again keeps the front.
     while (!stalled_.empty()) {
         StalledWrite *write = stalled_.front();
-        stalled_.pop_front();
         const std::uint32_t before = write->nextPage;
-        processWrite(write);
-        if (write->nextPage < write->req.pages) {
-            // Re-stalled: processWrite already re-queued it (at the
-            // back). Restore FIFO fairness by moving it to the front.
-            if (!stalled_.empty() && stalled_.back() == write) {
-                stalled_.pop_back();
-                stalled_.push_front(write);
-            }
-            if (write->nextPage == before)
-                break;  // no progress possible until the next flush
-        }
+        if (bufferPages(write))
+            stalled_.pop_front();
+        else if (write->nextPage == before)
+            break;  // no progress possible until the next flush
     }
 }
 
@@ -513,24 +501,12 @@ Ftl::maybeFlush()
             break;
         flushCursor_ = (chip + 1) % chips;
 
-        popScratch_.clear();
-        buffer_.popOldest(geom_.pagesPerWl, popScratch_);
         FlushBatch *batch = batchPool_.acquire();
         batch->entries.clear();
         batch->chip = chip;
         batch->forGc = false;
-        for (const auto &e : popScratch_) {
-            batch->entries.push_back(
-                FlushEntry{e.lba, e.token, e.version, kInvalidPpa});
-            bool inserted = false;
-            InFlightWrite &w = inFlight_.insertOrGet(e.lba, &inserted);
-            w.token = e.token;
-            w.newest = e.version;
-            ++w.flushes;
-        }
-        while (batch->entries.size() < geom_.pagesPerWl)
-            batch->entries.push_back(FlushEntry{});  // padding (drain)
-
+        buffer_.popOldest(geom_.pagesPerWl, batch->entries);
+        batch->entries.resize(geom_.pagesPerWl);  // padding (drain)
         dispatchFlush(batch);
     }
     if (drainMode_ && buffer_.empty())
@@ -545,8 +521,8 @@ Ftl::dispatchFlush(FlushBatch *batch)
     // Backstop against cascading retirement under fault injection:
     // with the free list empty, a host-path dispatch could force the
     // allocator into its fatal path. Park the batch and retry when GC
-    // returns a block; the data stays readable via inFlight_ / the
-    // source block meanwhile. GC batches are never parked — GC is a
+    // returns a block; the data stays readable via the write buffer /
+    // the source block meanwhile. GC batches are never parked — GC is a
     // net producer of free blocks and dropping its relocations would
     // erase live data. Unreachable without faults (the watermarks
     // keep the free list stocked).
@@ -699,16 +675,7 @@ Ftl::applyMappings(std::uint32_t chip, const nand::WlAddr &wl,
                 continue;
             old = entry.sourcePpa;
         } else {
-            InFlightWrite *w = inFlight_.find(entry.lba);
-            if (w == nullptr)
-                panic("Ftl: LBA %llu landed with no flush in flight",
-                      static_cast<unsigned long long>(entry.lba));
-            const bool current = entry.version > w->landed;
-            if (current)
-                w->landed = entry.version;
-            if (--w->flushes == 0)
-                inFlight_.erase(entry.lba);
-            if (!current)
+            if (!buffer_.land(entry.lba, entry.version))
                 continue;
             old = mapping_.map(entry.lba, ppa);
         }
@@ -840,9 +807,6 @@ Ftl::peek(Lba lba) const
         return std::nullopt;
     if (auto hit = buffer_.lookup(lba))
         return hit;
-    if (const InFlightWrite *w = inFlight_.find(lba);
-        w != nullptr && w->pending())
-        return w->token;
     const std::optional<Ppa> ppa = mapping_.lookup(lba);
     if (!ppa)
         return std::nullopt;
@@ -891,26 +855,11 @@ Ftl::checkConsistency() const
     for (const Chip &c : chips_)
         c.blocks.checkConsistency();
 
-    // Every in-flight record has a flush in flight and no landing
-    // newer than its newest dispatch. A leaked count would keep one
-    // forever; with nothing buffered, in flight or parked there is
-    // none.
-    inFlight_.forEach([](Lba lba, const InFlightWrite &w) {
-        if (w.flushes == 0 || w.landed > w.newest)
-            panic("consistency: LBA %llu in-flight record: %u flushes, "
-                  "landed %llu, newest %llu",
-                  static_cast<unsigned long long>(lba), w.flushes,
-                  static_cast<unsigned long long>(w.landed),
-                  static_cast<unsigned long long>(w.newest));
-    });
+    // A host flush is in flight only in a pooled batch or parked.
     const bool parked = std::any_of(
         chips_.begin(), chips_.end(),
         [](const Chip &c) { return !c.parked.empty(); });
-    if (buffer_.empty() && batchPool_.inUse() == 0 && !parked &&
-        !inFlight_.empty())
-        panic("consistency: %zu in-flight records with no flush in "
-              "flight",
-              inFlight_.size());
+    buffer_.checkConsistency(batchPool_.inUse() != 0 || parked);
 
     // The FTL's wear bookkeeping must track the chips' runtime erase
     // counts — the low half of the aging epoch that gates cached

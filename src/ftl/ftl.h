@@ -8,8 +8,8 @@
  *
  *  - host writes land in the DRAM write buffer (stalling when full),
  *  - a background flush drains WL-sized batches to NAND,
- *  - host reads are served from the buffer, from in-flight flushes,
- *    or from NAND,
+ *  - host reads are served from the buffer, which keeps each page
+ *    until its flush lands, or from NAND,
  *
  * — and reclaims space by garbage collection (src/ftl/gc.cc), whose
  * relocations take the same flush path. Its policy (src/ftl/policy.cc)
@@ -39,8 +39,9 @@
  *
  * The request path is allocation-free at steady state: read contexts,
  * parked writes and flush batches live in free-list pools, completions
- * travel as typed events / CompletionSink calls, the in-flight index
- * is a flat hash map, and NAND completions arrive via NandOpListener.
+ * travel as typed events / CompletionSink calls, the write buffer's
+ * per-LBA records are a flat hash map, and NAND completions arrive via
+ * NandOpListener.
  *
  * Everything the FTL keeps per chip (block manager, host flushes,
  * write points, OPM slots, GC collection) is one Ftl::Chip record.
@@ -59,7 +60,6 @@
 #include <span>
 #include <vector>
 
-#include "src/common/flat_map.h"
 #include "src/common/pool.h"
 #include "src/common/ring_deque.h"
 #include "src/common/state_hash.h"
@@ -71,11 +71,11 @@
 #include "src/ftl/opm.h"
 #include "src/ftl/ort.h"
 #include "src/ftl/wam.h"
+#include "src/ftl/write_buffer.h"
 #include "src/sim/event_queue.h"
 #include "src/ssd/chip_unit.h"
 #include "src/ssd/config.h"
 #include "src/ssd/request.h"
-#include "src/ssd/write_buffer.h"
 
 namespace cubessd::trace {
 class TraceSession;
@@ -100,15 +100,6 @@ tokenLba(std::uint64_t token)
 {
     return (token >> 32) - 1;
 }
-
-/** One page travelling from the write buffer or a GC scan to NAND. */
-struct FlushEntry
-{
-    Lba lba = kInvalidLba;          ///< kInvalidLba = padding
-    std::uint64_t token = 0;
-    std::uint64_t version = 0;      ///< write version; host flushes only
-    Ppa sourcePpa = kInvalidPpa;    ///< set for relocations
-};
 
 /** A WL program decision made by the policy layer. */
 struct ProgramChoice
@@ -199,7 +190,7 @@ class Ftl final : public sim::EventHandler, public ssd::NandOpListener
     GcStats gcStats() const;
     /** Is a GC collection in progress on `chip`? */
     bool collecting(std::uint32_t chip) const;
-    const ssd::WriteBuffer &buffer() const { return buffer_; }
+    const WriteBuffer &buffer() const { return buffer_; }
     const MappingTable &mapping() const { return mapping_; }
     const BlockManager &blockManager(std::uint32_t chip) const;
     std::uint64_t logicalPages() const { return mapping_.logicalPages(); }
@@ -285,34 +276,11 @@ class Ftl final : public sim::EventHandler, public ssd::NandOpListener
     };
 
     /**
-     * The flushes of one host-written LBA from their pop off the write
-     * buffer to their landing. The buffer coalesces each LBA and pops
-     * FIFO, so an LBA's flushes are dispatched in version order; only
-     * their landings reorder (across chips, or after a replay or a
-     * parked batch). A landing maps iff its version is newer than
-     * every earlier landing, and the record goes with the last one.
+     * Buffer the write's remaining pages; complete it once all are.
+     * @return false if it stalled on the full buffer (the caller keeps
+     *         it queued until a flush frees room).
      */
-    struct InFlightWrite
-    {
-        std::uint64_t token = 0;    ///< data of the newest version
-        std::uint64_t newest = 0;   ///< newest version dispatched
-        std::uint64_t landed = 0;   ///< newest version landed; 0: none
-        std::uint32_t flushes = 0;  ///< of this LBA still in flight
-
-        /** Is the newest data not yet on NAND? The read path and
-         *  peek() then serve its token instead of the mapping. */
-        bool pending() const { return newest > landed; }
-    };
-
-    /** Is `lba`'s newest data in a flush that has not landed? */
-    bool
-    flushPending(Lba lba) const
-    {
-        const InFlightWrite *w = inFlight_.find(lba);
-        return w != nullptr && w->pending();
-    }
-
-    void processWrite(StalledWrite *write);
+    bool bufferPages(StalledWrite *write);
     /** Schedule the write's completion and recycle its record. */
     void completeWrite(StalledWrite *write);
 
@@ -579,13 +547,11 @@ class Ftl final : public sim::EventHandler, public ssd::NandOpListener
 
     MappingTable mapping_;
     std::vector<Chip> chips_;
-    ssd::WriteBuffer buffer_;
-    FlatMap64<InFlightWrite> inFlight_;  ///< lba -> its flushes in flight
+    WriteBuffer buffer_;
     ObjectPool<ReadContext> readCtxPool_;
     ObjectPool<StalledWrite> stalledPool_;
     ObjectPool<FlushBatch> batchPool_;
     RingDeque<StalledWrite *> stalled_;
-    std::vector<ssd::BufferEntry> popScratch_;  ///< popOldest staging
     std::uint32_t flushCursor_ = 0;
     std::uint64_t versionCounter_ = 0;
     bool drainMode_ = false;

@@ -4,7 +4,7 @@
  * LBA, kInvalid32 when the LBA was never written.
  *
  * The table keeps no write version. A host flush that lands late is
- * judged by the FTL's in-flight record of its LBA (Ftl::InFlightWrite);
+ * judged by its LBA's record in the write buffer (WriteBuffer::land);
  * a relocation lands only while the LBA still maps to the page it
  * copied (relocate()).
  */
