@@ -11,7 +11,6 @@ WriteBuffer::WriteBuffer(std::uint32_t capacityPages)
 {
     if (capacity_ == 0)
         fatal("WriteBuffer: capacity must be positive");
-    ring_.resize(capacity_);
 }
 
 bool
@@ -26,12 +25,8 @@ WriteBuffer::insert(Lba lba, std::uint64_t token, std::uint64_t version)
             r = &records_.insertOrGet(lba, &inserted);
         }
         r->buffered = true;
-        std::uint32_t tail = head_ + size_;
-        if (tail >= capacity_)
-            tail -= capacity_;
-        ring_[tail] = lba;
-        ++size_;
-        peak_ = std::max<std::size_t>(peak_, size_);
+        ring_.push_back(lba);
+        peak_ = std::max(peak_, ring_.size());
     }
     r->token = token;
     r->version = version;
@@ -41,10 +36,9 @@ WriteBuffer::insert(Lba lba, std::uint64_t token, std::uint64_t version)
 void
 WriteBuffer::popOldest(std::uint32_t n, std::vector<FlushEntry> &out)
 {
-    for (; n > 0 && size_ > 0; --n, --size_) {
-        const Lba lba = ring_[head_];
-        if (++head_ == capacity_)
-            head_ = 0;
+    for (; n > 0 && !ring_.empty(); --n) {
+        const Lba lba = ring_.front();
+        ring_.pop_front();
         Record &r = *records_.find(lba);
         r.buffered = false;
         ++r.flushes;
@@ -71,8 +65,8 @@ void
 WriteBuffer::checkConsistency(bool flushesInFlight) const
 {
     std::vector<Lba> ring;
-    for (std::uint32_t i = 0; i < size_; ++i) {
-        const Lba lba = ring_[(head_ + i) % capacity_];
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+        const Lba lba = ring_[i];
         const Record *r = records_.find(lba);
         if (r == nullptr || !r->buffered)
             panic("consistency: LBA %llu queued in the write buffer "
@@ -88,7 +82,7 @@ WriteBuffer::checkConsistency(bool flushesInFlight) const
     // records as queued LBAs leaves no buffered record out of the ring.
     // A record neither buffered nor in flight should have gone with its
     // last landing; a leaked flush count would keep one forever.
-    std::uint32_t buffered = 0;
+    std::size_t buffered = 0;
     records_.forEach([&](Lba lba, const Record &r) {
         buffered += r.buffered;
         if ((r.flushes == 0 && !r.buffered) || r.landed > r.version)
@@ -102,17 +96,17 @@ WriteBuffer::checkConsistency(bool flushesInFlight) const
                   "the FTL none",
                   static_cast<unsigned long long>(lba), r.flushes);
     });
-    if (buffered != size_)
-        panic("consistency: %u buffered records vs %u queued LBAs",
-              buffered, size_);
+    if (buffered != ring_.size())
+        panic("consistency: %zu buffered records vs %zu queued LBAs",
+              buffered, ring_.size());
 }
 
 void
 WriteBuffer::hashState(StateHash &h) const
 {
-    h.add(capacity_).add(size_).add(peak_);
-    for (std::uint32_t i = 0; i < size_; ++i)
-        h.add(ring_[(head_ + i) % capacity_]);
+    h.add(capacity_).add(ring_.size()).add(peak_);
+    for (std::size_t i = 0; i < ring_.size(); ++i)
+        h.add(ring_[i]);
     records_.forEach([&h](Lba lba, const Record &r) {
         h.add(lba).add(r.token).add(r.version).add(r.landed);
         h.add(r.flushes).add(r.buffered);

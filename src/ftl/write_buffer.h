@@ -13,10 +13,10 @@
  * The buffer owns each host write's DRAM side from insert() until its
  * flush lands: one record per LBA holds the newest data, its version
  * and the LBA's flushes in flight, so a read asks one structure whether
- * its newest data is still in DRAM. The buffered LBAs wait in a fixed
- * ring in FIFO order (the buffer has a hard capacity by definition);
- * insert, lookup, pop and land never allocate once the record map has
- * grown to its working set.
+ * its newest data is still in DRAM. The buffered LBAs wait in a ring
+ * in FIFO order, never more than the buffer's hard capacity; insert,
+ * lookup, pop and land never allocate once the ring and the record map
+ * have grown to their working set.
  */
 
 #ifndef CUBESSD_FTL_WRITE_BUFFER_H
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "src/common/flat_map.h"
+#include "src/common/ring_deque.h"
 #include "src/common/state_hash.h"
 #include "src/common/types.h"
 
@@ -48,9 +49,9 @@ class WriteBuffer
 
     std::uint32_t capacity() const { return capacity_; }
     /** Buffered pages; popped pages in flight do not count. */
-    std::size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-    bool full() const { return size_ >= capacity_; }
+    std::size_t size() const { return ring_.size(); }
+    bool empty() const { return ring_.empty(); }
+    bool full() const { return ring_.size() >= capacity_; }
     /** High-water mark of buffered pages over the buffer's lifetime. */
     std::size_t peakSize() const { return peak_; }
 
@@ -58,7 +59,7 @@ class WriteBuffer
     double
     utilization() const
     {
-        return static_cast<double>(size_) /
+        return static_cast<double>(ring_.size()) /
                static_cast<double>(capacity_);
     }
 
@@ -121,11 +122,9 @@ class WriteBuffer
     };
 
     std::uint32_t capacity_;
-    std::uint32_t head_ = 0;  ///< ring slot of the oldest buffered LBA
-    std::uint32_t size_ = 0;
     std::size_t peak_ = 0;
-    std::vector<Lba> ring_;          ///< capacity_ slots
-    FlatMap64<Record> records_;      ///< lba -> its record
+    RingDeque<Lba> ring_;          ///< buffered LBAs, oldest first
+    FlatMap64<Record> records_;    ///< lba -> its record
 };
 
 }  // namespace cubessd::ftl
