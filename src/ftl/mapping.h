@@ -46,10 +46,10 @@ class MappingTable
 
     /**
      * map(lba, ppa); `version` is ignored. The table stored a write
-     * version per LBA until the FTL's in-flight records took over the
-     * flush-race check; bench/perf/cubessd_bench.cc still fills and
-     * times the table through this signature, and only a change to
-     * the benchmark can move it to map(lba, ppa).
+     * version per LBA until the write buffer's per-LBA records took
+     * over the flush-race check; bench/perf/cubessd_bench.cc still
+     * fills and times the table through this signature, and only a
+     * change to the benchmark can move it to map(lba, ppa).
      */
     std::optional<Ppa>
     map(Lba lba, Ppa ppa, std::uint64_t /*version*/)
